@@ -12,15 +12,15 @@ constexpr std::size_t kMinCompactSize = 16;
 }  // namespace
 
 void InterferenceTracker::add(Signal signal) {
+  longest_ = std::max(longest_, signal.end - signal.start);
   signals_.push_back(std::move(signal));
 }
 
-void InterferenceTracker::prune(sim::Time horizon) {
-  prune_horizon_ = std::max(prune_horizon_, horizon);
+void InterferenceTracker::prune(sim::Time now) {
   if (signals_.size() < std::max(compact_at_, kMinCompactSize)) return;
-  std::erase_if(signals_, [this](const Signal& s) {
-    return s.end < prune_horizon_;
-  });
+  const sim::Time horizon = now - longest_;
+  std::erase_if(signals_,
+                [horizon](const Signal& s) { return s.end < horizon; });
   // Require at least one live signal's worth of growth (and at least the
   // minimum) before scanning again: amortized O(1) per add().
   compact_at_ = 2 * signals_.size();
@@ -97,20 +97,15 @@ double InterferenceTracker::min_sinr(std::uint64_t target_frame_id,
       .min_sinr;
 }
 
-double InterferenceTracker::total_power_mw(sim::Time t) const {
-  double total = 0.0;
+ActivePower InterferenceTracker::active_power(sim::Time t) const {
+  ActivePower p;
   for (const auto& s : signals_) {
-    if (s.start <= t && s.end > t) total += s.power_mw;
+    if (s.start <= t && s.end > t) {
+      p.total_mw += s.power_mw;
+      p.max_mw = std::max(p.max_mw, s.power_mw);
+    }
   }
-  return total;
-}
-
-double InterferenceTracker::max_power_mw(sim::Time t) const {
-  double best = 0.0;
-  for (const auto& s : signals_) {
-    if (s.start <= t && s.end > t) best = std::max(best, s.power_mw);
-  }
-  return best;
+  return p;
 }
 
 ChunkOutcome evaluate_reference(const InterferenceTracker& tracker,
@@ -119,13 +114,7 @@ ChunkOutcome evaluate_reference(const InterferenceTracker& tracker,
                                 const ErrorModel& model, double sinr_scale) {
   ChunkOutcome out;
   const std::vector<Signal>& signals = tracker.signals();
-  const Signal* target = nullptr;
-  for (const auto& s : signals) {
-    if (s.frame && s.frame->id == target_frame_id) {
-      target = &s;
-      break;
-    }
-  }
+  const Signal* target = tracker.find(target_frame_id);
   CMAP_ASSERT(target != nullptr, "evaluating unknown frame");
   if (end <= begin) return out;
 

@@ -35,21 +35,39 @@ struct ChunkOutcome {
   double min_sinr = 1e30;  // linear; worst sub-interval SINR
 };
 
+/// Power on the air at one instant (mW): the sum over active signals and
+/// the strongest single one — the two carrier-sense inputs.
+struct ActivePower {
+  double total_mw = 0.0;
+  double max_mw = 0.0;
+};
+
 class InterferenceTracker {
  public:
   explicit InterferenceTracker(double noise_floor_mw)
       : noise_mw_(noise_floor_mw) {}
 
+  /// Track `signal`, and record its duration if it is the longest seen.
   void add(Signal signal);
 
-  /// Drop signals that ended before `horizon` (they can no longer overlap
-  /// any evaluation window). Amortized: the horizon is recorded on every
-  /// call, but the O(S) compaction only runs once the live vector has
-  /// grown past a threshold that doubles with the surviving size, so a
-  /// caller pruning on every delivery pays O(1) amortized. Expired signals
-  /// may therefore linger in signals(); every query is time-windowed, so
-  /// results are unaffected.
-  void prune(sim::Time horizon);
+  /// Drop the signals that no query from `now` on can see: those with
+  /// end < now - longest, where longest is the longest duration add() has
+  /// seen. A query from `now` on is a window inside some signal X that is
+  /// on the air at `now` or arrives later, or an instant >= `now`. Such an
+  /// X starts at or after now - longest, and a dropped signal ended before
+  /// that, so it overlaps none of these queries. Callers must pass a
+  /// non-decreasing `now` and make no query before it.
+  ///
+  /// Amortized: the O(S) compaction only runs once the vector has grown
+  /// past a threshold that doubles with the surviving size, so a caller
+  /// pruning on every delivery pays O(1) amortized and expired signals may
+  /// linger in signals(). Compaction keeps insertion order, so every power
+  /// sum runs over the same signals in the same order as without pruning:
+  /// results are bit-identical.
+  void prune(sim::Time now);
+
+  /// The tracked signal carrying frame `frame_id`, or null.
+  const Signal* find(std::uint64_t frame_id) const;
 
   /// Success probability and worst SINR for decoding `bits` of frame
   /// `target_frame_id` over the window [begin, end) at `rate`, given all
@@ -63,21 +81,17 @@ class InterferenceTracker {
   double min_sinr(std::uint64_t target_frame_id, sim::Time begin,
                   sim::Time end) const;
 
-  /// Sum of powers of signals active at time `t` (mW), excluding none.
-  double total_power_mw(sim::Time t) const;
-
-  /// Highest single-signal power active at time `t` (mW), or 0.
-  double max_power_mw(sim::Time t) const;
+  /// Total and strongest power of the signals active at time `t`, in one
+  /// pass (a signal is active on [start, end)).
+  ActivePower active_power(sim::Time t) const;
 
   const std::vector<Signal>& signals() const { return signals_; }
   double noise_mw() const { return noise_mw_; }
 
  private:
-  const Signal* find(std::uint64_t frame_id) const;
-
   std::vector<Signal> signals_;
   double noise_mw_;
-  sim::Time prune_horizon_ = 0;
+  sim::Time longest_ = 0;  // longest end - start add() has seen
   std::size_t compact_at_ = 0;
   // Sweep-edge scratch, reused across evaluate() calls to avoid a per-call
   // allocation. A tracker belongs to one radio in one (single-threaded)

@@ -7,11 +7,6 @@
 #include "sim/assert.h"
 
 namespace cmap::phy {
-namespace {
-// Signals older than this can no longer overlap any evaluation window
-// (longest frame is ~2 ms; generous margin).
-constexpr sim::Time kPruneHorizon = 50 * sim::kNsPerMs;
-}  // namespace
 
 Radio::Radio(sim::Simulator& simulator, Medium& medium, NodeId id,
              Position pos, RadioConfig config,
@@ -33,13 +28,6 @@ Radio::Radio(sim::Simulator& simulator, Medium& medium, NodeId id,
   medium_.attach(this);
   trace_.bind(medium_.tracer_for(id_), id_);
   metrics_.bind(medium_.metrics(), metrics::Domain::kPhy);
-}
-
-const Signal* Radio::find_signal(std::uint64_t frame_id) const {
-  for (const auto& s : tracker_.signals()) {
-    if (s.frame && s.frame->id == frame_id) return &s;
-  }
-  return nullptr;
 }
 
 void Radio::set_position(Position pos) {
@@ -88,7 +76,7 @@ void Radio::deliver(Signal signal) {
   // radio reception is keyed on frame ids throughout.
   CMAP_ASSERT(signal.frame != nullptr, "radio delivery requires a frame");
   const std::uint64_t fid = signal.frame->id;
-  tracker_.prune(sim_.now() - kPruneHorizon);
+  tracker_.prune(sim_.now());
   tracker_.add(signal);
   sim_.at(signal.end, [this, fid] { on_signal_end(fid); });
 
@@ -107,8 +95,9 @@ void Radio::deliver(Signal signal) {
 
 void Radio::evaluate_preamble(std::uint64_t frame_id) {
   if (state_ == State::kTx) return;
-  const Signal* sig = find_signal(frame_id);
-  if (sig == nullptr) return;  // pruned (shouldn't happen within horizon)
+  // The signal is still on the air, and prune() keeps every such signal.
+  const Signal* sig = tracker_.find(frame_id);
+  CMAP_ASSERT(sig != nullptr, "signal missing at preamble evaluation");
 
   if (state_ == State::kRx) {
     if (!config_.capture_enabled || frame_id == lock_frame_id_) return;
@@ -157,8 +146,8 @@ void Radio::lock(const Signal& sig) {
       const std::uint64_t fid = sig.frame->id;
       header_event_ = sim_.at(end, [this, fid, i] {
         if (state_ != State::kRx || lock_frame_id_ != fid) return;
-        const Signal* s = find_signal(fid);
-        if (s == nullptr) return;
+        const Signal* s = tracker_.find(fid);
+        CMAP_ASSERT(s != nullptr, "locked signal missing at header decode");
         double sinr_db = 0.0;
         const bool ok = evaluate_segment(*s, i, &sinr_db);
         segment_results_[i] = ok;
@@ -209,7 +198,7 @@ bool Radio::evaluate_segment(const Signal& sig, std::size_t index,
 
 void Radio::finish_rx() {
   CMAP_ASSERT(state_ == State::kRx, "finish_rx in wrong state");
-  const Signal* sig = find_signal(lock_frame_id_);
+  const Signal* sig = tracker_.find(lock_frame_id_);
   CMAP_ASSERT(sig != nullptr, "locked signal missing at finish");
 
   RxResult result;
@@ -262,8 +251,9 @@ void Radio::abort_rx() {
 }
 
 void Radio::on_signal_end(std::uint64_t frame_id) {
-  const Signal* sig = find_signal(frame_id);
-  if (sig != nullptr && config_.salvage_enabled &&
+  const Signal* sig = tracker_.find(frame_id);
+  CMAP_ASSERT(sig != nullptr, "signal missing at its end");
+  if (config_.salvage_enabled &&
       (state_ != State::kRx || lock_frame_id_ != frame_id)) {
     maybe_salvage(*sig);
   }
@@ -299,10 +289,8 @@ void Radio::maybe_salvage(const Signal& sig) {
 
 bool Radio::carrier_busy() const {
   if (state_ != State::kIdle) return true;
-  const sim::Time now = sim_.now();
-  if (tracker_.max_power_mw(now) >= cs_signal_mw_) return true;
-  if (tracker_.total_power_mw(now) >= energy_detect_mw_) return true;
-  return false;
+  const ActivePower p = tracker_.active_power(sim_.now());
+  return p.max_mw >= cs_signal_mw_ || p.total_mw >= energy_detect_mw_;
 }
 
 void Radio::update_cca() {

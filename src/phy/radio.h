@@ -143,7 +143,6 @@ class Radio {
   void finish_tx();
   void update_cca();
   void maybe_salvage(const Signal& sig);
-  const Signal* find_signal(std::uint64_t frame_id) const;
 
   // Payload window [begin, end) of segment `index` of `sig`'s frame,
   // mapping payload bits proportionally onto the post-preamble airtime.

@@ -8,9 +8,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -67,41 +69,129 @@ struct EventKey {
   }
 };
 
-/// Handle to a scheduled event. Copyable; cancelling any copy cancels the
-/// event. A default-constructed EventId refers to no event.
+/// A scheduled event's callback: a move-only `void()` callable stored
+/// inline. There is no heap fallback — a capture larger than kCapacity is
+/// a compile error — so scheduling an event never allocates for its
+/// callable. kCapacity fits the largest capture in the simulator, the
+/// medium's delivery closure [Radio*, Signal].
+class EventFn {
+ public:
+  static constexpr std::size_t kCapacity = 48;
+
+  EventFn() = default;
+
+  template <class F, class D = std::decay_t<F>,
+            class = std::enable_if_t<!std::is_same_v<D, EventFn> &&
+                                     std::is_invocable_r_v<void, D&>>>
+  EventFn(F&& f) {  // implicit, so call sites pass lambdas directly
+    static_assert(sizeof(D) <= kCapacity,
+                  "event capture exceeds EventFn::kCapacity");
+    static_assert(alignof(D) <= alignof(void*),
+                  "event capture is over-aligned for EventFn");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "event capture must be nothrow-movable");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
+  }
+
+  EventFn(EventFn&& o) noexcept : ops_(o.ops_) {
+    if (ops_ != nullptr) ops_->relocate(buf_, o.buf_);
+    o.ops_ = nullptr;
+  }
+  EventFn& operator=(EventFn&& o) noexcept {
+    if (this != &o) {
+      reset();
+      ops_ = o.ops_;
+      if (ops_ != nullptr) ops_->relocate(buf_, o.buf_);
+      o.ops_ = nullptr;
+    }
+    return *this;
+  }
+  EventFn(const EventFn&) = delete;
+  EventFn& operator=(const EventFn&) = delete;
+  ~EventFn() { reset(); }
+
+  void operator()() { ops_->invoke(buf_); }
+
+  /// Destroy the held callable (and whatever it captured), leaving *this
+  /// empty.
+  void reset() {
+    if (ops_ != nullptr) ops_->destroy(buf_);
+    ops_ = nullptr;
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    void (*relocate)(void* dst, void* src);  // move-construct, destroy src
+    void (*destroy)(void* self);
+  };
+  template <class D>
+  static constexpr Ops kOps{
+      [](void* self) { (*static_cast<D*>(self))(); },
+      [](void* dst, void* src) {
+        ::new (dst) D(std::move(*static_cast<D*>(src)));
+        static_cast<D*>(src)->~D();
+      },
+      [](void* self) { static_cast<D*>(self)->~D(); }};
+
+  const Ops* ops_ = nullptr;
+  alignas(void*) unsigned char buf_[kCapacity];
+};
+
+class EventQueue;
+
+/// Handle to a scheduled event: its queue, the pool slot holding its
+/// callback and the event's seq, which is the slot's generation tag. Once
+/// the event runs or is cancelled the slot is freed, and a later event
+/// reusing it carries a different (unique) seq, so a stale id can neither
+/// cancel nor report the new occupant. Copyable; cancelling any copy
+/// cancels the event. A default-constructed EventId refers to no event. An
+/// id must not be used after its queue is destroyed.
 class EventId {
  public:
   EventId() = default;
 
   /// True if the event is still pending (scheduled, not cancelled, not run).
-  bool pending() const { return state_ && !*state_; }
+  bool pending() const;
 
   /// Cancel the event if still pending. Safe to call repeatedly, on
   /// already-run events, and on default-constructed ids.
-  void cancel() {
-    if (state_) *state_ = true;
-  }
+  void cancel();
 
  private:
   friend class EventQueue;
-  explicit EventId(std::shared_ptr<bool> state) : state_(std::move(state)) {}
-  std::shared_ptr<bool> state_;  // true => cancelled or executed
+  EventId(EventQueue* queue, std::uint32_t slot, std::uint64_t seq)
+      : queue_(queue), slot_(slot), seq_(seq) {}
+  EventQueue* queue_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint64_t seq_ = 0;
 };
 
-/// Time-ordered queue of callbacks. Not thread-safe: each queue is driven
-/// by one executive at a time (the whole simulation for the serial path,
-/// one partition window for PDES).
+/// Time-ordered queue of callbacks. The heap holds trivially copyable keys;
+/// callbacks live in a pool of slots recycled through a free list, so a
+/// schedule/run cycle allocates nothing once the pool and heap have grown
+/// to the run's peak depth. Not thread-safe: each queue is driven by one
+/// executive at a time (the whole simulation for the serial path, one
+/// partition window for PDES). Not copyable or movable: EventIds point at
+/// it.
 class EventQueue {
  public:
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   /// Schedule `fn` at absolute time `at` with the default local rank.
   /// `at` must not precede the time of the event currently being executed
   /// (no scheduling into the past).
-  EventId schedule(Time at, std::function<void()> fn) {
+  /// Callbacks are taken by rvalue reference so a callable travels from
+  /// the caller's temporary into its slot with a single relocation.
+  EventId schedule(Time at, EventFn&& fn) {
     return schedule_ranked(at, EventRank{}, std::move(fn));
   }
 
   /// Schedule with an explicit same-tick ordering rank (see EventRank).
-  EventId schedule_ranked(Time at, EventRank rank, std::function<void()> fn);
+  EventId schedule_ranked(Time at, EventRank rank, EventFn&& fn);
 
   /// Pop and run the earliest pending event; returns false if none remain.
   bool run_one();
@@ -118,15 +208,15 @@ class EventQueue {
   /// Number of events executed so far (for micro-benchmarks and tests).
   std::uint64_t executed() const { return executed_; }
 
-  /// Largest heap size observed (live + not-yet-compacted cancelled
-  /// entries), for the metrics execution section.
+  /// Largest heap size observed (live + not-yet-compacted stale keys), for
+  /// the metrics execution section.
   std::size_t depth_high_water() const { return depth_high_water_; }
 
-  /// Number of cancelled-entry compaction rebuilds performed.
+  /// Number of stale-key compaction rebuilds performed.
   std::uint64_t compactions() const { return compactions_; }
 
-  /// Entries currently held, including not-yet-compacted cancelled ones
-  /// (observability for the compaction regression test).
+  /// Keys currently held, including not-yet-compacted stale ones (those of
+  /// cancelled events; observability for the compaction regression test).
   std::size_t heap_size() const { return heap_.size(); }
 
   /// Time of the event currently executing (or last executed).
@@ -152,19 +242,27 @@ class EventQueue {
   }
 
  private:
-  struct Entry {
+  friend class EventId;
+
+  // Seq of a free slot. Real seqs count up from 0 and never reach it.
+  static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
+
+  struct Key {
     Time at = 0;
     EventRank rank;
-    std::uint64_t seq = 0;  // tie-breaker: FIFO among same-(time, rank)
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
+    std::uint64_t seq = 0;   // tie-breaker: FIFO among same-(time, rank)
+    std::uint32_t slot = 0;  // pool slot holding the callback
+  };
+  struct Slot {
+    EventFn fn;
+    std::uint64_t seq = kFreeSlot;  // seq of the occupant, or kFreeSlot
   };
   // Max-heap comparator for "later", so the heap root is the earliest
-  // entry. (at, cls, a, b, seq) is a total order — seq is unique — so the
+  // key. (at, cls, a, b, seq) is a total order — seq is unique — so the
   // pop *sequence* is independent of heap layout, which is what makes
   // compaction (a re-heapify) determinism-safe.
   struct Later {
-    bool operator()(const Entry& x, const Entry& y) const {
+    bool operator()(const Key& x, const Key& y) const {
       if (x.at != y.at) return x.at > y.at;
       if (x.rank.cls != y.rank.cls) return x.rank.cls > y.rank.cls;
       if (x.rank.a != y.rank.a) return x.rank.a > y.rank.a;
@@ -173,21 +271,38 @@ class EventQueue {
     }
   };
 
-  void drop_cancelled_head();
+  bool pending(std::uint32_t slot, std::uint64_t seq) const {
+    return slots_[slot].seq == seq;
+  }
+  // A key is stale once its event ran or was cancelled: the slot was freed
+  // (and possibly reused by a later event with another seq).
+  bool stale(const Key& k) const { return !pending(k.slot, k.seq); }
+  void release(std::uint32_t slot);
+  void drop_stale_head();
   void maybe_compact();
 
-  std::vector<Entry> heap_;  // std::push_heap/pop_heap managed
+  std::vector<Key> heap_;  // std::push_heap/pop_heap managed
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;  // LIFO free list into slots_
   std::uint64_t next_seq_ = 0;
   std::atomic<std::uint64_t>* seq_source_ = nullptr;
   std::uint64_t executed_ = 0;
   std::size_t depth_high_water_ = 0;
   std::uint64_t compactions_ = 0;
   Time current_time_ = 0;
-  // Cancelled-entry compaction (see maybe_compact): scan when the heap has
+  // Stale-key compaction (see maybe_compact): scan when the heap has
   // doubled past the size it had after the last scan, so the amortized
   // cost per schedule() is O(1) and a cancellation-heavy workload
-  // (defer-TTL churn) cannot retain dead entries unboundedly.
+  // (defer-TTL churn) cannot retain stale keys unboundedly.
   std::size_t compact_watermark_ = 0;
 };
+
+inline bool EventId::pending() const {
+  return queue_ != nullptr && queue_->pending(slot_, seq_);
+}
+
+inline void EventId::cancel() {
+  if (pending()) queue_->release(slot_);
+}
 
 }  // namespace cmap::sim

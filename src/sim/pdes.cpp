@@ -124,7 +124,7 @@ void PdesEngine::rebuild_closure() {
 void PdesEngine::schedule_delivery(int src_partition, int dst_partition,
                                    Time at, std::uint64_t frame_id,
                                    std::uint64_t receiver,
-                                   std::function<void()> fn) {
+                                   EventFn fn) {
   const auto sp = static_cast<std::size_t>(src_partition);
   const auto dp = static_cast<std::size_t>(dst_partition);
   if (group_id_[sp] == group_id_[dp]) {

@@ -136,7 +136,7 @@ class PdesEngine {
   /// the final ordering independent of the route taken.
   void schedule_delivery(int src_partition, int dst_partition, Time at,
                          std::uint64_t frame_id, std::uint64_t receiver,
-                         std::function<void()> fn);
+                         EventFn fn);
 
   /// Drive every queue to `until` (events at exactly `until` included,
   /// matching Simulator::run_until), leaving all clocks at `until`.
@@ -167,7 +167,7 @@ class PdesEngine {
     Time at = 0;
     std::uint64_t frame_id = 0;
     std::uint64_t receiver = 0;
-    std::function<void()> fn;
+    EventFn fn;
   };
   struct Mailbox {
     mutable std::mutex mutex;

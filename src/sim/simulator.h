@@ -5,8 +5,6 @@
 // components are none the wiser.
 #pragma once
 
-#include <functional>
-
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
@@ -22,12 +20,12 @@ class Simulator {
   Time now() const { return queue_.current_time(); }
 
   /// Schedule `fn` to run at absolute time `at` (>= now()).
-  EventId at(Time when, std::function<void()> fn) {
+  EventId at(Time when, EventFn fn) {
     return queue_.schedule(when, std::move(fn));
   }
 
   /// Schedule `fn` to run `delay` nanoseconds from now (delay >= 0).
-  EventId in(Time delay, std::function<void()> fn) {
+  EventId in(Time delay, EventFn fn) {
     return queue_.schedule(now() + delay, std::move(fn));
   }
 
@@ -35,10 +33,10 @@ class Simulator {
   /// medium schedules deliveries and the dynamics subsystem its global
   /// steps through these so the serial queue sorts same-instant events
   /// exactly as the partitioned engine executes them.
-  EventId at_ranked(Time when, EventRank rank, std::function<void()> fn) {
+  EventId at_ranked(Time when, EventRank rank, EventFn fn) {
     return queue_.schedule_ranked(when, rank, std::move(fn));
   }
-  EventId in_ranked(Time delay, EventRank rank, std::function<void()> fn) {
+  EventId in_ranked(Time delay, EventRank rank, EventFn fn) {
     return queue_.schedule_ranked(now() + delay, rank, std::move(fn));
   }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "phy/units.h"
 #include "sim/random.h"
@@ -98,28 +99,107 @@ TEST(Interference, SinrScaleActsAsImplementationLoss) {
 TEST(Interference, PruneIsLazyBelowTheCompactionThreshold) {
   InterferenceTracker t(dbm_to_mw(kNoiseDbm));
   t.add(make_signal(1, -80.0, 0, 100));
-  t.add(make_signal(2, -80.0, 0, 5000));
-  t.prune(1000);
+  t.add(make_signal(2, -80.0, 1000, 1100));
+  t.prune(1050);  // longest 100: signal 1 ended before 950
   // Amortized contract: with only a handful of signals the expired one may
   // linger in signals()...
   EXPECT_EQ(t.signals().size(), 2u);
-  // ...but every query is time-windowed, so it cannot affect results.
-  EXPECT_NEAR(mw_to_dbm(t.total_power_mw(2000)), -80.0, 0.01);
-  EXPECT_NEAR(linear_to_db(t.min_sinr(2, 1000, 5000)), 14.0, 0.01);
+  // ...but no query from `now` on can see it, so it cannot affect results.
+  EXPECT_NEAR(mw_to_dbm(t.active_power(1050).total_mw), -80.0, 0.01);
+  EXPECT_NEAR(linear_to_db(t.min_sinr(2, 1000, 1100)), 14.0, 0.01);
 }
 
 TEST(Interference, PruneCompactsOnceGrownAndDropsOnlyExpiredSignals) {
   InterferenceTracker t(dbm_to_mw(kNoiseDbm));
-  t.add(make_signal(1, -80.0, 0, 100));  // will expire
-  t.add(make_signal(2, -80.0, 0, 5000));
+  t.add(make_signal(1, -80.0, 0, 100));    // ends before now - longest
+  t.add(make_signal(2, -80.0, 900, 1000));  // ends exactly at it: kept
   for (std::uint64_t i = 0; i < 18; ++i) {
-    t.add(make_signal(3 + i, -80.0, 1500, 5000));
+    t.add(make_signal(3 + i, -80.0, 1100, 1200));
   }
-  t.prune(1000);
+  t.prune(1100);  // longest 100: horizon 1000
   EXPECT_EQ(t.signals().size(), 19u);
   for (const auto& s : t.signals()) {
     EXPECT_NE(s.frame->id, 1u);
   }
+}
+
+TEST(Interference, PruneHorizonFollowsTheLongestSignalSeen) {
+  InterferenceTracker t(dbm_to_mw(kNoiseDbm));
+  t.add(make_signal(1, -80.0, 0, 10'000));  // longest: 10 us
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const auto start = static_cast<sim::Time>(100 * i);
+    t.add(make_signal(2 + i, -80.0, start, start + 100));
+  }
+  // Every short signal is long over at 12'000. But a signal as long as
+  // signal 1 could still be on the air at 12'000 having started at 2'000,
+  // and a window inside it reaches back that far: only the signals that
+  // ended before 2'000 go.
+  t.prune(12'000);
+  for (const auto& s : t.signals()) EXPECT_GE(s.end, 2'000);
+  EXPECT_EQ(t.signals().size(), 2u);  // signal 1 and [1900, 2000)
+}
+
+// Exact retention: a tracker pruned before every add answers every query
+// the prune(now) contract allows — windows inside a signal still on the
+// air, instants from `now` on — bit-for-bit like a tracker that never
+// prunes.
+TEST(Interference, PrunedTrackerMatchesUnprunedOracleExactly) {
+  sim::Rng rng(2024);
+  NistErrorModel model;
+  std::size_t pruned_total = 0, oracle_total = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    InterferenceTracker pruned(dbm_to_mw(kNoiseDbm));
+    InterferenceTracker oracle(dbm_to_mw(kNoiseDbm));
+    std::vector<Signal> framed;  // decodable signals, in arrival order
+    // Odd trials mix in rare signals 20x longer than the rest, so the
+    // horizon jumps mid-stream.
+    const std::int64_t max_len = trial % 2 == 0 ? 20 : 400;
+    sim::Time now = 0;
+    for (int step = 0; step < 300; ++step) {
+      // A 10 ns grid: arrivals, ends and query instants share ticks.
+      now += 10 * rng.uniform_int(0, 10);
+      Signal s;
+      s.start = now;
+      const std::int64_t len_max = rng.bernoulli(0.05) ? max_len : 20;
+      s.end = now + 10 * rng.uniform_int(1, len_max);
+      s.power_mw = dbm_to_mw(rng.uniform(-95.0, -60.0));
+      if (!rng.bernoulli(0.2)) {
+        s.frame = make_frame(static_cast<std::uint64_t>(1 + step), 100);
+        framed.push_back(s);
+      }
+      pruned.prune(now);
+      pruned.add(s);
+      oracle.add(s);
+
+      for (int q = 0; q < 3; ++q) {
+        const sim::Time t = now + 10 * rng.uniform_int(0, 40);
+        const ActivePower a = pruned.active_power(t);
+        const ActivePower b = oracle.active_power(t);
+        EXPECT_EQ(a.total_mw, b.total_mw) << "t=" << t;
+        EXPECT_EQ(a.max_mw, b.max_mw) << "t=" << t;
+      }
+      for (const Signal& x : framed) {
+        if (x.end < now) continue;  // no longer on the air
+        const sim::Time len = x.end - x.start;
+        const sim::Time begin = x.start + rng.uniform_int(0, len - 1);
+        const sim::Time end = begin + rng.uniform_int(1, x.end - begin);
+        const std::uint64_t id = x.frame->id;
+        const ChunkOutcome a =
+            pruned.evaluate(id, begin, end, 800, WifiRate::k6Mbps, model, 1.0);
+        const ChunkOutcome b =
+            oracle.evaluate(id, begin, end, 800, WifiRate::k6Mbps, model, 1.0);
+        EXPECT_EQ(a.success_prob, b.success_prob) << "frame " << id;
+        EXPECT_EQ(a.min_sinr, b.min_sinr) << "frame " << id;
+        EXPECT_EQ(pruned.min_sinr(id, begin, end),
+                  oracle.min_sinr(id, begin, end))
+            << "frame " << id;
+      }
+    }
+    pruned_total += pruned.signals().size();
+    oracle_total += oracle.signals().size();
+  }
+  // Not vacuous: pruning dropped most of the stream.
+  EXPECT_LT(3 * pruned_total, oracle_total);
 }
 
 TEST(Interference, FramelessSignalCountsAsInterference) {
@@ -175,12 +255,15 @@ TEST(Interference, TotalAndMaxPowerTrackActiveSignals) {
   InterferenceTracker t(dbm_to_mw(kNoiseDbm));
   t.add(make_signal(1, -80.0, 0, 1000));
   t.add(make_signal(2, -77.0, 500, 1500));
-  EXPECT_NEAR(mw_to_dbm(t.total_power_mw(250)), -80.0, 0.01);
-  EXPECT_NEAR(mw_to_dbm(t.max_power_mw(750)), -77.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(t.active_power(250).total_mw), -80.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(t.active_power(250).max_mw), -80.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(t.active_power(750).max_mw), -77.0, 0.01);
   const double both = dbm_to_mw(-80.0) + dbm_to_mw(-77.0);
-  EXPECT_NEAR(t.total_power_mw(750), both, both * 1e-9);
+  EXPECT_NEAR(t.active_power(750).total_mw, both, both * 1e-9);
   // A signal is inactive exactly at its end time.
-  EXPECT_NEAR(mw_to_dbm(t.total_power_mw(1000)), -77.0, 0.01);
+  EXPECT_NEAR(mw_to_dbm(t.active_power(1000).total_mw), -77.0, 0.01);
+  EXPECT_EQ(t.active_power(1500).total_mw, 0.0);
+  EXPECT_EQ(t.active_power(1500).max_mw, 0.0);
 }
 
 TEST(Interference, EvaluateIsDeterministic) {

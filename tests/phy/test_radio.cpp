@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "phy/medium.h"
@@ -259,6 +260,33 @@ TEST(Radio, BackToBackFramesAllReceived) {
   auto& rx = w.listener(1);
   ASSERT_EQ(rx.rx_ends.size(), 3u);
   for (const auto& e : rx.rx_ends) EXPECT_TRUE(e.result.all_ok());
+}
+
+TEST(Radio, TrackerHoldsOnlySignalsThatCanStillMatter) {
+  // Exact retention: a long frame train leaves the receiver's tracker
+  // bounded by the signals on the air, not by the train's length.
+  World w(nist());
+  Radio& a = w.add_radio(1, {0, 0});
+  w.add_radio(2, {50, 0});
+  const sim::Time d =
+      frame_airtime(WifiRate::k6Mbps, 100) + sim::microseconds(1);
+  std::size_t max_held = 0, max_on_air = 0;
+  for (int i = 0; i < 2000; ++i) {
+    w.simulator().at(i * d, [&] { a.transmit(World::whole_frame(100)); });
+    w.simulator().at(i * d + d / 2, [&] {
+      const auto& signals = w.radio(1).interference().signals();
+      const sim::Time now = w.simulator().now();
+      const auto on_air = static_cast<std::size_t>(std::count_if(
+          signals.begin(), signals.end(),
+          [now](const Signal& s) { return s.start <= now && s.end > now; }));
+      max_held = std::max(max_held, signals.size());
+      max_on_air = std::max(max_on_air, on_air);
+    });
+  }
+  w.simulator().run();
+  EXPECT_EQ(w.radio(1).counters().rx_ok, 2000u);
+  EXPECT_EQ(max_on_air, 1u);
+  EXPECT_LE(max_held, std::max<std::size_t>(16, 2 * max_on_air));
 }
 
 TEST(Radio, MarginalLinkWithFadingMixesOutcomes) {

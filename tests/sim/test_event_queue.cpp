@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 namespace cmap::sim {
@@ -110,8 +112,8 @@ TEST(EventQueueDeathTest, SchedulingIntoThePastAborts) {
   }
 }
 
-// A callable that counts how many times it is copied: dispatch must move
-// the entry out of the heap, not deep-copy the std::function per event.
+// A callable that counts how many times it is copied: scheduling and
+// dispatch must move the callback, never deep-copy it.
 struct CopyCounter {
   int* copies;
   explicit CopyCounter(int* c) : copies(c) {}
@@ -126,10 +128,10 @@ TEST(EventQueue, DispatchMovesTheCallableInsteadOfCopying) {
   EventQueue q;
   int copies = 0;
   q.schedule(1, CopyCounter(&copies));
-  const int after_schedule = copies;  // wrapping into std::function may copy
+  EXPECT_EQ(copies, 0);
   while (q.run_one()) {
   }
-  EXPECT_EQ(copies, after_schedule);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(EventQueue, CompactionBoundsCancelledEntries) {
@@ -149,6 +151,99 @@ TEST(EventQueue, CompactionBoundsCancelledEntries) {
   // 16 live entries; the watermark doubling rule admits at most
   // max(2 * live-after-last-scan, 64) total before the next scan fires.
   EXPECT_LE(q.heap_size(), 64u);
+}
+
+TEST(EventQueue, StaleIdDoesNotTouchTheSlotsNextOccupant) {
+  EventQueue q;
+  EventId ran = q.schedule(1, [] {});
+  q.run_one();
+  EventId cancelled = q.schedule(2, [] {});
+  cancelled.cancel();
+  // Both freed slots are reused by the next two events.
+  int fired = 0;
+  EventId b = q.schedule(3, [&] { ++fired; });
+  EventId c = q.schedule(4, [&] { ++fired; });
+  EXPECT_FALSE(ran.pending());
+  EXPECT_FALSE(cancelled.pending());
+  ran.cancel();
+  cancelled.cancel();
+  EXPECT_TRUE(b.pending());
+  EXPECT_TRUE(c.pending());
+  while (q.run_one()) {
+  }
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, CopiesOfAnIdCancelTogether) {
+  EventQueue q;
+  bool ran = false;
+  const EventId id = q.schedule(10, [&] { ran = true; });
+  EventId copy = id;
+  EXPECT_TRUE(copy.pending());
+  copy.cancel();
+  EXPECT_FALSE(id.pending());
+  EXPECT_FALSE(copy.pending());
+  while (q.run_one()) {
+  }
+  EXPECT_FALSE(ran);
+}
+
+TEST(EventQueue, PendingIsFalseAfterRunAndAfterCancel) {
+  EventQueue q;
+  EventId run = q.schedule(1, [] {});
+  EventId cancel = q.schedule(2, [] {});
+  EXPECT_TRUE(run.pending());
+  EXPECT_TRUE(cancel.pending());
+  cancel.cancel();
+  EXPECT_FALSE(cancel.pending());
+  EXPECT_TRUE(run.pending());
+  q.run_one();
+  EXPECT_FALSE(run.pending());
+  EXPECT_FALSE(cancel.pending());
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, EventMayCancelItselfFromItsOwnCallback) {
+  EventQueue q;
+  EventId self;
+  int runs = 0;
+  bool pending_inside = true;
+  self = q.schedule(5, [&] {
+    ++runs;
+    pending_inside = self.pending();
+    self.cancel();  // already running: a no-op
+    q.schedule(6, [&] { ++runs; });  // may reuse the freed slot
+    self.cancel();  // still must not reach the new occupant
+  });
+  while (q.run_one()) {
+  }
+  EXPECT_EQ(runs, 2);
+  EXPECT_FALSE(pending_inside);
+}
+
+TEST(EventQueue, CallbackKeepsItsCapturesWhileThePoolGrows) {
+  // A running callback that schedules enough events to grow the slot pool
+  // must still see its own captures afterwards.
+  EventQueue q;
+  std::vector<int> seen;
+  const std::array<int, 8> payload{1, 2, 3, 4, 5, 6, 7, 8};
+  q.schedule(1, [&q, &seen, payload] {
+    for (int i = 0; i < 1000; ++i) q.schedule(2, [] {});
+    seen.assign(payload.begin(), payload.end());
+  });
+  while (q.run_one()) {
+  }
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(q.executed(), 1001u);
+}
+
+TEST(EventQueue, CancelReleasesTheCapturesAtOnce) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  EventId id = q.schedule(100, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  id.cancel();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventQueue, AdvanceToNeverMovesBackwards) {
