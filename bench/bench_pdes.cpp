@@ -1,9 +1,9 @@
 // Intra-run PDES bench: the byte-identity gate and the scaling story for
 // the partitioned executive (sim/pdes.h, docs/pdes.md).
 //
-// Three probes, all in one process:
+// Two probes, all in one process:
 //   1. pdes_reports_match — a sweep over the bench scenario run on the
-//      serial oracle and again at 2 and 4 partitions (2 worker threads);
+//      serial oracle and again at 2 and 4 partitions (2 threads each);
 //      1.0 iff all three SweepReport JSONs are byte-identical. This is the
 //      contract the executive ships under and is CI-gated as a fixed
 //      minimum of 1.0.
@@ -11,13 +11,6 @@
 //      same single run. Informational only: the CI container is
 //      effectively single-core, so the honest expectation there is ~1x or
 //      below (windows + barriers are pure overhead without parallelism).
-//   3. dispatch_speedup — the EventQueue dispatch micro-row (the
-//      move-on-pop fix): a replica of the event heap with the real queue's
-//      key width dispatches N events twice — once with the pre-fix
-//      copy-out-of-the-heap dispatch, once with the current
-//      pop_heap-then-move dispatch. Same heap, same payload, the only
-//      variable is the copy. Informational; it documents that dispatch got
-//      cheaper, machine-independently (both sides timed in-process).
 //
 // The 4-partition run also reports stall attribution from the metrics
 // subsystem: per-partition executed events, mailbox traffic, busy time and
@@ -25,25 +18,20 @@
 // machine, not the simulation.
 //
 // Knobs: CMAP_BENCH_SCENARIO (default flows_50), CMAP_BENCH_SECONDS /
-// CMAP_BENCH_SEED as usual, CMAP_BENCH_EVENTS (default 300000) for the
-// dispatch micro-row. Runtimes stay deliberately under the regression
-// gate's 1000 ms floor so the _ms rows ride as info, not as flaky gates.
+// CMAP_BENCH_SEED as usual. Runtimes stay deliberately under the
+// regression gate's 1000 ms floor so the _ms rows ride as info, not as
+// flaky gates.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bench_main.h"
 #include "scenario/registry.h"
 #include "scenario/sweep.h"
-#include "sim/event_queue.h"
 #include "stats/report.h"
 #include "testbed/testbed.h"
 
@@ -89,64 +77,6 @@ stats::SweepReport run_sweep(const scenario::Scenario& s, const Scale& scale,
   return report;
 }
 
-// ---- Dispatch micro-row ----
-// The payload every dispatched callable carries: a shared_ptr (control
-// block) plus enough captured bytes to spill std::function's small-buffer
-// optimization — the shape of a real delivery closure, and exactly what
-// the pre-fix dispatch deep-copied (heap allocation + refcount bump) on
-// every single event.
-struct Payload {
-  std::shared_ptr<int> token;
-  std::uint64_t a, b, c, d;
-  std::uint64_t* sink;
-  void operator()() const { *sink += a ^ *token; }
-};
-
-// Replica of the event heap at the real queue's key width (time, rank
-// class, two rank operands, sequence) so heap sift costs match production.
-struct Entry {
-  sim::Time at;
-  std::uint8_t cls;
-  std::uint64_t a, b;
-  std::uint64_t seq;
-  std::function<void()> fn;
-  bool operator<(const Entry& o) const {  // max-heap order: later first
-    return std::tie(o.at, o.cls, o.a, o.b, o.seq) <
-           std::tie(at, cls, a, b, seq);
-  }
-};
-
-// Dispatches `events` through the replica heap. copy_style replays the
-// pre-fix run_one (`Event e = heap.front(); pop_heap; pop_back;`); the
-// alternative is the current one (`pop_heap; Event e = move(heap.back());
-// pop_back;`). Same heap, same payloads — the only variable is the copy.
-double time_dispatch(long events, bool copy_style, std::uint64_t* sink) {
-  std::vector<Entry> heap;
-  heap.reserve(static_cast<std::size_t>(events));
-  auto token = std::make_shared<int>(7);
-  for (long i = 0; i < events; ++i) {
-    heap.push_back(Entry{i, 2, 0, 0, static_cast<std::uint64_t>(i),
-                         Payload{token, static_cast<std::uint64_t>(i), 2, 3,
-                                 4, sink}});
-    std::push_heap(heap.begin(), heap.end());
-  }
-  const double t0 = cpu_ms_now();
-  while (!heap.empty()) {
-    if (copy_style) {
-      Entry e = heap.front();  // the copy the fix removed
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      e.fn();
-    } else {
-      std::pop_heap(heap.begin(), heap.end());
-      Entry e = std::move(heap.back());
-      heap.pop_back();
-      e.fn();
-    }
-  }
-  return cpu_ms_now() - t0;
-}
-
 }  // namespace
 
 int main() {
@@ -158,7 +88,6 @@ int main() {
   }
   const char* scen_env = std::getenv("CMAP_BENCH_SCENARIO");
   const std::string scenario_name = scen_env != nullptr ? scen_env : "flows_50";
-  const long events = env_long("CMAP_BENCH_EVENTS", 300000);
   const scenario::Scenario& scen =
       scenario::ScenarioRegistry::global().at(scenario_name);
 
@@ -214,33 +143,18 @@ int main() {
     }
   }
 
-  std::uint64_t sink = 0;
-  time_dispatch(events, false, &sink);  // warm the allocator once
-  const double copy_ms = time_dispatch(events, true, &sink);
-  const double move_ms = time_dispatch(events, false, &sink);
-  const double dispatch_speedup =
-      copy_ms / std::max(move_ms, 1000.0 / CLOCKS_PER_SEC);
-  std::printf("dispatch: %ld events, copy-style %8.1f CPU-ms, "
-              "move-on-pop %8.1f CPU-ms -> %.2fx  [sink %llu]\n",
-              events, copy_ms, move_ms, dispatch_speedup,
-              static_cast<unsigned long long>(sink));
-
   stats::SweepReport report;
   stats::RunRow timing;
   timing.scenario = "pdes_bench";
   timing.scheme = "timing";
   timing.topology = "cpu-time";
-  // pdes_reports_match is the fixed ==1.0 gate; the wall/cpu timings and
-  // both speedups ride as info (the CI container has one core, and the
-  // runtimes sit under the gate's 1000 ms floor by construction).
-  timing.metrics = {{"events", static_cast<double>(events)},
-                    {"pdes_serial_wall_ms", serial_ms},
+  // pdes_reports_match is the fixed ==1.0 gate; the wall timings and the
+  // speedup ride as info (the CI container has one core, and the runtimes
+  // sit under the gate's 1000 ms floor by construction).
+  timing.metrics = {{"pdes_serial_wall_ms", serial_ms},
                     {"pdes_p4_wall_ms", p4_ms},
                     {"pdes_speedup", speedup},
                     {"pdes_reports_match", match ? 1.0 : 0.0},
-                    {"dispatch_copy_cpu_ms", copy_ms},
-                    {"dispatch_move_cpu_ms", move_ms},
-                    {"dispatch_speedup", dispatch_speedup},
                     {"calibration_ms", calibration_ms()}};
   for (auto& kv : partition_info) timing.metrics.push_back(std::move(kv));
   report.add_row(std::move(timing));

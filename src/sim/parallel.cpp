@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "sim/assert.h"
+
 namespace cmap::sim {
 
 int default_thread_count() {
@@ -58,61 +60,100 @@ void parallel_for(int threads, std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+namespace {
+
+constexpr std::uint64_t pack_claim(std::uint32_t generation,
+                                   std::size_t count) {
+  return static_cast<std::uint64_t>(generation) << 32 |
+         static_cast<std::uint64_t>(count) << 16;
+}
+constexpr std::uint32_t claim_generation(std::uint64_t word) {
+  return static_cast<std::uint32_t>(word >> 32);
+}
+constexpr std::size_t claim_count(std::uint64_t word) {
+  return static_cast<std::size_t>(word >> 16 & 0xFFFF);
+}
+constexpr std::size_t claim_next(std::uint64_t word) {
+  return static_cast<std::size_t>(word & 0xFFFF);
+}
+
+}  // namespace
+
 WorkerCrew::WorkerCrew(int threads) {
   if (threads <= 1) return;
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
+  workers_.reserve(static_cast<std::size_t>(threads - 1));
+  for (int t = 1; t < threads; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 WorkerCrew::~WorkerCrew() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  wake_.notify_all();
+  shutdown_.store(true, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (auto& w : workers_) w.join();
+}
+
+bool WorkerCrew::claim(std::uint32_t generation, std::size_t* index) {
+  // Acquire pairs with run()'s release store of the claim word (later
+  // claims extend its release sequence), ordering the caller's fn_ write
+  // and everything before run() ahead of the item about to execute.
+  std::uint64_t word = claim_.load(std::memory_order_acquire);
+  for (;;) {
+    if (claim_generation(word) != generation ||
+        claim_next(word) >= claim_count(word)) {
+      return false;
+    }
+    if (claim_.compare_exchange_weak(word, word + 1,
+                                     std::memory_order_acquire)) {
+      *index = claim_next(word);
+      return true;
+    }
+  }
 }
 
 void WorkerCrew::run(std::size_t count,
                      const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty()) {
-    // Inline mode: index order on the calling thread, fully deterministic.
+  if (workers_.empty() || count == 1) {
+    // Inline: index order on the calling thread, nobody woken.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::unique_lock<std::mutex> lock(mutex_);
+  CMAP_ASSERT(count <= 0xFFFF, "WorkerCrew batch exceeds 65535 items");
+  // Every item of the previous batch finished before its run() returned,
+  // so no worker reads fn_ or counts into finished_ until the claim word
+  // below is published.
   fn_ = &fn;
-  count_ = count;
-  next_index_ = 0;
-  finished_ = 0;
-  ++generation_;
-  wake_.notify_all();
-  done_.wait(lock, [this] { return finished_ == count_; });
-  // All indices claimed and completed; quiesce so a spuriously woken
-  // worker finds no work.
-  fn_ = nullptr;
-  count_ = 0;
-  next_index_ = 0;
+  finished_.store(0, std::memory_order_relaxed);
+  const std::uint32_t generation =
+      generation_.load(std::memory_order_relaxed) + 1;
+  claim_.store(pack_claim(generation, count), std::memory_order_release);
+  generation_.store(generation, std::memory_order_release);
+  generation_.notify_all();
+
+  std::size_t i = 0;
+  while (claim(generation, &i)) {
+    fn(i);
+    finished_.fetch_add(1, std::memory_order_release);
+  }
+  // Acquire pairs with every item's release increment: their writes are
+  // visible once the count is complete.
+  while (finished_.load(std::memory_order_acquire) != count) {
+    std::this_thread::yield();
+  }
 }
 
 void WorkerCrew::worker_loop() {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::uint32_t seen = 0;
   for (;;) {
-    wake_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-    if (shutdown_) return;
-    seen = generation_;
-    while (next_index_ < count_) {
-      const std::size_t i = next_index_++;
-      const auto* fn = fn_;
-      lock.unlock();
-      (*fn)(i);
-      lock.lock();
-      ++finished_;
-      if (finished_ == count_) done_.notify_one();
+    generation_.wait(seen, std::memory_order_acquire);
+    seen = generation_.load(std::memory_order_acquire);
+    if (shutdown_.load(std::memory_order_relaxed)) return;
+    std::size_t i = 0;
+    while (claim(seen, &i)) {
+      (*fn_)(i);
+      finished_.fetch_add(1, std::memory_order_release);
     }
   }
 }

@@ -28,7 +28,9 @@ constexpr std::size_t log2_bin(std::uint64_t span) {
 }  // namespace
 
 PdesEngine::PdesEngine(Simulator& global, int partitions, int threads)
-    : global_(global), crew_(threads) {
+    : global_(global),
+      // Threads beyond the partition count could never win a window.
+      crew_(std::min(threads, partitions)) {
   CMAP_ASSERT(partitions >= 1, "need at least one partition");
   parts_.reserve(static_cast<std::size_t>(partitions));
   mailboxes_.reserve(static_cast<std::size_t>(partitions));

@@ -69,9 +69,11 @@ namespace cmap::sim {
 /// the single-queue serial path — the reference oracle.
 struct PdesOptions {
   int partitions = 1;
-  /// Worker threads for partition windows. 1 executes windows inline on
-  /// the driving thread (deterministic without any thread machinery; what
-  /// golden tests use). Results are identical at any value.
+  /// Threads executing partition windows, the driving thread included
+  /// (4 = 3 workers + the driver; capped at `partitions`). 1 executes
+  /// windows inline on the driving thread (deterministic without any
+  /// thread machinery; what golden tests use). Results are identical at
+  /// any value.
   int threads = 1;
 
   bool operator==(const PdesOptions&) const = default;

@@ -87,14 +87,16 @@ World::World(const Testbed& tb, const RunConfig& config)
       // Each Tracer constructor made itself thread-active; put the run
       // tracer back for everything outside a partition scope.
       active_restore_.emplace(tracer_.get());
+      // Route each window's records (whichever thread runs it) into its
+      // partition's stream. Untraced runs install no scope, so a window
+      // costs no allocation.
+      engine_->set_partition_scope([this](int p) -> std::shared_ptr<void> {
+        trace::Tracer* t =
+            p < 0 ? tracer_.get()
+                  : part_tracers_[static_cast<std::size_t>(p)].get();
+        return std::make_shared<trace::ScopedActive>(t);
+      });
     }
-    engine_->set_partition_scope([this](int p) -> std::shared_ptr<void> {
-      trace::Tracer* t =
-          p < 0 || part_tracers_.empty()
-              ? tracer_.get()
-              : part_tracers_[static_cast<std::size_t>(p)].get();
-      return std::make_shared<trace::ScopedActive>(t);
-    });
     engine_->set_topology_refresh([this] { refresh_pdes_delays(); });
     // Stall attribution reads a wall clock; only pay for it when metrics
     // were asked for.

@@ -14,7 +14,9 @@
 //     the set of events at every instant is invariant).
 // Streams must be unsampled for this comparison: per-partition tracers
 // decimate independently, so sample_every > 1 would drop different
-// records from equivalent runs.
+// records from equivalent runs. The partitioned run goes once with fewer
+// threads than partitions and once with one thread per partition, where
+// the driving thread runs windows too, under the same partition scope.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -119,7 +121,7 @@ std::vector<Flow> fuzz_flows(std::uint64_t seed) {
 }
 
 RunConfig traced_config(std::uint64_t seed, const std::string& trace_path,
-                        int partitions) {
+                        int partitions, int threads) {
   RunConfig config;
   config.scheme = Scheme::kCmap;
   config.duration = sim::milliseconds(120);
@@ -128,71 +130,75 @@ RunConfig traced_config(std::uint64_t seed, const std::string& trace_path,
   config.trace = trace::TraceConfig{};
   config.trace->path = trace_path;
   config.pdes.partitions = partitions;
-  config.pdes.threads = partitions > 1 ? 2 : 1;
+  config.pdes.threads = threads;
   return config;
 }
 
 TEST(PdesTraceFuzz, PartitionedEventOrderMatchesSerial) {
   const Testbed tb{TestbedConfig{}};
-  for (std::uint64_t seed : {11u, 29u, 47u}) {
-    const std::string dir = ::testing::TempDir();
-    const std::string serial_path =
-        dir + "pdes_fuzz_serial_" + std::to_string(seed) + ".cmtrace";
-    const std::string pdes_path =
-        dir + "pdes_fuzz_part_" + std::to_string(seed) + ".cmtrace";
-    const std::string merged_path =
-        dir + "pdes_fuzz_merged_" + std::to_string(seed) + ".cmtrace";
-    const std::vector<Flow> flows = fuzz_flows(seed);
+  for (const int threads : {2, kPartitions}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    for (std::uint64_t seed : {11u, 29u, 47u}) {
+      const std::string dir = ::testing::TempDir();
+      const std::string serial_path =
+          dir + "pdes_fuzz_serial_" + std::to_string(seed) + ".cmtrace";
+      const std::string pdes_path =
+          dir + "pdes_fuzz_part_" + std::to_string(seed) + ".cmtrace";
+      const std::string merged_path =
+          dir + "pdes_fuzz_merged_" + std::to_string(seed) + ".cmtrace";
+      const std::vector<Flow> flows = fuzz_flows(seed);
 
-    run_flows(tb, flows, traced_config(seed, serial_path, 1));
-    run_flows(tb, flows, traced_config(seed, pdes_path, kPartitions));
+      run_flows(tb, flows, traced_config(seed, serial_path, 1, 1));
+      run_flows(tb, flows,
+                traced_config(seed, pdes_path, kPartitions, threads));
 
-    std::vector<std::string> inputs = {pdes_path};
-    for (int p = 0; p < kPartitions; ++p) {
-      inputs.push_back(pdes_path + ".p" + std::to_string(p));
-    }
-    std::string error;
-    ASSERT_TRUE(trace::merge_streams(inputs, merged_path, &error)) << error;
-
-    // Non-vacuity: the partitioned run must actually have split its
-    // records across per-partition streams.
-    int populated = 0;
-    for (int p = 0; p < kPartitions; ++p) {
-      if (!read_checked(pdes_path + ".p" + std::to_string(p)).empty()) {
-        ++populated;
+      std::vector<std::string> inputs = {pdes_path};
+      for (int p = 0; p < kPartitions; ++p) {
+        inputs.push_back(pdes_path + ".p" + std::to_string(p));
       }
-    }
-    EXPECT_GE(populated, 2) << "seed " << seed;
+      std::string error;
+      ASSERT_TRUE(trace::merge_streams(inputs, merged_path, &error)) << error;
 
-    const auto serial = read_checked(serial_path);
-    const auto merged = read_checked(merged_path);
-    ASSERT_GT(serial.size(), 100u) << "vacuous fuzz: seed " << seed;
-    EXPECT_EQ(serial.size(), merged.size());
-
-    // Per-node order: each node's record sequence must match exactly.
-    std::map<std::uint32_t, std::vector<std::string>> by_node_serial;
-    std::map<std::uint32_t, std::vector<std::string>> by_node_merged;
-    // Per-tick content: the multiset of records at each instant.
-    std::map<sim::Time, std::multiset<std::string>> by_tick_serial;
-    std::map<sim::Time, std::multiset<std::string>> by_tick_merged;
-    for (const auto& r : serial) {
-      if (const auto node = record_node(r)) {
-        by_node_serial[*node].push_back(fingerprint(r));
+      // Non-vacuity: the partitioned run must actually have split its
+      // records across per-partition streams.
+      int populated = 0;
+      for (int p = 0; p < kPartitions; ++p) {
+        if (!read_checked(pdes_path + ".p" + std::to_string(p)).empty()) {
+          ++populated;
+        }
       }
-      by_tick_serial[r.tick].insert(fingerprint(r));
-    }
-    for (const auto& r : merged) {
-      if (const auto node = record_node(r)) {
-        by_node_merged[*node].push_back(fingerprint(r));
-      }
-      by_tick_merged[r.tick].insert(fingerprint(r));
-    }
-    EXPECT_EQ(by_node_serial, by_node_merged) << "seed " << seed;
-    EXPECT_EQ(by_tick_serial, by_tick_merged) << "seed " << seed;
+      EXPECT_GE(populated, 2) << "seed " << seed;
 
-    std::remove(serial_path.c_str());
-    std::remove(merged_path.c_str());
-    for (const auto& p : inputs) std::remove(p.c_str());
+      const auto serial = read_checked(serial_path);
+      const auto merged = read_checked(merged_path);
+      ASSERT_GT(serial.size(), 100u) << "vacuous fuzz: seed " << seed;
+      EXPECT_EQ(serial.size(), merged.size());
+
+      // Per-node order: each node's record sequence must match exactly.
+      std::map<std::uint32_t, std::vector<std::string>> by_node_serial;
+      std::map<std::uint32_t, std::vector<std::string>> by_node_merged;
+      // Per-tick content: the multiset of records at each instant.
+      std::map<sim::Time, std::multiset<std::string>> by_tick_serial;
+      std::map<sim::Time, std::multiset<std::string>> by_tick_merged;
+      for (const auto& r : serial) {
+        if (const auto node = record_node(r)) {
+          by_node_serial[*node].push_back(fingerprint(r));
+        }
+        by_tick_serial[r.tick].insert(fingerprint(r));
+      }
+      for (const auto& r : merged) {
+        if (const auto node = record_node(r)) {
+          by_node_merged[*node].push_back(fingerprint(r));
+        }
+        by_tick_merged[r.tick].insert(fingerprint(r));
+      }
+      EXPECT_EQ(by_node_serial, by_node_merged) << "seed " << seed;
+      EXPECT_EQ(by_tick_serial, by_tick_merged) << "seed " << seed;
+
+      std::remove(serial_path.c_str());
+      std::remove(merged_path.c_str());
+      for (const auto& p : inputs) std::remove(p.c_str());
+    }
   }
 }
 

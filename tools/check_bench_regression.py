@@ -45,11 +45,9 @@ many --pr files are given:
       execution; its pdes_reports_match metric is 1.0 when the partitioned
       executive (2 and 4 partitions, worker threads on) produced
       SweepReports byte-identical to the serial single-queue oracle — the
-      contract that licenses PDES at all (docs/pdes.md). pdes_speedup and
-      dispatch_speedup ride as info: the CI container is effectively
-      single-core, so wall-clock parallel speedup is not meaningful there,
-      and the dispatch row (copy-style vs move-on-pop event dispatch, both
-      timed in-process) is a documentation number, not a gate.
+      contract that licenses PDES at all (docs/pdes.md). pdes_speedup
+      rides as info: the CI container is effectively single-core, so
+      wall-clock parallel speedup is not meaningful there.
 
 Wall-clock comparisons (metrics ending in "_ms") are normalized by each
 row's own calibration_ms (a fixed CPU-bound workload timed on the same
@@ -73,7 +71,7 @@ CALIBRATION_KEY = "calibration_ms"
 # comparison is only meaningful when the PR ran the same workload the
 # baseline did.
 EXACT_KEYS = {"nodes", "configs", "run_seconds", "threads", "measure_threads",
-              "flows", "decisions", "moves", "metro_stored_links", "events"}
+              "flows", "decisions", "moves", "metro_stored_links"}
 # Metrics enforced as raw minimums (machine-independent ratios measured
 # within one process). Values name the argparse option carrying the bound.
 MIN_KEYS = {"measure_speedup": "min_measure_speedup",
@@ -118,12 +116,11 @@ INFO_KEYS = {"max_abs_delta_prr", "table_entries", "decide_reference_cpu_ms",
              "trace_disabled_cpu_ms", "trace_enabled_cpu_ms",
              "metrics_unmetered_cpu_ms", "metrics_disabled_cpu_ms",
              "metrics_enabled_cpu_ms",
-             # bench_pdes: terms of the info-only pdes_speedup /
-             # dispatch_speedup ratios. The PDES wall timings run worker
-             # threads, so wall clock on a shared runner is scheduler noise
-             # the calibration ratio cannot correct.
-             "pdes_serial_wall_ms", "pdes_p4_wall_ms",
-             "dispatch_copy_cpu_ms", "dispatch_move_cpu_ms"}
+             # bench_pdes: terms of the info-only pdes_speedup ratio. The
+             # PDES wall timings run worker threads, so wall clock on a
+             # shared runner is scheduler noise the calibration ratio
+             # cannot correct.
+             "pdes_serial_wall_ms", "pdes_p4_wall_ms"}
 # Timings whose baseline is shorter than this are reported but not gated:
 # sub-second samples on shared CI runners are dominated by scheduler and
 # cache noise that the calibration ratio cannot correct.
