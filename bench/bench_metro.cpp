@@ -67,7 +67,6 @@ int main() {
 
   testbed::TestbedConfig sparse_cfg = dense_cfg;
   sparse_cfg.measurement.store = testbed::MeasurementStore::kSparse;
-  sparse_cfg.medium.link_state = phy::LinkStateMode::kSparse;
   t0 = cpu_ms_now();
   testbed::Testbed tb_sparse(sparse_cfg);
   const double t400_sparse_build_ms = cpu_ms_now() - t0;

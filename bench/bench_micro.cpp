@@ -124,10 +124,10 @@ BENCHMARK(BM_InterferenceEvaluateReference)
     ->Arg(256);
 
 // N radios on a grid under log-distance-with-shadowing propagation; one
-// center node transmits. Fast = gain cache + reachability culling; brute =
-// per-receiver propagation recomputation and full fan-out (the
-// pre-optimization path). Deliveries are drained outside the timed region,
-// so the measurement isolates Medium::transmit itself.
+// center node transmits. Fast = the default kSparse medium (cached, culled
+// rows); brute = kDenseReference (per-receiver propagation recomputation
+// and full fan-out). Deliveries are drained outside the timed region, so
+// the measurement isolates Medium::transmit itself.
 struct FanoutWorld {
   sim::Simulator sim;
   phy::Medium medium;
@@ -135,8 +135,7 @@ struct FanoutWorld {
 
   static phy::MediumConfig medium_config(bool fast) {
     phy::MediumConfig m;
-    m.enable_gain_cache = fast;
-    m.enable_culling = fast;
+    if (!fast) m.link_state = phy::LinkStateMode::kDenseReference;
     return m;
   }
 

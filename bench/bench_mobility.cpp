@@ -1,23 +1,23 @@
-// Mobility cache-maintenance bench: times what one node move costs the
-// phy gain cache under the two invalidation policies —
-//   incremental (MediumConfig::incremental_invalidation, the default):
-//       recompute only the mover's row and column and splice it in or out
-//       of the other sources' reachability sets, O(n) per move;
-//   full rebuild (the retained reference oracle): recompute every ordered
-//       pair and every reachability set, O(n^2) per move —
+// Mobility link-maintenance bench: times what node moves cost the phy
+// medium's cached link rows —
+//   incremental (Medium::on_position_changed): the spatial grid remembers
+//       the mover's old position, so only the old and new candidate
+//       neighborhoods are re-linked, O(neighbors) per move;
+//   fresh build (the reference): a new medium built from scratch at the
+//       positions each move leaves behind, O(n * neighbors) per move —
 // over an identical seeded move sequence on a shadowed floor, then verifies
-// the two media landed in bit-identical states (every cached gain, every
-// reachability set). Reports the speedup; the golden test
-// (test_dynamics_golden.cpp) separately pins that whole mobile sweeps stay
-// byte-identical across the two policies.
+// the moved medium landed in a bit-identical state to a fresh build at the
+// final positions (every mean gain, every row size). Reports the speedup;
+// the golden tests (test_sparse_golden.cpp) separately pin that whole
+// mobile sweeps stay byte-identical to the kDenseReference oracle.
 //
 // Doubles as a CI regression probe: the timing row rides in CMAP_BENCH_JSON
 // and tools/check_bench_regression.py enforces mobility_speedup as a
-// machine-independent minimum (both policies timed in this process) and
+// machine-independent minimum (both sides timed in this process) and
 // mobility_states_match == 1.0.
 //
 // Knobs: CMAP_BENCH_NODES (default 150) radios on the floor;
-// CMAP_BENCH_MOVES (default 1000) timed moves per policy.
+// CMAP_BENCH_MOVES (default 1000) timed moves per side.
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -40,25 +40,21 @@ struct Move {
   phy::Position to;
 };
 
-// A floor of radios over shadowed propagation (the realistic per-link
-// cost), no MACs or traffic — this bench isolates cache maintenance.
+// A floor of radios at the given positions over shadowed propagation (the
+// realistic per-link cost), no MACs or traffic — this bench isolates link
+// maintenance.
 struct Floor {
-  Floor(int nodes, double width, double height, std::uint64_t seed,
-        bool incremental) {
+  Floor(const std::vector<phy::Position>& positions, std::uint64_t seed) {
     phy::LogDistanceConfig prop_cfg;
     prop_cfg.seed = seed;
     propagation = std::make_shared<phy::LogDistanceShadowing>(prop_cfg);
-    phy::MediumConfig mcfg;
-    mcfg.incremental_invalidation = incremental;
-    medium = std::make_unique<phy::Medium>(sim, propagation, mcfg,
+    medium = std::make_unique<phy::Medium>(sim, propagation,
+                                           phy::MediumConfig{},
                                            sim::Rng(seed));
     auto error = std::make_shared<phy::NistErrorModel>();
-    sim::Rng place(seed);
-    for (int i = 0; i < nodes; ++i) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
       radios.push_back(std::make_unique<phy::Radio>(
-          sim, *medium, static_cast<phy::NodeId>(i),
-          phy::Position{place.uniform(0.0, width),
-                        place.uniform(0.0, height)},
+          sim, *medium, static_cast<phy::NodeId>(i), positions[i],
           phy::RadioConfig{}, error, sim::Rng(seed + 1 + i)));
     }
   }
@@ -69,17 +65,9 @@ struct Floor {
   std::vector<std::unique_ptr<phy::Radio>> radios;
 };
 
-double apply_moves(Floor& floor, const std::vector<Move>& moves) {
-  const double t0 = cpu_ms_now();
-  for (const Move& m : moves) {
-    floor.radios[m.who]->set_position(m.to);
-  }
-  return cpu_ms_now() - t0;
-}
-
-// Order-sensitive digest of the whole cache: every mean gain and every
-// reachability-set size. Gains determine the sets, but hashing both makes
-// the check self-contained.
+// Order-sensitive digest of the whole link state: every mean gain and
+// every row size. Gains determine the rows, but hashing both makes the
+// check self-contained.
 std::uint64_t state_hash(const Floor& floor) {
   std::uint64_t h = 0x243f6a8885a308d3ull;
   const int n = static_cast<int>(floor.radios.size());
@@ -108,17 +96,21 @@ int main() {
   // Same floor density as the paper's 50-node / 70x40 m office.
   const double scale = std::sqrt(nodes / 50.0);
   const double width = 70.0 * scale, height = 40.0 * scale;
-  print_header("Mobility: incremental gain-cache invalidation vs full rebuild",
-               "no paper claim — per-move cache maintenance under the "
+  print_header("Mobility: incremental link maintenance vs fresh build",
+               "no paper claim — per-move link maintenance under the "
                "dynamics subsystem",
                s);
   std::printf("nodes: %d (CMAP_BENCH_NODES), moves: %ld (CMAP_BENCH_MOVES)\n",
               nodes, n_moves);
 
-  // One seeded move sequence shared verbatim by both policies: a random
-  // node hops to a random point (the worst case for reachability splicing —
+  // One seeded layout and move sequence shared verbatim by both sides: a
+  // random node hops to a random point (the worst case for row upkeep —
   // every move can cross the cull floor against many sources).
   sim::Rng rng(s.seed);
+  std::vector<phy::Position> start;
+  for (int i = 0; i < nodes; ++i) {
+    start.push_back({rng.uniform(0.0, width), rng.uniform(0.0, height)});
+  }
   std::vector<Move> moves;
   moves.reserve(static_cast<std::size_t>(n_moves));
   for (long m = 0; m < n_moves; ++m) {
@@ -129,13 +121,22 @@ int main() {
   }
 
   // Reference first, as elsewhere: it must not benefit from anything the
-  // fast pass warmed up.
-  Floor ref_floor(nodes, width, height, s.seed, /*incremental=*/false);
-  const double ref_ms = apply_moves(ref_floor, moves);
-  const std::uint64_t ref_hash = state_hash(ref_floor);
+  // fast pass warmed up. Each move costs a whole new medium at the
+  // positions the move leaves behind; the last one is the final state.
+  std::vector<phy::Position> positions = start;
+  auto ref_floor = std::make_unique<Floor>(positions, s.seed);
+  double t0 = cpu_ms_now();
+  for (const Move& m : moves) {
+    positions[m.who] = m.to;
+    ref_floor = std::make_unique<Floor>(positions, s.seed);
+  }
+  const double ref_ms = cpu_ms_now() - t0;
+  const std::uint64_t ref_hash = state_hash(*ref_floor);
 
-  Floor fast_floor(nodes, width, height, s.seed, /*incremental=*/true);
-  const double fast_ms = apply_moves(fast_floor, moves);
+  Floor fast_floor(start, s.seed);
+  t0 = cpu_ms_now();
+  for (const Move& m : moves) fast_floor.radios[m.who]->set_position(m.to);
+  const double fast_ms = cpu_ms_now() - t0;
   const std::uint64_t fast_hash = state_hash(fast_floor);
 
   // Floor the denominator at one clock quantum so a sub-resolution fast
@@ -143,11 +144,11 @@ int main() {
   const double speedup = ref_ms / std::max(fast_ms, 1000.0 / CLOCKS_PER_SEC);
   const bool match = ref_hash == fast_hash;
 
-  std::printf("full rebuild (ref):    %8.1f CPU-ms\n", ref_ms);
+  std::printf("fresh build (ref):     %8.1f CPU-ms\n", ref_ms);
   std::printf("incremental:           %8.1f CPU-ms\n", fast_ms);
   std::printf("speedup:               %8.1fx\n", speedup);
   std::printf("states identical:      %s\n",
-              match ? "yes (gains + reachability)" : "NO — BUG");
+              match ? "yes (gains + row sizes)" : "NO — BUG");
 
   stats::SweepReport report;
   stats::RunRow timing;

@@ -40,9 +40,9 @@ void Dynamics::channel_step() {
   if (trace_.wants(trace::Category::kChannelEpoch)) {
     trace_.tracer->channel_epoch(sim_.now(), epoch_);
   }
-  // Every cached link gain is stale after an epoch step; this is the one
-  // event where a full refresh is the *correct* cost, unlike a single
-  // node's move (see MediumConfig::incremental_invalidation).
+  // Every cached link gain is stale after an epoch step, so the medium
+  // refreshes all of its rows; a single node's move only touches the
+  // mover's neighborhood (Medium::on_position_changed).
   medium_.refresh_all();
   sim_.in_ranked(config_.channel->epoch, sim::kGlobalRank,
                  [this] { channel_step(); });

@@ -2,9 +2,9 @@
 // and channel evolution (channel.h) behind one config that rides in
 // testbed::RunConfig, so any scenario can declare "this floor moves".
 // A Dynamics instance belongs to one live World: it owns the MobilityModel,
-// schedules the channel's epoch steps, and keeps the Medium's gain cache
-// coherent (each epoch step advances the AR(1) offsets and refreshes every
-// cached link; each node move invalidates through Radio::set_position).
+// schedules the channel's epoch steps, and keeps the Medium's cached link
+// rows coherent (each epoch step advances the AR(1) offsets and refreshes
+// every cached link; each node move re-links through Radio::set_position).
 #pragma once
 
 #include <memory>

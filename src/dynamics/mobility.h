@@ -1,9 +1,9 @@
 // Node mobility driven by scheduled simulator events. A MobilityModel owns
 // the trajectories of a (deterministically chosen) subset of a Medium's
 // radios and moves them through Radio::set_position on a fixed tick, which
-// is what makes the phy gain cache's invalidation policy (incremental
-// row/column splice vs full rebuild, MediumConfig::incremental_invalidation)
-// a live concern rather than a construction-time detail.
+// is what makes the phy medium's per-move link maintenance (each move
+// re-links only the mover's old and new neighborhoods) a live concern
+// rather than a construction-time detail.
 //
 // Patterns:
 //   kWaypoint — random waypoint: pick a uniform target and a speed, walk

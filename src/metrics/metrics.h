@@ -64,7 +64,7 @@ enum class Counter : std::uint16_t {
   kPhyTransmits = 0,        // frames put on the air (Medium::transmit)
   kPhyGainCacheHits,        // link-gain lookups served from cache
   kPhyGainCacheMisses,      // link-gain lookups that recomputed the model
-  kPhyCulledReceivers,      // receivers skipped by the reachability cull
+  kPhyCulledReceivers,      // receivers outside the source's cached row
   kPhyDeliveries,           // per-receiver delivery events scheduled
   kPhyFloorDrops,           // deliveries dropped below the noise floor
   kPhyWatchRechecks,        // sparse watch-list links rechecked on refresh
@@ -85,8 +85,8 @@ enum class Counter : std::uint16_t {
   kMacOngoingActiveHw,   // max active OngoingList entries on any one node
   // -- Domain::kDynamics --
   kDynMoves,              // node position updates applied
-  kDynIncrementalInvalidations,  // moves absorbed by row/col invalidation
-  kDynFullRefreshes,      // moves or epochs that forced a full gain rebuild
+  kDynIncrementalInvalidations,  // moves absorbed by sparse row updates
+  kDynFullRefreshes,      // channel epochs that refreshed every cached row
   kDynChannelEpochs,      // AR(1) channel-dynamics epochs advanced
   kCount
 };

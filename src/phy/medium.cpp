@@ -11,8 +11,6 @@
 
 namespace cmap::phy {
 namespace {
-// Sentinel gain for the (i, i) self pair; never clears any floor.
-constexpr double kSelfGainDbm = -1e30;
 // The NodeId -> index map is a flat vector sized to the largest attached
 // id (O(1) lookup); cap it so a stray sparse id fails loudly instead of
 // allocating gigabytes. Matches the net layer's packet-id packing bound
@@ -28,6 +26,16 @@ typename std::vector<Entry>::iterator find_dst(std::vector<Entry>& row,
       row.begin(), row.end(), dst,
       [](const Entry& e, std::uint32_t d) { return e.dst < d; });
 }
+
+// Config validation: abort naming the offending field. A negative guard or
+// sigma would raise the cull floor above the delivery floor and silently
+// drop receivers the reference path delivers to.
+void require_valid(bool ok, const char* field, double value) {
+  if (ok) return;
+  std::fprintf(stderr, "Medium: invalid MediumConfig::%s = %g\n", field,
+               value);
+  CMAP_ASSERT(false, "invalid MediumConfig (see stderr for the field)");
+}
 }  // namespace
 
 Medium::Medium(sim::Simulator& simulator,
@@ -36,9 +44,16 @@ Medium::Medium(sim::Simulator& simulator,
     : sim_(simulator),
       propagation_(std::move(propagation)),
       config_(config),
-      mode_(config.effective_mode()),
       rng_(rng) {
-  if (mode_ == LinkStateMode::kSparse) {
+  require_valid(std::isfinite(config_.delivery_floor_dbm),
+                "delivery_floor_dbm", config_.delivery_floor_dbm);
+  require_valid(std::isfinite(config_.fading_sigma_db) &&
+                    config_.fading_sigma_db >= 0.0,
+                "fading_sigma_db", config_.fading_sigma_db);
+  require_valid(std::isfinite(config_.cull_guard_sigmas) &&
+                    config_.cull_guard_sigmas >= 0.0,
+                "cull_guard_sigmas", config_.cull_guard_sigmas);
+  if (cached()) {
     dyn_delta_db_ =
         propagation_->epoch_delta_bound_db(config_.cull_guard_sigmas);
     track_watch_ = dyn_delta_db_ > 0.0;
@@ -46,14 +61,12 @@ Medium::Medium(sim::Simulator& simulator,
 }
 
 double Medium::cull_floor_dbm() const {
-  const double guard = config_.fading_sigma_db > 0.0
-                           ? config_.cull_guard_sigmas * config_.fading_sigma_db
-                           : 0.0;
-  return config_.delivery_floor_dbm - guard;
+  return config_.delivery_floor_dbm -
+         config_.cull_guard_sigmas * config_.fading_sigma_db;
 }
 
 Medium::Link Medium::compute_link(const Radio& src, const Radio& dst) const {
-  // Every propagation-model query is a cache miss by definition: the three
+  // Every propagation-model query is a cache miss by definition: the two
   // link-state modes differ exactly in how rarely they land here.
   metrics_.inc(metrics::Counter::kPhyGainCacheMisses);
   Link link;
@@ -100,44 +113,8 @@ void Medium::attach(Radio* radio) {
   const auto idx = static_cast<std::uint32_t>(radios_.size());
   index_by_id_[radio->id()] = idx;
   radios_.push_back(radio);
+  if (!cached()) return;
 
-  if (mode_ == LinkStateMode::kDenseReference) return;
-  if (mode_ == LinkStateMode::kSparse) {
-    sparse_attach(radio, idx);
-    return;
-  }
-  // Dense-cached: extend every existing source's row (and reachability)
-  // with the new radio, then build the new radio's own row against everyone.
-  const double floor = cull_floor_dbm();
-  for (std::uint32_t i = 0; i < idx; ++i) {
-    const Link link = compute_link(*radios_[i], *radio);
-    links_[i].push_back(link);
-    if (link.gain_dbm >= floor) reachable_[i].push_back(idx);
-  }
-  std::vector<Link> row;
-  row.reserve(radios_.size());
-  for (std::uint32_t j = 0; j < idx; ++j) {
-    row.push_back(compute_link(*radio, *radios_[j]));
-  }
-  row.push_back(Link{kSelfGainDbm, 0});
-  links_.push_back(std::move(row));
-  reachable_.emplace_back();
-  rebuild_reachable(idx);
-}
-
-void Medium::ensure_candidate_radius(double tx_power_dbm) {
-  if (grid_ != nullptr && tx_power_dbm <= max_tx_power_dbm_) return;
-  max_tx_power_dbm_ = tx_power_dbm;
-  // One shared radius at the strongest attached transmit power: a
-  // per-source radius would be tighter, but a superset of candidates only
-  // costs gain computations, never correctness.
-  candidate_radius_m_ = max_candidate_range_m(
-      *propagation_, max_tx_power_dbm_, cull_floor_dbm(),
-      config_.cull_guard_sigmas);
-}
-
-void Medium::sparse_attach(Radio* radio, std::uint32_t idx) {
-  const bool first = radios_.size() == 1;
   ensure_candidate_radius(radio->config().tx_power_dbm);
   if (!grid_) {
     // Pitch ~= the candidate radius keeps queries at a 3x3 cell scan; an
@@ -151,12 +128,27 @@ void Medium::sparse_attach(Radio* radio, std::uint32_t idx) {
   grid_->insert(idx, radio->position());
   sparse_rows_.emplace_back();
   if (track_watch_) watch_rows_.emplace_back();
-  if (first) return;
-  grid_->query(radio->position(), candidate_radius_m_, &scratch_);
+  link_neighborhood(idx);
+}
+
+void Medium::ensure_candidate_radius(double tx_power_dbm) {
+  if (grid_ != nullptr && tx_power_dbm <= max_tx_power_dbm_) return;
+  max_tx_power_dbm_ = tx_power_dbm;
+  // One shared radius at the strongest attached transmit power: a
+  // per-source radius would be tighter, but a superset of candidates only
+  // costs gain computations, never correctness.
+  candidate_radius_m_ = max_candidate_range_m(
+      *propagation_, max_tx_power_dbm_, cull_floor_dbm(),
+      config_.cull_guard_sigmas);
+}
+
+void Medium::link_neighborhood(std::uint32_t idx) {
+  const Radio& radio = *radios_[idx];
+  grid_->query(radio.position(), candidate_radius_m_, &scratch_);
   for (const std::uint32_t j : scratch_) {
     if (j == idx) continue;
-    sparse_classify(idx, j, compute_link(*radio, *radios_[j]));
-    sparse_classify(j, idx, compute_link(*radios_[j], *radio));
+    sparse_classify(idx, j, compute_link(radio, *radios_[j]));
+    sparse_classify(j, idx, compute_link(*radios_[j], radio));
   }
 }
 
@@ -188,29 +180,9 @@ void Medium::sparse_erase(std::uint32_t src, std::uint32_t dst) {
   if (wit != watch.end() && wit->dst == dst) watch.erase(wit);
 }
 
-void Medium::sparse_move(Radio& radio, std::uint32_t idx) {
-  // Every source holding a link (or watch entry) for the mover computed it
-  // while both endpoints sat at their current positions, so it lies within
-  // the candidate radius of the mover's OLD position — which the grid
-  // remembers. Strip those, re-bucket, then rebuild both directions around
-  // the new position.
-  const Position old_pos = grid_->position(idx);
-  grid_->query(old_pos, candidate_radius_m_, &scratch_);
-  for (const std::uint32_t j : scratch_) {
-    if (j != idx) sparse_erase(j, idx);
-  }
-  grid_->move(idx, radio.position());
-  sparse_rows_[idx].clear();
-  if (track_watch_) watch_rows_[idx].clear();
-  grid_->query(radio.position(), candidate_radius_m_, &scratch_);
-  for (const std::uint32_t j : scratch_) {
-    if (j == idx) continue;
-    sparse_classify(idx, j, compute_link(radio, *radios_[j]));
-    sparse_classify(j, idx, compute_link(*radios_[j], radio));
-  }
-}
-
-void Medium::sparse_refresh() {
+void Medium::refresh_all() {
+  if (!cached()) return;
+  metrics_dyn_.inc(metrics::Counter::kDynFullRefreshes);
   ++channel_epoch_;
   const double floor = cull_floor_dbm();
   std::vector<SparseLink> new_active;
@@ -266,66 +238,26 @@ void Medium::sparse_refresh() {
   }
 }
 
-void Medium::rebuild_reachable(std::uint32_t src_idx) {
-  const double floor = cull_floor_dbm();
-  auto& set = reachable_[src_idx];
-  set.clear();
-  const auto& row = links_[src_idx];
-  for (std::uint32_t j = 0; j < row.size(); ++j) {
-    if (j != src_idx && row[j].gain_dbm >= floor) set.push_back(j);
-  }
-}
-
-void Medium::refresh_all() {
-  if (mode_ == LinkStateMode::kDenseReference) return;
-  metrics_dyn_.inc(metrics::Counter::kDynFullRefreshes);
-  if (mode_ == LinkStateMode::kSparse) {
-    sparse_refresh();
-    return;
-  }
-  for (std::uint32_t i = 0; i < radios_.size(); ++i) {
-    for (std::uint32_t j = 0; j < radios_.size(); ++j) {
-      if (i == j) continue;
-      links_[i][j] = compute_link(*radios_[i], *radios_[j]);
-    }
-  }
-  for (std::uint32_t i = 0; i < radios_.size(); ++i) rebuild_reachable(i);
-}
-
 void Medium::on_position_changed(Radio& radio) {
   ++position_epoch_;
   metrics_dyn_.inc(metrics::Counter::kDynMoves);
-  if (mode_ == LinkStateMode::kDenseReference) return;
+  if (!cached()) return;
   const std::uint32_t idx = index_of(radio.id());
   CMAP_ASSERT(idx != kNoIndex, "position change for unattached radio");
-  if (mode_ == LinkStateMode::kSparse) {
-    metrics_dyn_.inc(metrics::Counter::kDynIncrementalInvalidations);
-    sparse_move(radio, idx);
-    return;
-  }
-  if (!config_.incremental_invalidation) {
-    refresh_all();
-    return;
-  }
   metrics_dyn_.inc(metrics::Counter::kDynIncrementalInvalidations);
-  const double floor = cull_floor_dbm();
-  for (std::uint32_t i = 0; i < radios_.size(); ++i) {
-    if (i == idx) continue;
-    links_[idx][i] = compute_link(radio, *radios_[i]);
-    const Link inbound = compute_link(*radios_[i], radio);
-    links_[i][idx] = inbound;
-    // Splice `idx` in or out of source i's sorted reachability set.
-    auto& set = reachable_[i];
-    const auto it = std::lower_bound(set.begin(), set.end(), idx);
-    const bool present = it != set.end() && *it == idx;
-    const bool should = inbound.gain_dbm >= floor;
-    if (should && !present) {
-      set.insert(it, idx);
-    } else if (!should && present) {
-      set.erase(it);
-    }
+  // Every source holding a link (or watch entry) for the mover computed it
+  // while both endpoints sat at their current positions, so it lies within
+  // the candidate radius of the mover's OLD position — which the grid
+  // remembers. Strip those, re-bucket, then rebuild both directions around
+  // the new position.
+  grid_->query(grid_->position(idx), candidate_radius_m_, &scratch_);
+  for (const std::uint32_t j : scratch_) {
+    if (j != idx) sparse_erase(j, idx);
   }
-  rebuild_reachable(idx);
+  grid_->move(idx, radio.position());
+  sparse_rows_[idx].clear();
+  if (track_watch_) watch_rows_[idx].clear();
+  link_neighborhood(idx);
 }
 
 Radio* Medium::radio(NodeId id) const {
@@ -336,11 +268,7 @@ Radio* Medium::radio(NodeId id) const {
 std::size_t Medium::fanout_candidates(NodeId source) const {
   const std::uint32_t idx = index_of(source);
   CMAP_ASSERT(idx != kNoIndex, "unknown radio id");
-  if (mode_ == LinkStateMode::kSparse) return sparse_rows_[idx].size();
-  if (mode_ == LinkStateMode::kDenseCached && config_.enable_culling) {
-    return reachable_[idx].size();
-  }
-  return radios_.size() - 1;
+  return cached() ? sparse_rows_[idx].size() : radios_.size() - 1;
 }
 
 std::size_t Medium::watch_entries() const {
@@ -353,10 +281,7 @@ double Medium::mean_rx_power_dbm(NodeId from, NodeId to) const {
   const Radio* src = radio(from);
   const Radio* dst = radio(to);
   CMAP_ASSERT(src != nullptr && dst != nullptr, "unknown radio id");
-  if (mode_ == LinkStateMode::kDenseCached && from != to) {
-    return links_[index_of(from)][index_of(to)].gain_dbm;
-  }
-  if (mode_ == LinkStateMode::kSparse && from != to) {
+  if (cached() && from != to) {
     const auto& row = sparse_rows_[index_of(from)];
     const std::uint32_t di = index_of(to);
     const auto it = std::lower_bound(
@@ -364,7 +289,7 @@ double Medium::mean_rx_power_dbm(NodeId from, NodeId to) const {
         [](const SparseLink& e, std::uint32_t d) { return e.dst < d; });
     if (it != row.end() && it->dst == di) return it->link.gain_dbm;
     // Not materialized (below the cull floor): the model's current answer
-    // is exactly what the dense cache would hold.
+    // is exactly what the reference path computes.
   }
   return propagation_->rx_power_dbm(src->config().tx_power_dbm, from, to,
                                     src->position(), dst->position());
@@ -425,8 +350,8 @@ void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
   }
   if (metrics_.on()) {
     metrics_.inc(metrics::Counter::kPhyTransmits);
-    if (mode_ != LinkStateMode::kDenseReference) {
-      // Cached modes serve the whole fan-out from stored rows; everyone
+    if (cached()) {
+      // The cached mode serves the whole fan-out from stored rows; everyone
       // outside the row was culled. The reference mode's per-receiver
       // recomputes land in kPhyGainCacheMisses via compute_link.
       const std::size_t candidates = fanout_candidates(source.id());
@@ -435,29 +360,13 @@ void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
                    radios_.size() - 1 - candidates);
     }
   }
-  if (mode_ == LinkStateMode::kSparse) {
+  if (cached()) {
     const std::uint32_t si = index_of(source.id());
     CMAP_ASSERT(si != kNoIndex, "transmit from unattached radio");
-    // Sparse rows are dst-index-sorted: deliveries land in the same order
-    // the dense reachability sets produce.
+    // Rows are dst-index-sorted: deliveries land in the same order the
+    // reference path's attach-order scan produces.
     for (const SparseLink& e : sparse_rows_[si]) {
       deliver_one(*radios_[e.dst], e.link, frame, now);
-    }
-    return;
-  }
-  if (mode_ == LinkStateMode::kDenseCached) {
-    const std::uint32_t si = index_of(source.id());
-    CMAP_ASSERT(si != kNoIndex, "transmit from unattached radio");
-    const auto& row = links_[si];
-    if (config_.enable_culling) {
-      for (const std::uint32_t di : reachable_[si]) {
-        deliver_one(*radios_[di], row[di], frame, now);
-      }
-    } else {
-      for (std::uint32_t di = 0; di < row.size(); ++di) {
-        if (di == si) continue;
-        deliver_one(*radios_[di], row[di], frame, now);
-      }
     }
     return;
   }

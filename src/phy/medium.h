@@ -2,31 +2,27 @@
 // radio whose received power clears the delivery floor, applying
 // propagation loss, per-delivery fading and propagation delay.
 //
-// Link state comes in three representations (MediumConfig::link_state):
+// Link state comes in two representations (MediumConfig::link_state):
 //
-//  - kDenseReference: no caching; every transmit re-queries the
-//    PropagationModel per receiver. The oracle everything else is
-//    golden-tested against.
-//  - kDenseCached (default): mean link gains and propagation delays cached
-//    per ordered radio pair (O(n^2) memory), and each source keeps a
-//    *reachability set* of radios whose mean gain could plausibly clear
-//    the delivery floor, so transmit() iterates only those.
-//  - kSparse: nothing O(n^2) ever materializes. A uniform-grid spatial
-//    index over radio positions supplies candidate neighbors within the
-//    propagation model's guard-banded range bound
+//  - kSparse (default): nothing O(n^2) ever materializes. A uniform-grid
+//    spatial index over radio positions supplies candidate neighbors
+//    within the propagation model's guard-banded range bound
 //    (PropagationModel::rx_power_bound_dbm); each source stores only the
-//    sorted sparse list of links whose mean gain clears the cull floor
-//    (delivery floor minus the fading guard band) — the same membership
-//    rule as the dense reachability sets, so deliveries are identical.
+//    sorted list of links whose mean gain clears the cull floor (delivery
+//    floor minus the fading guard band), with gains and delays cached.
+//    A move touches only the mover's old and new candidate neighborhoods.
 //    Below-floor candidates go on a per-source *watch list* only when the
 //    model is time-varying (epoch_delta_bound_db > 0); refresh_all() then
 //    re-checks a watched link only once the accumulated per-epoch AR(1)
 //    delta bound says it could have crossed the floor.
+//  - kDenseReference: no caching; every transmit re-queries the
+//    PropagationModel for every other radio. The oracle kSparse is
+//    golden-tested against.
 //
 // Per-delivery fading is drawn from a substream keyed on (frame id,
 // receiver id) rather than a shared sequential stream, so culling a
 // hopeless receiver cannot perturb any other delivery's randomness — with
-// fading disabled the culled paths are exactly the brute-force path; with
+// fading disabled the culled path is exactly the brute-force path; with
 // fading enabled they may differ only when a fade exceeds the guard band
 // (cull_guard_sigmas sigmas, probability ~1e-9 at the default 6).
 #pragma once
@@ -56,10 +52,12 @@ class Radio;
 /// How the medium stores pair state. See the file comment for semantics.
 enum class LinkStateMode {
   kDenseReference,
-  kDenseCached,
   kSparse,
 };
 
+/// Validated by the Medium constructor: a negative or non-finite
+/// fading_sigma_db or cull_guard_sigmas, or a non-finite
+/// delivery_floor_dbm, aborts naming the field.
 struct MediumConfig {
   // Deliveries below this mean power are dropped: they would change any
   // SINR by < ~0.5 dB but cost events. 10 dB under the default noise floor.
@@ -69,34 +67,13 @@ struct MediumConfig {
   // in (0.1, 1)" middle class.
   double fading_sigma_db = 2.0;
   bool enable_propagation_delay = true;
-  // ---- Link-state representation ----
-  LinkStateMode link_state = LinkStateMode::kDenseCached;
+  LinkStateMode link_state = LinkStateMode::kSparse;
   // Guard band in units of fading_sigma_db: a culled receiver would need a
   // fade this many sigmas above the mean to have cleared the floor. Also
   // the confidence (in component sigmas) handed to the propagation model's
-  // range and epoch-delta bounds in kSparse mode. With fading_sigma_db ==
-  // 0 fading-culling is exact.
+  // range and epoch-delta bounds. With fading_sigma_db == 0 culling is
+  // exact.
   double cull_guard_sigmas = 6.0;
-  // ---- Deprecated shims (the pre-LinkStateMode bool API) ----
-  // Honored by effective_mode() so existing call sites compile and behave
-  // unchanged; new code should set link_state instead.
-  // enable_gain_cache == false overrides link_state with kDenseReference.
-  bool enable_gain_cache = true;
-  // Within kDenseCached only: skip receivers outside the reachability set
-  // (off: cached full fan-out), and splice rows incrementally on a move
-  // (off: every move rebuilds the whole cache — the reference oracle the
-  // incremental path is golden-tested against). kSparse ignores both.
-  bool enable_culling = true;
-  bool incremental_invalidation = true;
-
-  /// The representation the medium will actually run, with the deprecated
-  /// bools folded in: an explicit kSparse always wins; otherwise
-  /// enable_gain_cache == false downgrades to kDenseReference.
-  LinkStateMode effective_mode() const {
-    if (link_state == LinkStateMode::kSparse) return LinkStateMode::kSparse;
-    if (!enable_gain_cache) return LinkStateMode::kDenseReference;
-    return link_state;
-  }
 
   bool operator==(const MediumConfig&) const = default;
 };
@@ -114,31 +91,26 @@ class Medium {
   /// offending id.
   void attach(Radio* radio);
 
-  /// Re-cache `radio`'s link gains and reachability after a position
-  /// change (called by Radio::set_position). Dense-cached: incremental
-  /// row/column splice or full rebuild per config().incremental_invalidation.
-  /// Sparse: the spatial grid remembers the old position, so only the two
-  /// candidate neighborhoods (old and new) are touched.
+  /// Re-cache `radio`'s links after a position change (called by
+  /// Radio::set_position). The spatial grid remembers the old position, so
+  /// only the two candidate neighborhoods (old and new) are touched.
   void on_position_changed(Radio& radio);
 
   /// Reconcile cached link state with the propagation model's *current*
-  /// answers. Dense-cached: the full O(n^2) rebuild — the right tool when
-  /// the whole channel moved (a dynamics epoch step re-shadowing every
-  /// link at once), and the reference oracle a single node's incremental
-  /// invalidation is golden-tested against. Sparse: counts one channel
-  /// epoch, recomputes every materialized (above-floor) link, and promotes
-  /// watched below-floor links only once their accumulated epoch-delta
-  /// bound says they could have crossed — so a time-varying model must
-  /// report a sound epoch_delta_bound_db.
+  /// answers — the call for a dynamics epoch step that re-shadows every
+  /// link at once. Counts one channel epoch, recomputes every materialized
+  /// (above-floor) link, and promotes watched below-floor links only once
+  /// their accumulated epoch-delta bound says they could have crossed — so
+  /// a time-varying model must report a sound epoch_delta_bound_db.
   void refresh_all();
 
   /// Fan `frame` out from `source` to all other attached radios.
   void transmit(Radio& source, std::shared_ptr<const Frame> frame);
 
   /// Mean (unfaded) received power from `from` to `to`, for link
-  /// measurement and topology classification. In kSparse mode a
-  /// non-materialized (below-floor) pair is answered by querying the
-  /// propagation model directly — the same value the dense cache holds.
+  /// measurement and topology classification. A non-materialized
+  /// (below-floor) pair is answered by querying the propagation model
+  /// directly — the same value the reference path computes.
   double mean_rx_power_dbm(NodeId from, NodeId to) const;
 
   /// Attach (or detach, with nullptr) the run's Tracer. The medium is the
@@ -194,12 +166,12 @@ class Medium {
   Radio* radio(NodeId id) const;
 
   /// Number of receivers transmit() would consider for `source` — the
-  /// reachability-set / sparse-row size under culling, else every other
-  /// radio. Observability for tests and benchmarks.
+  /// sparse-row size, or every other radio under kDenseReference.
+  /// Observability for tests and benchmarks.
   std::size_t fanout_candidates(NodeId source) const;
 
-  /// kSparse observability: the grid-derived candidate radius (m) and the
-  /// total below-floor links currently on watch lists.
+  /// Observability: the grid-derived candidate radius (m) and the total
+  /// below-floor links currently on watch lists.
   double candidate_radius_m() const { return candidate_radius_m_; }
   std::size_t watch_entries() const;
 
@@ -208,8 +180,8 @@ class Medium {
     double gain_dbm = 0.0;
     sim::Time delay = 0;  // propagation delay, ns
   };
-  // kSparse per-source entries, both kept sorted by destination index so
-  // transmit() visits receivers in exactly the dense paths' order.
+  // Per-source entries, both kept sorted by destination index so
+  // transmit() visits receivers in exactly the reference path's order.
   struct SparseLink {
     std::uint32_t dst = 0;
     Link link;
@@ -224,15 +196,14 @@ class Medium {
   Link compute_link(const Radio& src, const Radio& dst) const;
   void deliver_one(Radio& target, const Link& link,
                    const std::shared_ptr<const Frame>& frame, sim::Time now);
-  void rebuild_reachable(std::uint32_t src_idx);
   std::uint32_t index_of(NodeId id) const;
   double cull_floor_dbm() const;
+  bool cached() const { return config_.link_state == LinkStateMode::kSparse; }
 
-  // ---- kSparse internals ----
   void ensure_candidate_radius(double tx_power_dbm);
-  void sparse_attach(Radio* radio, std::uint32_t idx);
-  void sparse_move(Radio& radio, std::uint32_t idx);
-  void sparse_refresh();
+  /// Compute both directions between radio `idx` and every grid candidate
+  /// around its position, filing each into its source's row or watch list.
+  void link_neighborhood(std::uint32_t idx);
   /// File the (src -> dst) link into src's active row or watch list.
   void sparse_classify(std::uint32_t src, std::uint32_t dst, const Link& link);
   /// Drop dst from src's active row or watch list (no-op when absent).
@@ -241,16 +212,12 @@ class Medium {
   sim::Simulator& sim_;
   std::shared_ptr<const PropagationModel> propagation_;
   MediumConfig config_;
-  LinkStateMode mode_;
   trace::TraceHook trace_;
   metrics::MetricsHook metrics_;      // Domain::kPhy counters
   metrics::MetricsHook metrics_dyn_;  // move/invalidation counters
   sim::Rng rng_;  // seed material for per-(frame, receiver) fading draws
   std::vector<Radio*> radios_;
   std::vector<std::uint32_t> index_by_id_;       // NodeId -> attach index
-  // kDenseCached state.
-  std::vector<std::vector<Link>> links_;         // [src idx][dst idx]
-  std::vector<std::vector<std::uint32_t>> reachable_;  // sorted dst indices
   // kSparse state.
   std::unique_ptr<SpatialGrid> grid_;
   std::vector<std::vector<SparseLink>> sparse_rows_;

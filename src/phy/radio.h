@@ -121,8 +121,8 @@ class Radio {
   /// transmit clock from here.
   sim::Simulator& simulator() const { return sim_; }
   const Position& position() const { return position_; }
-  /// Move the radio; the medium re-caches this radio's link gains and
-  /// reachability.
+  /// Move the radio; the medium re-caches this radio's links in both
+  /// directions.
   void set_position(Position pos);
   const RadioConfig& config() const { return config_; }
   const Counters& counters() const { return counters_; }

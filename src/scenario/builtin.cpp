@@ -551,8 +551,8 @@ Scenario make_flows_family(int flows) {
 //
 // Ten thousand nodes at the paper's floor density: 10^8 directed pairs,
 // a world the dense O(n^2) stores cannot hold and the sparse
-// Medium/Testbed representations (LinkStateMode::kSparse,
-// MeasurementStore::kSparse) exist for. The building raises the delivery
+// Medium/Testbed representations (LinkStateMode::kSparse, the default,
+// and MeasurementStore::kSparse) exist for. The building raises the delivery
 // floor and narrows the guard band so candidate neighborhoods stay
 // metropolitan-sparse (~a thousand candidates, a few dozen connected
 // neighbors per node); with a static channel the sparse medium then holds
@@ -618,7 +618,6 @@ Scenario make_metro(int nodes, int sender_pct) {
   // -110 dBm connectivity floor is an office-scale choice; at 10k nodes it
   // would make every delivery fan out to a whole district.
   cfg.medium.delivery_floor_dbm = -94.0;
-  cfg.medium.link_state = phy::LinkStateMode::kSparse;
   // A 3-sigma guard keeps the candidate radius (and with it the
   // measurement pass and the spatial index's cell occupancy) metropolitan
   // -sparse. There is no dense reference at this scale to stay

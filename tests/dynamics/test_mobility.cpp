@@ -170,10 +170,10 @@ TEST(Mobility, ChurnDwellsBetweenTeleports) {
 }
 
 TEST(Mobility, NoGainCacheMediumIsSupported) {
-  // The reference (cache-off) medium must tolerate motion: positions move,
+  // The reference (uncached) medium must tolerate motion: positions move,
   // queries answer from the propagation model directly.
   phy::MediumConfig mcfg;
-  mcfg.enable_gain_cache = false;
+  mcfg.link_state = phy::LinkStateMode::kDenseReference;
   MiniWorld w(6, mcfg);
   MobilityModel model(w.sim, w.medium,
                       mobility_config(MobilityPattern::kDrift), sim::Rng(3));

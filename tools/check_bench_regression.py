@@ -16,11 +16,12 @@ many --pr files are given:
       mac_decide_speedup metric (indexed fast path vs reference scan at
       high flow concurrency) is enforced the same way, and decisions_match
       must be 1.0 (the two paths answered byte-identically).
-  mobility_bench         (bench_mobility)        — gain-cache maintenance
-      under node mobility; its mobility_speedup metric (incremental
-      row/column invalidation vs full O(n^2) rebuild per move) is enforced
-      the same way, and mobility_states_match must be 1.0 (both policies
-      left bit-identical caches).
+  mobility_bench         (bench_mobility)        — link-state maintenance
+      under node mobility; its mobility_speedup metric (the medium's
+      incremental per-move re-link vs building a fresh medium at each
+      move's resulting positions) is enforced the same way, and
+      mobility_states_match must be 1.0 (the moved medium is bit-identical
+      to a fresh build at the final positions).
   trace_bench            (bench_trace)           — trace-subsystem cost; its
       trace_overhead_off metric (CPU time with a Tracer attached but all
       categories disabled vs untraced, both timed in the same process) is
@@ -80,7 +81,7 @@ MIN_KEYS = {"measure_speedup": "min_measure_speedup",
 # Metrics enforced as fixed minimums: cache_hit is 1.0 when the second
 # TestbedCache request returned the identical instance, decisions_match /
 # mobility_states_match are 1.0 when the fast and reference paths answered
-# (or left the cache) byte-identical, pdes_reports_match is 1.0 when the
+# (or left the link state) byte-identical, pdes_reports_match is 1.0 when the
 # partitioned executive reproduced the serial oracle's SweepReport
 # byte-for-byte at 2 and 4 partitions — a miss on any is the regression
 # the bench exists to catch, not a diagnostic.
@@ -271,7 +272,7 @@ def main():
                     help="required MAC-decision fast-vs-reference speedup "
                          "(default 5.0)")
     ap.add_argument("--min-mobility-speedup", type=float, default=5.0,
-                    help="required incremental-invalidation vs full-rebuild "
+                    help="required incremental-move vs fresh-build "
                          "speedup (default 5.0)")
     args = ap.parse_args()
 
