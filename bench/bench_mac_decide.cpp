@@ -1,10 +1,11 @@
 // MAC decision bench: times the CMAP send decision ("may I send to v now?",
 // §3.2) in both implementations — the fast path (indexed DeferTable probes
 // over an allocation-free ongoing ring, via DeferDecider::decide) and the
-// retained reference scan (snapshot + O(entries) table scan per ongoing
-// transmission) — against the conflict-map state of a node watching many
-// concurrent flows. Reports the speedup and verifies every decision
-// (defer bit and recheck time) is identical across the two paths. Doubles
+// test-only oracle's scan (snapshot + O(entries) table scan per ongoing
+// transmission, tests/oracles/defer_oracle.h) — against the conflict-map
+// state of a node watching many concurrent flows. Reports the speedup and
+// verifies every decision (defer bit and recheck time) is identical
+// across the two paths. Doubles
 // as a CI regression probe: the timing row rides in the CMAP_BENCH_JSON
 // report and tools/check_bench_regression.py enforces mac_decide_speedup
 // as a machine-independent minimum (both paths timed in this process)
@@ -20,6 +21,7 @@
 #include "core/cmap_mac.h"
 #include "core/defer_table.h"
 #include "core/ongoing_list.h"
+#include "oracles/defer_oracle.h"
 #include "sim/random.h"
 
 using namespace cmap;
@@ -60,7 +62,7 @@ int main() {
   const int flows = static_cast<int>(env_long("CMAP_BENCH_FLOWS", 200));
   const long decisions =
       env_long("CMAP_BENCH_DECISIONS", 4000);
-  print_header("MAC send decision: fast (indexed) vs reference scan",
+  print_header("MAC send decision: fast (indexed) vs oracle scan",
                "no paper claim — per-transmit-attempt hot path at high "
                "concurrency",
                s);
@@ -91,7 +93,7 @@ int main() {
   // update rules. The first half of the targets are "conflicted": their
   // lists report (self, sender) conflicts against live senders (rule 1),
   // so sending to them defers. The second half are clean — decisions for
-  // them come out "clear to send", which is the reference scan's worst
+  // them come out "clear to send", which is the oracle scan's worst
   // case (no early exit anywhere: every ongoing pair scans the whole
   // table). No rule-2 entry references a live flow on purpose: one such
   // entry would force EVERY decision to defer and flatten the mix.
@@ -103,7 +105,7 @@ int main() {
     }
   }
   // Stale mass: conflicts against neighbours that are NOT transmitting —
-  // the reference scan pays for every one of them on every ongoing pair,
+  // the oracle scan pays for every one of them on every ongoing pair,
   // the index never touches them. (Realistic: the table ages out over a
   // 20 s TTL while the set of active senders turns over much faster.)
   // Both rule shapes, so both pattern indexes carry dead weight too.
@@ -132,14 +134,15 @@ int main() {
   const core::DeferDecider decider(ongoing, table, self,
                                    /*annotate_rates=*/false);
 
-  // Reference first: it must not benefit from the fast pass's lazy
+  // Oracle first: it must not benefit from the fast pass's lazy
   // reclamation (there is nothing expired to reclaim here, but the order
   // keeps the comparison honest by construction).
   Tally ref_tally;
   double t0 = cpu_ms_now();
   for (const Query& q : queries) {
-    ref_tally.absorb(
-        decider.decide_reference(q.dst, core::kAnyRate, q.now));
+    ref_tally.absorb(oracles::decide(ongoing, table, self,
+                                     /*annotate_rates=*/false, q.dst,
+                                     core::kAnyRate, q.now));
   }
   const double ref_ms = cpu_ms_now() - t0;
 
@@ -155,7 +158,7 @@ int main() {
   const double speedup = ref_ms / std::max(fast_ms, 1000.0 / CLOCKS_PER_SEC);
   const bool match = fast_tally == ref_tally;
 
-  std::printf("reference scan:        %8.1f CPU-ms (%llu defers)\n", ref_ms,
+  std::printf("oracle scan:           %8.1f CPU-ms (%llu defers)\n", ref_ms,
               static_cast<unsigned long long>(ref_tally.defers));
   std::printf("fast (indexed):        %8.1f CPU-ms (%llu defers)\n", fast_ms,
               static_cast<unsigned long long>(fast_tally.defers));
@@ -175,7 +178,7 @@ int main() {
   timing.metrics = {{"flows", static_cast<double>(flows)},
                     {"decisions", static_cast<double>(decisions)},
                     {"table_entries", table_entries},
-                    {"decide_reference_cpu_ms", ref_ms},
+                    {"decide_oracle_cpu_ms", ref_ms},
                     {"decide_fast_cpu_ms", fast_ms},
                     {"mac_decide_speedup", speedup},
                     {"decisions_match", match ? 1.0 : 0.0},

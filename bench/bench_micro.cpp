@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/defer_table.h"
+#include "oracles/interference_oracle.h"
 #include "phy/error_model.h"
 #include "phy/interference.h"
 #include "phy/medium.h"
@@ -105,14 +106,15 @@ void BM_InterferenceEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_InterferenceEvaluate)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The pre-optimization O(sub-intervals x S) rescan, for before/after
-// comparison against BM_InterferenceEvaluate at the same load.
+// The pre-optimization O(sub-intervals x S) rescan (the test-only oracle),
+// for before/after comparison against BM_InterferenceEvaluate at the same
+// load.
 void BM_InterferenceEvaluateReference(benchmark::State& state) {
   phy::InterferenceTracker t =
       make_loaded_tracker(static_cast<int>(state.range(0)));
   phy::ThresholdErrorModel model(3.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::evaluate_reference(
+    benchmark::DoNotOptimize(oracles::evaluate(
         t, 1, 0, 1'892'000, 11200, phy::WifiRate::k6Mbps, model, 1.0));
   }
 }

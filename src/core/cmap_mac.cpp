@@ -69,26 +69,6 @@ DeferDecision DeferDecider::decide_explain(phy::NodeId dst,
   return d;
 }
 
-DeferDecision DeferDecider::decide_reference(phy::NodeId dst,
-                                             phy::WifiRate my_rate,
-                                             sim::Time now) const {
-  DeferDecision d;
-  sim::Time until = sim::kTimeForever;
-  for (const OngoingTx& tx : ongoing_.active(now)) {
-    if (tx.src == self_) continue;  // never defer to ourselves
-    const phy::WifiRate their_rate =
-        annotate_rates_ ? tx.data_rate : kAnyRate;
-    if (tx.src == dst || tx.dst == dst ||
-        table_.should_defer_reference(dst, tx.src, tx.dst, now, my_rate,
-                                      their_rate)) {
-      d.defer = true;
-      until = std::min(until, tx.end_time);
-    }
-  }
-  if (d.defer) d.until = until;
-  return d;
-}
-
 double CmapMac::PerSenderRx::window_loss_rate() const {
   double expected = 0, got = 0;
   for (const auto& vp : recent_vps) {
@@ -113,6 +93,12 @@ CmapMac::CmapMac(sim::Simulator& simulator, phy::Radio& radio,
       defer_table_(config.defer_entry_ttl, config.annotate_rates),
       tracker_(config.l_interf, config.min_interf_samples,
                config.interferer_halflife) {
+  // ACK bitmaps carry 64 packets per VP (finalize_vp, SendWindow::on_ack);
+  // an empty window never admits a packet.
+  sim::require_valid(config_.nvpkt >= 1 && config_.nvpkt <= 64, "CmapConfig",
+                     "nvpkt", config_.nvpkt);
+  sim::require_valid(config_.nwindow_vps >= 1, "CmapConfig", "nwindow_vps",
+                     config_.nwindow_vps);
   CMAP_ASSERT(config_.mode != PhyMode::kIntegrated || config_.nvpkt == 1,
               "integrated mode carries one packet per frame");
   trace_.bind(radio_.medium().tracer_for(radio_.id()), radio_.id());
@@ -148,12 +134,6 @@ void CmapMac::try_send() {
     return;
   }
   const sim::Time now = sim_.now();
-  // The fast decision path reclaims expired ongoing entries lazily as it
-  // walks; the reference path's snapshot never reclaims, so give it the
-  // pre-index eager sweep to keep its memory behavior faithful too.
-  if (config_.decision_mode == DecisionMode::kReference) {
-    ongoing_.expire(now);
-  }
 
   // Pick the destination we would serve next.
   phy::NodeId dst = 0;
@@ -215,9 +195,7 @@ bool CmapMac::check_defer(phy::NodeId dst, sim::Time* recheck_at) {
   const phy::WifiRate my_rate =
       config_.annotate_rates ? config_.data_rate : kAnyRate;
   const DeferDecider d = decider();
-  const DeferDecision decision = config_.decision_mode == DecisionMode::kFast
-                                     ? d.decide(dst, my_rate, now)
-                                     : d.decide_reference(dst, my_rate, now);
+  const DeferDecision decision = d.decide(dst, my_rate, now);
   if (decision.defer) *recheck_at = decision.until + config_.t_deferwait;
   if (metrics_.on()) {
     metrics_.inc(metrics::Counter::kMacSendDecisions);

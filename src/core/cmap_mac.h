@@ -57,10 +57,8 @@ struct DeferDebug {
 /// slice of the conflict map holds a matching defer pattern. The fast path
 /// (decide) iterates the ongoing ring allocation-free and answers each
 /// conflict-map question with two indexed bucket probes — O(active
-/// conflicts) per transmit attempt. decide_reference replays the original
-/// snapshot-and-scan (OngoingList::active + DeferTable::
-/// should_defer_reference), retained as the oracle the fast path is tested
-/// byte-identical against; CmapConfig::decision_mode selects between them.
+/// conflicts) per transmit attempt. The test-only oracle in
+/// tests/oracles/defer_oracle.h restates the same rules as a plain scan.
 class DeferDecider {
  public:
   DeferDecider(const OngoingList& ongoing, const DeferTable& table,
@@ -72,8 +70,6 @@ class DeferDecider {
 
   DeferDecision decide(phy::NodeId dst, phy::WifiRate my_rate,
                        sim::Time now) const;
-  DeferDecision decide_reference(phy::NodeId dst, phy::WifiRate my_rate,
-                                 sim::Time now) const;
   /// decide(), but also reports which transmission blocked and why. Used
   /// off the hot path (only when kMacDefer tracing is enabled), so it
   /// re-walks the ongoing ring; lazy reclamation makes the second walk

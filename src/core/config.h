@@ -17,19 +17,11 @@ enum class PhyMode {
   kIntegrated,  // header/trailer segments inside each data frame (PPR)
 };
 
-/// Which implementation answers the §3.2 send decision. kFast walks the
-/// ongoing ring once and probes the defer table's bucket indexes; kReference
-/// replays the original snapshot-and-scan — retained as the oracle the fast
-/// path is tested byte-identical against (see DeferDecider in cmap_mac.h).
-enum class DecisionMode {
-  kFast,
-  kReference,
-};
-
 struct CmapConfig {
   PhyMode mode = PhyMode::kShim;
 
-  // Virtual packet / window geometry (§4.2).
+  // Virtual packet / window geometry (§4.2). CmapMac aborts unless nvpkt
+  // is in [1, 64] (the per-VP ACK bitmap is 64 bits) and nwindow_vps >= 1.
   int nvpkt = 32;       // data packets per virtual packet
   int nwindow_vps = 8;  // send window in virtual packets
 
@@ -63,7 +55,6 @@ struct CmapConfig {
   // Extension toggles.
   bool per_dest_queues = false;  // §3.2 optimization
   bool annotate_rates = false;   // §3.5 multi-bitrate conflict maps
-  DecisionMode decision_mode = DecisionMode::kFast;  // send-decision path
 
   std::size_t queue_limit = 512;
   std::size_t nominal_packet_bytes = 1400;  // for timeout arithmetic

@@ -183,28 +183,6 @@ bool DeferTable::should_defer(phy::NodeId my_dst, phy::NodeId p,
   return probe(by_dst_src_, pair_key(my_dst, p), now, my_rate, their_rate);
 }
 
-bool DeferTable::should_defer_reference(phy::NodeId my_dst, phy::NodeId p,
-                                        phy::NodeId q, sim::Time now,
-                                        phy::WifiRate my_rate,
-                                        phy::WifiRate their_rate) const {
-  for (const Slot& s : slots_) {
-    if (!s.live) continue;
-    const DeferEntry& e = s.e;
-    if (e.expires <= now) continue;
-    if (!rate_matches(e.my_rate, my_rate) ||
-        !rate_matches(e.their_rate, their_rate)) {
-      continue;
-    }
-    // Defer pattern 1: (* : p -> q).
-    if (e.dst == phy::kBroadcastId && e.src == p && e.via == q) return true;
-    // Defer pattern 2: (v : p -> *).
-    if (e.dst == my_dst && e.src == p && e.via == phy::kBroadcastId) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void DeferTable::expire(sim::Time now) {
   for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
     if (slots_[idx].live && slots_[idx].e.expires <= now) unlink(idx, now);

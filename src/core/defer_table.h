@@ -19,9 +19,9 @@
 // wildcard-destination entries (* : p -> q) under key (src, via) and
 // wildcard-via entries (v : p -> *) under key (dst, src). should_defer is
 // then two bucket probes instead of a scan of the whole table, and expired
-// entries are reclaimed lazily as probes touch them. The original linear
-// scan is retained as should_defer_reference — the oracle the fast path is
-// tested equivalent against (same pattern as phy::evaluate_reference).
+// entries are reclaimed lazily as probes touch them. The test-only oracle
+// in tests/oracles/defer_oracle.h restates both patterns as a linear scan
+// over entries().
 #pragma once
 
 #include <cstdint>
@@ -79,24 +79,18 @@ class DeferTable {
                     sim::Time now, phy::WifiRate my_rate = kAnyRate,
                     phy::WifiRate their_rate = kAnyRate) const;
 
-  /// The original O(size) scan over every live entry, kept as the oracle
-  /// for the indexed fast path. Never mutates (no lazy reclamation).
-  bool should_defer_reference(phy::NodeId my_dst, phy::NodeId p,
-                              phy::NodeId q, sim::Time now,
-                              phy::WifiRate my_rate = kAnyRate,
-                              phy::WifiRate their_rate = kAnyRate) const;
-
   /// Eagerly drop every expired entry (lazy reclamation makes this
-  /// optional; it is kept for callers that want memory bounded at a known
-  /// point, e.g. once per interferer-list application).
+  /// optional; CmapMac calls it once per interferer-list application to
+  /// bound memory at a known point).
   void expire(sim::Time now);
 
   /// Live entries (expired entries linger until a probe or expire() call
   /// reclaims them, exactly like the pre-index representation).
   std::size_t size() const { return live_count_; }
 
-  /// Snapshot of the live entries, for introspection and tests. Order is
-  /// unspecified (slot order, which recycling perturbs).
+  /// Snapshot of the linked entries, including lapsed ones no probe has
+  /// reclaimed yet, for introspection and tests. Order is unspecified
+  /// (slot order, which recycling perturbs).
   std::vector<DeferEntry> entries() const;
 
   /// TTL-live entries at `now` (expires > now), sorted by (dst, src, via,

@@ -112,14 +112,4 @@ sim::Time OngoingList::end_of(phy::NodeId src, phy::NodeId dst,
   return end;
 }
 
-void OngoingList::expire(sim::Time now) {
-  const WalkGuard guard(walking_);
-  std::uint32_t idx = head_;
-  while (idx != kNil) {
-    const std::uint32_t next = slots_[idx].next;
-    if (slots_[idx].tx.end_time <= now) release(idx, now);
-    idx = next;
-  }
-}
-
 }  // namespace cmap::core

@@ -7,8 +7,8 @@
 // path iterates via for_each_active() with zero allocations, and entries
 // whose end time has passed are unlinked back onto the free list as reads
 // walk over them (lazy expiry — node_busy/end_of never scan dead entries
-// more than once). The original allocating snapshot is retained as
-// active(), the oracle the iteration API is tested equivalent against.
+// more than once). active() is an allocating snapshot for introspection;
+// the test-only send-decision oracle reads the list through it.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +72,7 @@ class OngoingList {
   /// list (the walk caches its next link before reclaiming, so a nested
   /// read that reclaims the cached node would double-release it, and a
   /// nested note() could reallocate the slot pool under the walk) — both
-  /// are asserted, here and in note()/node_busy()/end_of()/expire().
+  /// are asserted, here and in note()/node_busy()/end_of().
   template <typename Fn>
   void for_each_active(sim::Time now, Fn&& fn) const {
     const WalkGuard guard(walking_);
@@ -90,13 +90,9 @@ class OngoingList {
     }
   }
 
-  /// Live transmissions at `now`, as an allocated snapshot. Retained as
-  /// the reference oracle for for_each_active (and for introspection);
-  /// never reclaims.
+  /// Live transmissions at `now` in note order, as an allocated snapshot
+  /// (introspection); never reclaims.
   std::vector<OngoingTx> active(sim::Time now) const;
-
-  /// Eagerly drop every expired entry (optional given lazy reclamation).
-  void expire(sim::Time now);
 
   /// Entries currently linked, including expired ones no read has touched
   /// yet (matching the pre-ring representation's accounting).
@@ -111,7 +107,7 @@ class OngoingList {
     std::uint32_t next = kNil;  // doubles as the free-list link
   };
 
-  /// Reclaiming walks (for_each_active, node_busy, end_of, expire) cache
+  /// Reclaiming walks (for_each_active, node_busy, end_of) cache
   /// link fields, so they must not nest; this flags the violation loudly
   /// instead of corrupting the ring.
   struct WalkGuard {

@@ -6,8 +6,8 @@
 // evaluate() runs as a single event-sweep over the sorted start/end edges
 // of overlapping signals, maintaining a running interference sum — O(S log
 // S) in the number of tracked signals instead of the O(sub-intervals x S)
-// rescan of the original implementation (kept as evaluate_reference() for
-// validation and benchmarking).
+// rescan of the original implementation, which lives on as the test-only
+// oracle in tests/oracles/interference_oracle.h.
 #pragma once
 
 #include <cstdint>
@@ -102,14 +102,5 @@ class InterferenceTracker {
   };
   mutable std::vector<Edge> edges_;
 };
-
-/// The original O(sub-intervals x S) implementation of evaluate(), over the
-/// same tracked signal set. Retained as the validation oracle for the swept
-/// evaluator (unit tests compare the two on random signal sets) and as the
-/// "before" side of the bench_micro comparison.
-ChunkOutcome evaluate_reference(const InterferenceTracker& tracker,
-                                std::uint64_t target_frame_id, sim::Time begin,
-                                sim::Time end, double bits, WifiRate rate,
-                                const ErrorModel& model, double sinr_scale);
 
 }  // namespace cmap::phy

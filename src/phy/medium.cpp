@@ -27,15 +27,6 @@ typename std::vector<Entry>::iterator find_dst(std::vector<Entry>& row,
       [](const Entry& e, std::uint32_t d) { return e.dst < d; });
 }
 
-// Config validation: abort naming the offending field. A negative guard or
-// sigma would raise the cull floor above the delivery floor and silently
-// drop receivers the reference path delivers to.
-void require_valid(bool ok, const char* field, double value) {
-  if (ok) return;
-  std::fprintf(stderr, "Medium: invalid MediumConfig::%s = %g\n", field,
-               value);
-  CMAP_ASSERT(false, "invalid MediumConfig (see stderr for the field)");
-}
 }  // namespace
 
 Medium::Medium(sim::Simulator& simulator,
@@ -45,14 +36,18 @@ Medium::Medium(sim::Simulator& simulator,
       propagation_(std::move(propagation)),
       config_(config),
       rng_(rng) {
-  require_valid(std::isfinite(config_.delivery_floor_dbm),
-                "delivery_floor_dbm", config_.delivery_floor_dbm);
-  require_valid(std::isfinite(config_.fading_sigma_db) &&
-                    config_.fading_sigma_db >= 0.0,
-                "fading_sigma_db", config_.fading_sigma_db);
-  require_valid(std::isfinite(config_.cull_guard_sigmas) &&
-                    config_.cull_guard_sigmas >= 0.0,
-                "cull_guard_sigmas", config_.cull_guard_sigmas);
+  // A negative guard or sigma would raise the cull floor above the
+  // delivery floor and silently drop receivers the reference path
+  // delivers to.
+  constexpr const char* kConfig = "MediumConfig";
+  sim::require_valid(std::isfinite(config_.delivery_floor_dbm), kConfig,
+                     "delivery_floor_dbm", config_.delivery_floor_dbm);
+  sim::require_valid(std::isfinite(config_.fading_sigma_db) &&
+                         config_.fading_sigma_db >= 0.0,
+                     kConfig, "fading_sigma_db", config_.fading_sigma_db);
+  sim::require_valid(std::isfinite(config_.cull_guard_sigmas) &&
+                         config_.cull_guard_sigmas >= 0.0,
+                     kConfig, "cull_guard_sigmas", config_.cull_guard_sigmas);
   if (cached()) {
     dyn_delta_db_ =
         propagation_->epoch_delta_bound_db(config_.cull_guard_sigmas);

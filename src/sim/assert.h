@@ -14,3 +14,16 @@
       std::abort();                                                         \
     }                                                                       \
   } while (0)
+
+namespace cmap::sim {
+
+/// Config validation: when `ok` is false, abort naming the offending
+/// field, e.g. "invalid CmapConfig::nvpkt = 65".
+inline void require_valid(bool ok, const char* config, const char* field,
+                          double value) {
+  if (ok) return;
+  std::fprintf(stderr, "invalid %s::%s = %g\n", config, field, value);
+  std::abort();
+}
+
+}  // namespace cmap::sim

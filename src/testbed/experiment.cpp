@@ -189,7 +189,6 @@ void World::add_node(phy::NodeId id) {
     cc.data_rate = config_.data_rate;
     cc.per_dest_queues = config_.per_dest_queues;
     cc.annotate_rates = config_.annotate_rates;
-    cc.decision_mode = config_.cmap.decision_mode;
     st.mac = std::make_unique<core::CmapMac>(nsim, *st.radio, cc,
                                              rng_.substream(0x3ac, id));
   } else {

@@ -43,9 +43,6 @@ struct Flow {
 
 /// CMAP-specific run overrides, grouped (ignored by the DCF schemes).
 struct CmapOverrides {
-  // Send-decision implementation: the indexed fast path, or the retained
-  // reference scan it is golden-tested against.
-  core::DecisionMode decision_mode = core::DecisionMode::kFast;
   std::optional<int> nvpkt;    // override Nvpkt
   std::optional<int> nwindow;  // override Nwindow (in VPs)
   // Override the CMAP defer-entry TTL (§3.4) and the interferer-list
@@ -108,10 +105,6 @@ struct RunConfig {
   RunConfig& with_per_dest_queues(bool v) { per_dest_queues = v; return *this; }
   RunConfig& with_annotate_rates(bool v) { annotate_rates = v; return *this; }
   RunConfig& with_cmap(CmapOverrides v) { cmap = v; return *this; }
-  RunConfig& with_decision_mode(core::DecisionMode v) {
-    cmap.decision_mode = v;
-    return *this;
-  }
   RunConfig& with_nvpkt(int v) { cmap.nvpkt = v; return *this; }
   RunConfig& with_nwindow(int v) { cmap.nwindow = v; return *this; }
   RunConfig& with_defer_ttl(sim::Time v) { cmap.defer_ttl = v; return *this; }

@@ -8,6 +8,7 @@
 #include "phy/units.h"
 #include "sim/assert.h"
 #include "sim/parallel.h"
+#include "sim/random.h"
 
 namespace cmap::testbed {
 namespace {
@@ -17,12 +18,29 @@ namespace {
 // interpolation at this step is far below the fast-path tolerance.
 constexpr double kSuccessStepDb = 0.02;
 
-// Fading tail coverage: quadrature strata reach |z| <= ~3.3 sigma at the
-// default 512 strata; 8 sigma bounds the mass any grid can ignore (~6e-16).
+// Fading-averaged PRR table resolution, in dB of mean received power.
+constexpr double kPrrStepDb = 0.05;
+
+// Fading strata per PRR table entry (quadrature accuracy ~1/strata
+// worst-case, far better in practice).
+constexpr int kPrrStrata = 512;
+
+// Fading tail coverage: quadrature strata reach |z| <= ~3.3 sigma at
+// kPrrStrata; 8 sigma bounds the mass any grid can ignore (~6e-16).
 constexpr double kTailSigmas = 8.0;
 
-/// Inverse standard normal CDF, Acklam's rational approximation
-/// (|relative error| < 1.2e-9 — far below the quadrature resolution).
+double lerp_table(const std::vector<double>& table, double lo, double step,
+                  double x) {
+  if (x <= lo) return table.front();
+  const double rank = (x - lo) / step;
+  const auto idx = static_cast<std::size_t>(rank);
+  if (idx + 1 >= table.size()) return table.back();
+  const double frac = rank - static_cast<double>(idx);
+  return table[idx] * (1.0 - frac) + table[idx + 1] * frac;
+}
+
+}  // namespace
+
 double inverse_normal_cdf(double p) {
   p = std::clamp(p, 1e-300, 1.0 - 1e-16);
   static constexpr double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
@@ -57,18 +75,6 @@ double inverse_normal_cdf(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
 }
 
-double lerp_table(const std::vector<double>& table, double lo, double step,
-                  double x) {
-  if (x <= lo) return table.front();
-  const double rank = (x - lo) / step;
-  const auto idx = static_cast<std::size_t>(rank);
-  if (idx + 1 >= table.size()) return table.back();
-  const double frac = rank - static_cast<double>(idx);
-  return table[idx] * (1.0 - frac) + table[idx + 1] * frac;
-}
-
-}  // namespace
-
 std::uint64_t pair_stream_id(phy::NodeId from, phy::NodeId to) {
   return sim::mix64((static_cast<std::uint64_t>(from) << 32) |
                     static_cast<std::uint64_t>(to));
@@ -99,13 +105,8 @@ LinkMeasurement::LinkMeasurement(
   gate_dbm_ = std::max(spec_.radio.sensitivity_dbm,
                        spec_.radio.noise_floor_dbm +
                            spec_.radio.preamble_min_sinr_db);
-  // Reference-mode instances never consult the tables, and without fading
-  // fast_prr() short-circuits to probe_success(); only build when needed
-  // (table cost would otherwise inflate every reference-mode build).
-  if (spec_.config.mode == MeasurementMode::kFast &&
-      spec_.fading_sigma_db > 0.0) {
-    build_tables();
-  }
+  // Without fading fast_prr() short-circuits to probe_success().
+  if (spec_.fading_sigma_db > 0.0) build_tables();
 }
 
 double LinkMeasurement::probe_success(double rx_dbm) const {
@@ -135,25 +136,22 @@ void LinkMeasurement::build_tables() {
         probe_success(success_lo_dbm_ + static_cast<double>(i) * kSuccessStepDb);
   }
 
-  const double step = spec_.config.table_step_db;
-  CMAP_ASSERT(step > 0.0, "table_step_db must be positive");
   const auto prr_entries =
-      static_cast<std::size_t>((prr_hi_dbm - prr_lo_dbm_) / step) + 2;
+      static_cast<std::size_t>((prr_hi_dbm - prr_lo_dbm_) / kPrrStepDb) + 2;
   prr_table_.resize(prr_entries);
   // Midpoint-stratified quadrature over the fading Gaussian: fade offsets
   // at the quantile midpoints, equal weights.
-  const int strata = std::max(1, spec_.config.table_strata);
-  std::vector<double> offsets(static_cast<std::size_t>(strata));
-  for (int k = 0; k < strata; ++k) {
+  std::vector<double> offsets(static_cast<std::size_t>(kPrrStrata));
+  for (int k = 0; k < kPrrStrata; ++k) {
     offsets[static_cast<std::size_t>(k)] =
         sigma * inverse_normal_cdf((static_cast<double>(k) + 0.5) /
-                                   static_cast<double>(strata));
+                                   static_cast<double>(kPrrStrata));
   }
   for (std::size_t i = 0; i < prr_entries; ++i) {
-    const double mean = prr_lo_dbm_ + static_cast<double>(i) * step;
+    const double mean = prr_lo_dbm_ + static_cast<double>(i) * kPrrStepDb;
     double sum = 0.0;
     for (const double off : offsets) sum += success_from_table(mean + off);
-    prr_table_[i] = sum / static_cast<double>(strata);
+    prr_table_[i] = sum / static_cast<double>(kPrrStrata);
   }
 }
 
@@ -163,25 +161,8 @@ double LinkMeasurement::success_from_table(double rx_dbm) const {
 
 double LinkMeasurement::fast_prr(double mean_dbm) const {
   if (spec_.fading_sigma_db <= 0.0) return probe_success(mean_dbm);
-  CMAP_ASSERT(!prr_table_.empty(), "fast_prr needs MeasurementMode::kFast");
   if (mean_dbm < prr_lo_dbm_) return 0.0;  // beyond any +8-sigma fade
-  return lerp_table(prr_table_, prr_lo_dbm_, spec_.config.table_step_db,
-                    mean_dbm);
-}
-
-double LinkMeasurement::reference_prr(double mean_dbm,
-                                      sim::Rng stream) const {
-  const int samples = std::max(1, spec_.fading_samples);
-  const double sigma = spec_.fading_sigma_db;
-  if (sigma <= 0.0) return probe_success(mean_dbm);
-  double sum = 0.0;
-  for (int k = 0; k < samples; ++k) {
-    // One uniform draw per stratum: u_k in [k/N, (k+1)/N).
-    const double u = (static_cast<double>(k) + stream.uniform()) /
-                     static_cast<double>(samples);
-    sum += probe_success(mean_dbm + sigma * inverse_normal_cdf(u));
-  }
-  return sum / static_cast<double>(samples);
+  return lerp_table(prr_table_, prr_lo_dbm_, kPrrStepDb, mean_dbm);
 }
 
 std::pair<double, double> LinkMeasurement::measure_one(
@@ -189,12 +170,7 @@ std::pair<double, double> LinkMeasurement::measure_one(
     const phy::Position& to_pos) const {
   const double s = propagation_->rx_power_dbm(spec_.radio.tx_power_dbm, from,
                                               to, from_pos, to_pos);
-  const double p =
-      spec_.config.mode == MeasurementMode::kFast
-          ? fast_prr(s)
-          : reference_prr(s, sim::Rng(spec_.seed)
-                                 .substream(0xfade, pair_stream_id(from, to)));
-  return {p, s};
+  return {fast_prr(s), s};
 }
 
 LinkMeasurementResult LinkMeasurement::measure(

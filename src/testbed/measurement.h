@@ -9,14 +9,13 @@
 // over a fine dBm grid (stratified Gaussian quadrature over the fading
 // distribution, near-exact) and each pair costs a single table
 // interpolation — O(n^2) lookups instead of O(n^2 * samples) error-model
-// evaluations. The per-pair Monte-Carlo estimator is retained as
-// MeasurementMode::kReference behind a config knob; it draws per-pair
-// substreams, so it is what defines "the measured building" when bitwise
-// reproducibility of the sampling path matters.
+// evaluations. The per-pair Monte-Carlo estimator the table replaced is
+// the test-only oracle in tests/oracles/measurement_oracle.h, built on
+// probe_success(), pair_stream_id() and inverse_normal_cdf().
 //
-// The remaining per-pair loop (propagation + lookup, or the reference MC)
-// shards across sim::parallel_for; results are identical for any thread
-// count because every pair's output depends only on (seed, pair).
+// The remaining per-pair loop (propagation + lookup) shards across
+// sim::parallel_for; results are identical for any thread count because
+// every pair's output depends only on (seed, pair).
 #pragma once
 
 #include <cstdint>
@@ -29,14 +28,8 @@
 #include "phy/radio.h"
 #include "phy/types.h"
 #include "phy/wifi_rate.h"
-#include "sim/random.h"
 
 namespace cmap::testbed {
-
-enum class MeasurementMode {
-  kFast,       // tabulated fading-averaged PRR, one interpolation per pair
-  kReference,  // per-pair stratified Monte-Carlo over the fading Gaussian
-};
 
 enum class MeasurementStore {
   kDense,   // full n^2 PRR/signal matrices — the reference layout
@@ -44,15 +37,9 @@ enum class MeasurementStore {
 };
 
 struct MeasurementConfig {
-  MeasurementMode mode = MeasurementMode::kFast;
   /// Threads sharding the per-pair loop; 0 = sim::default_thread_count().
   /// Results are identical for any value.
   int threads = 1;
-  /// Fast-mode PRR table resolution in dB of mean received power.
-  double table_step_db = 0.05;
-  /// Fading strata per fast-mode table entry (quadrature accuracy ~1/strata
-  /// worst-case, far better in practice).
-  int table_strata = 512;
   /// Pair-state layout measure() produces. kSparse never touches the n^2
   /// pair space: a spatial grid limits evaluation to pairs within the
   /// propagation model's guard-banded candidate radius
@@ -74,6 +61,10 @@ struct MeasurementConfig {
 /// (e.g. (0,1005) and (1,5)).
 std::uint64_t pair_stream_id(phy::NodeId from, phy::NodeId to);
 
+/// Inverse standard normal CDF, Acklam's rational approximation
+/// (|relative error| < 1.2e-9). `p` is clamped into (0, 1).
+double inverse_normal_cdf(double p);
+
 /// Linear-interpolated percentile (0-100) over an ascending-sorted sample.
 /// THE percentile definition for signal strengths: Testbed's predicates
 /// compare against values cached at measurement time, so every computation
@@ -92,7 +83,6 @@ struct LinkMeasurementSpec {
   double delivery_floor_dbm = -104.0;  // "any connectivity" threshold
   phy::WifiRate probe_rate = phy::WifiRate::k6Mbps;
   std::size_t probe_bytes = 1400;
-  int fading_samples = 100;  // reference-mode draws per directed link
   std::uint64_t seed = 1;    // root of the per-pair fading substreams
   MeasurementConfig config;
 };
@@ -133,22 +123,13 @@ class LinkMeasurement {
 
   const LinkMeasurementSpec& spec() const { return spec_; }
 
-  // ---- The two PRR estimators (exposed for tolerance tests) ----
-
-  /// Fast path: interpolate the tabulated fading-averaged PRR at the
-  /// pair's mean received power.
+  /// Interpolate the tabulated fading-averaged PRR at the pair's mean
+  /// received power.
   double fast_prr(double mean_dbm) const;
-
-  /// Reference path: `fading_samples` stratified Monte-Carlo fading draws
-  /// from `stream` (the pair's substream), each invoking the error model.
-  /// Stratification keeps the estimate within 1/samples of the exact
-  /// fading average (the integrand is monotone), while remaining a genuine
-  /// per-pair sampling path.
-  double reference_prr(double mean_dbm, sim::Rng stream) const;
 
   /// Probability a probe decodes at received power `rx_dbm` with no
   /// fading: the preamble-lock gates, then the error model over the probe
-  /// bits. Both estimators average this function over the fading Gaussian.
+  /// bits. fast_prr() averages this function over the fading Gaussian.
   double probe_success(double rx_dbm) const;
 
  private:
@@ -167,11 +148,11 @@ class LinkMeasurement {
   double probe_bits_ = 0.0;
   double gate_dbm_ = 0.0;  // below this received power, decode prob is 0
 
-  // Fast-path tables (built only for kFast with fading; ~ms to build).
+  // PRR tables (built only with fading; ~ms to build).
   double success_lo_dbm_ = 0.0;
   std::vector<double> success_table_;  // probe_success on a fine grid
   double prr_lo_dbm_ = 0.0;
-  std::vector<double> prr_table_;  // fading-averaged PRR on the config grid
+  std::vector<double> prr_table_;  // fading-averaged PRR, kPrrStepDb apart
 };
 
 }  // namespace cmap::testbed

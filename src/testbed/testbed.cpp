@@ -8,6 +8,18 @@
 
 namespace cmap::testbed {
 
+LinkMeasurementSpec TestbedConfig::measurement_spec() const {
+  LinkMeasurementSpec spec;
+  spec.radio = radio;
+  spec.fading_sigma_db = medium.fading_sigma_db;
+  spec.delivery_floor_dbm = medium.delivery_floor_dbm;
+  spec.probe_rate = probe_rate;
+  spec.probe_bytes = probe_bytes;
+  spec.seed = seed;
+  spec.config = measurement;
+  return spec;
+}
+
 Testbed::Testbed(TestbedConfig config) : config_(config) {
   config_.prop.seed = config_.seed;
   propagation_ = std::make_shared<phy::LogDistanceShadowing>(config_.prop);
@@ -74,19 +86,9 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   }
 
   // Measurement pass: PRR and signal strength per directed pair, delegated
-  // to the LinkMeasurement subsystem (fast tabulated path or the retained
-  // per-pair Monte-Carlo reference, per config_.measurement).
-  LinkMeasurementSpec spec;
-  spec.radio = config_.radio;
-  spec.fading_sigma_db = config_.medium.fading_sigma_db;
-  spec.delivery_floor_dbm = config_.medium.delivery_floor_dbm;
-  spec.probe_rate = config_.probe_rate;
-  spec.probe_bytes = config_.probe_bytes;
-  spec.fading_samples = config_.prr_fading_samples;
-  spec.seed = config_.seed;
-  spec.config = config_.measurement;
-  auto measurement =
-      std::make_unique<LinkMeasurement>(spec, propagation_, error_model_);
+  // to the LinkMeasurement subsystem.
+  auto measurement = std::make_unique<LinkMeasurement>(
+      config_.measurement_spec(), propagation_, error_model_);
   LinkMeasurementResult result = measurement->measure(positions_);
   connected_signals_ = std::move(result.connected_signals);
   p10_ = result.p10;

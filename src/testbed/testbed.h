@@ -38,14 +38,15 @@ struct TestbedConfig {
   phy::MediumConfig medium = default_medium(); // fading during live runs
   phy::WifiRate probe_rate = phy::WifiRate::k6Mbps;
   std::size_t probe_bytes = 1400;
-  int prr_fading_samples = 100;  // reference-mode fading draws per link
-  /// How the measurement pass runs (fast/reference, threads, table
-  /// resolution) — see measurement.h. Does not affect placement or
-  /// signal strengths, only how link PRRs are estimated.
+  /// How the measurement pass runs (threads, pair-state store) — see
+  /// measurement.h. Does not affect placement, signal strengths or PRRs.
   MeasurementConfig measurement = {};
 
   /// Full structural equality — the TestbedCache key.
   bool operator==(const TestbedConfig&) const = default;
+
+  /// The measurement pass's inputs, composed from the fields above.
+  LinkMeasurementSpec measurement_spec() const;
 
   static phy::LogDistanceConfig default_prop() {
     phy::LogDistanceConfig p;

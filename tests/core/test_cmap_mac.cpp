@@ -264,5 +264,34 @@ TEST(CmapMac, QueueLimitRejectsExcess) {
   EXPECT_GT(a.stats().dropped_queue_full, 300u);
 }
 
+// The per-VP ACK bitmap holds 64 packets: a larger VP would resend its
+// tail until retx_limit and drop it silently. An empty window never sends.
+TEST(CmapConfigDeathTest, NvpktOutsideOneTo64AbortsNamingTheField) {
+  for (const int bad : {0, -1, 65}) {
+    CmapConfig cfg;
+    cfg.nvpkt = bad;
+    EXPECT_DEATH(CmapWorld().add_node(1, {0, 0}, cfg), "CmapConfig::nvpkt")
+        << bad;
+  }
+}
+
+TEST(CmapConfigDeathTest, EmptySendWindowAbortsNamingTheField) {
+  for (const int bad : {0, -1}) {
+    CmapConfig cfg;
+    cfg.nwindow_vps = bad;
+    EXPECT_DEATH(CmapWorld().add_node(1, {0, 0}, cfg),
+                 "CmapConfig::nwindow_vps")
+        << bad;
+  }
+}
+
+TEST(CmapConfigValidation, BoundaryValuesAreAccepted) {
+  CmapWorld w;
+  CmapConfig cfg;
+  cfg.nvpkt = 64;
+  cfg.nwindow_vps = 1;
+  EXPECT_EQ(w.add_node(1, {0, 0}, cfg).config().window_packets(), 64u);
+}
+
 }  // namespace
 }  // namespace cmap::core

@@ -1,10 +1,11 @@
 // Property tests for the MAC decision fast path: seeded random streams of
 // conflict-map operations (interferer-list application, ongoing-list
-// notes, eager expiry, decision queries) asserting after every step that
-// the indexed/intrusive fast paths answer byte-identically to the retained
-// reference scans — including §3.5 rate-annotated tables and queries
-// landing exactly on TTL / end-time boundaries. Time never rewinds (the
-// simulator's invariant), which is what licenses lazy reclamation.
+// notes, eager table expiry, decision queries) asserting after every step
+// that the indexed/intrusive fast paths answer byte-identically to the
+// send-decision oracle (tests/oracles/defer_oracle.h) — including §3.5
+// rate-annotated tables and queries landing exactly on TTL / end-time
+// boundaries. Time never rewinds (the simulator's invariant), which is
+// what licenses lazy reclamation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "core/cmap_mac.h"
 #include "core/defer_table.h"
 #include "core/ongoing_list.h"
+#include "oracles/defer_oracle.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -53,7 +55,6 @@ class FuzzHarness {
         jump_to_boundary();
       } else if (dice < 0.70) {
         table_.expire(now_);
-        ongoing_.expire(now_);
       } else {
         advance();
       }
@@ -119,7 +120,9 @@ class FuzzHarness {
       const phy::NodeId dst = random_node(rng_, /*allow_broadcast=*/true);
       const phy::WifiRate my_rate =
           annotate_ ? random_rate(rng_, /*allow_any=*/true) : kAnyRate;
-      const DeferDecision ref = decider_.decide_reference(dst, my_rate, now_);
+      const DeferDecision ref =
+          oracles::decide(ongoing_, table_, kSelf, annotate_, dst, my_rate,
+                          now_);
       const DeferDecision fast = decider_.decide(dst, my_rate, now_);
       ASSERT_EQ(fast.defer, ref.defer)
           << "step " << step << " dst " << dst << " now " << now_;
@@ -135,7 +138,7 @@ class FuzzHarness {
       const phy::NodeId q = random_node(rng_, true);
       const phy::WifiRate mr = random_rate(rng_, true);
       const phy::WifiRate tr = random_rate(rng_, true);
-      ASSERT_EQ(table_.should_defer_reference(my_dst, p, q, now_, mr, tr),
+      ASSERT_EQ(oracles::should_defer(table_, my_dst, p, q, now_, mr, tr),
                 table_.should_defer(my_dst, p, q, now_, mr, tr))
           << "step " << step << " (" << my_dst << "," << p << "," << q
           << ") now " << now_;
@@ -199,7 +202,7 @@ TEST(DeferDecider, IdleChannelNeverDefers) {
   OngoingList l;
   const DeferDecider d(l, t, kSelf, false);
   EXPECT_FALSE(d.decide(3, kAnyRate, 0).defer);
-  EXPECT_FALSE(d.decide_reference(3, kAnyRate, 0).defer);
+  EXPECT_FALSE(oracles::decide(l, t, kSelf, false, 3, kAnyRate, 0).defer);
 }
 
 TEST(DeferDecider, OwnTransmissionIsIgnored) {
@@ -229,7 +232,7 @@ TEST(DeferDecider, BusyDestinationDefersUntilEarliestConflictEnds) {
   const DeferDecision decision = d.decide(3, kAnyRate, 0);
   EXPECT_TRUE(decision.defer);
   EXPECT_EQ(decision.until, sim::milliseconds(2));
-  const DeferDecision ref = d.decide_reference(3, kAnyRate, 0);
+  const DeferDecision ref = oracles::decide(l, t, kSelf, false, 3, kAnyRate, 0);
   EXPECT_TRUE(ref.defer);
   EXPECT_EQ(ref.until, sim::milliseconds(2));
 }
@@ -252,8 +255,9 @@ TEST(DeferDecider, ConflictMapEntryDefersForUninvolvedDestination) {
   const DeferDecision decision = d.decide(5, kAnyRate, sim::milliseconds(1));
   EXPECT_TRUE(decision.defer);
   EXPECT_EQ(decision.until, sim::milliseconds(8));
-  EXPECT_EQ(d.decide_reference(5, kAnyRate, sim::milliseconds(1)).defer,
-            true);
+  EXPECT_TRUE(oracles::decide(l, t, kSelf, false, 5, kAnyRate,
+                              sim::milliseconds(1))
+                  .defer);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/defer_oracle.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -193,7 +194,7 @@ TEST(DeferTableUpsert, SizeBoundedByDistinctConflictsUnderChurn) {
   }
 }
 
-// ---- fast path vs retained reference scan ----
+// ---- fast path vs the send-decision oracle's scan ----
 
 TEST(DeferTableOracle, FastAndReferenceAgreeOnAllPatternCombinations) {
   DeferTable t(sim::seconds(10));
@@ -210,7 +211,7 @@ TEST(DeferTableOracle, FastAndReferenceAgreeOnAllPatternCombinations) {
     for (phy::NodeId my_dst : ids) {
       for (phy::NodeId p : ids) {
         for (phy::NodeId q : ids) {
-          EXPECT_EQ(t.should_defer_reference(my_dst, p, q, now),
+          EXPECT_EQ(oracles::should_defer(t, my_dst, p, q, now),
                     t.should_defer(my_dst, p, q, now))
               << my_dst << " " << p << " " << q << " @" << now;
         }

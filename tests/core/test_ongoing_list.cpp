@@ -55,14 +55,6 @@ TEST(OngoingList, EndOfReportsRemainingEntry) {
   EXPECT_EQ(l.end_of(2, 1, sim::milliseconds(30)), 0);
 }
 
-TEST(OngoingList, ExpireDropsDeadEntries) {
-  OngoingList l;
-  l.note(desc(1, 2), sim::milliseconds(10));
-  l.note(desc(3, 4), sim::milliseconds(100));
-  l.expire(sim::milliseconds(50));
-  EXPECT_EQ(l.size(), 1u);
-}
-
 TEST(OngoingList, DifferentPairsCoexist) {
   OngoingList l;
   l.note(desc(1, 2), sim::milliseconds(60));

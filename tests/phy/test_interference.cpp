@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "oracles/interference_oracle.h"
 #include "phy/units.h"
 #include "sim/random.h"
 
@@ -217,8 +218,8 @@ TEST(Interference, FramelessSignalCountsAsInterference) {
   EXPECT_NEAR(linear_to_db(t.min_sinr(1, 0, 1000)), 0.0, 0.05);
   NistErrorModel model;
   const auto swept = t.evaluate(1, 0, 1000, 8000, WifiRate::k6Mbps, model, 1.0);
-  const auto brute = evaluate_reference(t, 1, 0, 1000, 8000, WifiRate::k6Mbps,
-                                        model, 1.0);
+  const auto brute = oracles::evaluate(t, 1, 0, 1000, 8000, WifiRate::k6Mbps,
+                                       model, 1.0);
   EXPECT_NEAR(swept.success_prob, brute.success_prob, 1e-12);
   EXPECT_NEAR(swept.min_sinr, brute.min_sinr, brute.min_sinr * 1e-12);
 }
@@ -239,8 +240,8 @@ TEST(Interference, SweptEvaluatorMatchesBruteForceOnRandomSignalSets) {
     }
     const auto swept =
         t.evaluate(1, 0, window_end, 11200, WifiRate::k6Mbps, model, 1.0);
-    const auto brute = evaluate_reference(t, 1, 0, window_end, 11200,
-                                          WifiRate::k6Mbps, model, 1.0);
+    const auto brute = oracles::evaluate(t, 1, 0, window_end, 11200,
+                                         WifiRate::k6Mbps, model, 1.0);
     // The running interference sum accumulates in a different order than
     // the per-interval rescan, so allow ULP-scale slack.
     EXPECT_NEAR(swept.success_prob, brute.success_prob,

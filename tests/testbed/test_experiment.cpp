@@ -93,7 +93,6 @@ TEST(Experiment, FluentBuilderConfiguresEveryGroupedKnob) {
                            .with_seed(17)
                            .with_packet_bytes(500)
                            .with_per_dest_queues(true)
-                           .with_decision_mode(core::DecisionMode::kReference)
                            .with_nvpkt(4)
                            .with_nwindow(2)
                            .with_defer_ttl(sim::seconds(6))
@@ -104,7 +103,6 @@ TEST(Experiment, FluentBuilderConfiguresEveryGroupedKnob) {
   EXPECT_EQ(rc.seed, 17u);
   EXPECT_EQ(rc.packet_bytes, 500u);
   EXPECT_TRUE(rc.per_dest_queues);
-  EXPECT_EQ(rc.cmap.decision_mode, core::DecisionMode::kReference);
   EXPECT_EQ(rc.cmap.nvpkt, 4);
   EXPECT_EQ(rc.cmap.nwindow, 2);
   EXPECT_EQ(rc.cmap.defer_ttl, sim::seconds(6));
@@ -117,6 +115,16 @@ TEST(Experiment, FluentBuilderConfiguresEveryGroupedKnob) {
   ASSERT_NE(world.cmap(f.src), nullptr);
   EXPECT_EQ(world.cmap(f.src)->config().nvpkt, 3);
   EXPECT_EQ(world.cmap(f.src)->config().defer_entry_ttl, sim::seconds(9));
+}
+
+TEST(CmapConfigDeathTest, RunConfigNvpktOverrideIsValidated) {
+  const Flow f = first_potential_flow();
+  for (const int bad : {0, 65}) {
+    World world(shared_testbed(), RunConfig{}.with_nvpkt(bad));
+    EXPECT_DEATH(world.add_node(f.src), "CmapConfig::nvpkt") << bad;
+  }
+  World world(shared_testbed(), RunConfig{}.with_nwindow(0));
+  EXPECT_DEATH(world.add_node(f.src), "CmapConfig::nwindow_vps");
 }
 
 TEST(Experiment, WorldExposesComponentsForBespokeScenarios) {

@@ -103,24 +103,6 @@ TEST_F(SparseStoreEquality, SparseStoreHoldsOnlyConnectedPairs) {
             static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1));
 }
 
-TEST(SparseStore, ReferenceModeAlsoAgrees) {
-  // The lazy path must reproduce the per-pair Monte-Carlo substreams too.
-  TestbedConfig cfg;
-  cfg.num_nodes = 24;
-  cfg.seed = 5;
-  cfg.measurement.mode = MeasurementMode::kReference;
-  Testbed d(cfg);
-  Testbed s(sparse_config(cfg));
-  for (phy::NodeId a = 0; a < 24; ++a) {
-    for (phy::NodeId b = 0; b < 24; ++b) {
-      if (a == b) continue;
-      ASSERT_EQ(s.prr(a, b), d.prr(a, b)) << a << "->" << b;
-      ASSERT_EQ(s.signal_dbm(a, b), d.signal_dbm(a, b)) << a << "->" << b;
-    }
-  }
-  EXPECT_EQ(s.potential_links(), d.potential_links());
-}
-
 TEST(SparseStore, ThreadedMeasurementIsIdentical) {
   TestbedConfig base = sparse_config();
   base.num_nodes = 30;

@@ -10,12 +10,13 @@ Eight timing rows are gated today, matched by scenario name across however
 many --pr files are given:
   dense_grid_bench       (bench_dense_grid)      — simulation hot path
   testbed_measure_bench  (bench_testbed_measure) — measurement pass; its
-      measure_speedup metric (fast vs reference mode, both timed in the
-      same process) is enforced as a raw machine-independent minimum.
+      measure_speedup metric (tabulated fast path vs the test-only
+      Monte-Carlo oracle, both timed in the same process) is enforced as a
+      raw machine-independent minimum.
   mac_decide_bench       (bench_mac_decide)      — CMAP send decision; its
-      mac_decide_speedup metric (indexed fast path vs reference scan at
-      high flow concurrency) is enforced the same way, and decisions_match
-      must be 1.0 (the two paths answered byte-identically).
+      mac_decide_speedup metric (indexed fast path vs the test-only oracle
+      scan at high flow concurrency) is enforced the same way, and
+      decisions_match must be 1.0 (the two answered byte-identically).
   mobility_bench         (bench_mobility)        — link-state maintenance
       under node mobility; its mobility_speedup metric (the medium's
       incremental per-move re-link vs building a fresh medium at each
@@ -112,7 +113,7 @@ FIXED_MAX_KEYS = {"trace_overhead_off": 1.02,
 # normalized-runtime gating would flake on shared runners without guarding
 # anything the speedup gates do not. The trace and metrics benches' raw
 # mode timings exist only as terms of their gated *_overhead_off ratios.
-INFO_KEYS = {"max_abs_delta_prr", "table_entries", "decide_reference_cpu_ms",
+INFO_KEYS = {"max_abs_delta_prr", "table_entries", "decide_oracle_cpu_ms",
              "move_reference_cpu_ms", "trace_untraced_cpu_ms",
              "trace_disabled_cpu_ms", "trace_enabled_cpu_ms",
              "metrics_unmetered_cpu_ms", "metrics_disabled_cpu_ms",
@@ -266,10 +267,10 @@ def main():
     ap.add_argument("--min-speedup", type=float, default=5.0,
                     help="required fast-vs-brute speedup (default 5.0)")
     ap.add_argument("--min-measure-speedup", type=float, default=10.0,
-                    help="required measurement fast-vs-reference speedup "
+                    help="required measurement fast-vs-oracle speedup "
                          "(default 10.0)")
     ap.add_argument("--min-mac-decide-speedup", type=float, default=5.0,
-                    help="required MAC-decision fast-vs-reference speedup "
+                    help="required MAC-decision fast-vs-oracle speedup "
                          "(default 5.0)")
     ap.add_argument("--min-mobility-speedup", type=float, default=5.0,
                     help="required incremental-move vs fresh-build "
