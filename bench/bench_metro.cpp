@@ -2,11 +2,11 @@
 // sparse link-state stores, gated in CI on PEAK RSS — the dense O(n^2)
 // pair state would need ~1.6 GB for the measurement matrices alone, so a
 // regression that silently re-densifies any layer shows up as a gate
-// failure, not a slow creep. Also times testbed_400 under both stores so
-// the sparse path's build/sweep cost stays visible next to the dense one.
+// failure, not a slow creep. Also times a testbed_400 build and sweep so
+// the CSR store's cost at a mid-size building stays visible.
 //
 // Measurement order matters: ru_maxrss is process-monotone, so the gated
-// metro (sparse) numbers are taken BEFORE the dense-store comparisons.
+// metro numbers are taken BEFORE the testbed_400 timings.
 //
 // Timing rows use process CPU time normalized by the shared calibration
 // workload — see cpu_ms_now()/calibration_ms() in bench_main.h.
@@ -46,42 +46,28 @@ int main() {
   t0 = cpu_ms_now();
   auto report = make_runner(s).run(metro_sweep, metro_tb);
   const double metro_sweep_ms = cpu_ms_now() - t0;
-  // Peak RSS now covers registry + sparse build + sparse sweep and nothing
-  // dense: this is the number the CI gate holds fixed.
+  // Peak RSS now covers registry + metro build + metro sweep and nothing
+  // else: this is the number the CI gate holds fixed.
   const double metro_rss_mb = peak_rss_mb();
   std::printf("metro_10k sweep: %zu runs in %.0f CPU-ms, peak RSS %.0f MB\n",
               report.rows().size(), metro_sweep_ms, metro_rss_mb);
   report.print_table();
 
-  // ---- testbed_400 under both stores: cost comparison ----
+  // ---- testbed_400: build and sweep cost of the CSR store ----
   const auto& t400 = registry.at("testbed_400");
-  testbed::TestbedConfig dense_cfg = *t400.testbed;
-  dense_cfg.seed = s.seed;
+  testbed::TestbedConfig t400_cfg = *t400.testbed;
+  t400_cfg.seed = s.seed;
   t0 = cpu_ms_now();
-  testbed::Testbed tb_dense(dense_cfg);
-  const double t400_dense_build_ms = cpu_ms_now() - t0;
+  testbed::Testbed tb400(t400_cfg);
+  const double t400_sparse_build_ms = cpu_ms_now() - t0;
   auto sweep400 = make_sweep(s, "testbed_400", {testbed::Scheme::kCmap});
   t0 = cpu_ms_now();
-  auto report_dense = make_runner(s).run(sweep400, tb_dense);
-  const double t400_dense_sweep_ms = cpu_ms_now() - t0;
-
-  testbed::TestbedConfig sparse_cfg = dense_cfg;
-  sparse_cfg.measurement.store = testbed::MeasurementStore::kSparse;
-  t0 = cpu_ms_now();
-  testbed::Testbed tb_sparse(sparse_cfg);
-  const double t400_sparse_build_ms = cpu_ms_now() - t0;
-  t0 = cpu_ms_now();
-  auto report_sparse = make_runner(s).run(sweep400, tb_sparse);
+  auto report400 = make_runner(s).run(sweep400, tb400);
   const double t400_sparse_sweep_ms = cpu_ms_now() - t0;
-  std::printf(
-      "testbed_400 build CPU-ms: dense %.0f, sparse %.0f "
-      "(%zu stored links)\n",
-      t400_dense_build_ms, t400_sparse_build_ms, tb_sparse.stored_links());
-  std::printf(
-      "testbed_400 sweep CPU-ms: dense %.0f (%.3f Mb/s), sparse %.0f "
-      "(%.3f Mb/s)\n",
-      t400_dense_sweep_ms, report_dense.rows().front().aggregate_mbps,
-      t400_sparse_sweep_ms, report_sparse.rows().front().aggregate_mbps);
+  std::printf("testbed_400 build: %.0f CPU-ms (%zu stored links)\n",
+              t400_sparse_build_ms, tb400.stored_links());
+  std::printf("testbed_400 sweep: %.0f CPU-ms (%.3f Mb/s)\n",
+              t400_sparse_sweep_ms, report400.rows().front().aggregate_mbps);
 
   const double calib = calibration_ms();
   stats::RunRow timing;
@@ -97,9 +83,7 @@ int main() {
       {"metro_stored_links", static_cast<double>(metro_tb.stored_links())},
       {"metro_testbed_build_cpu_ms", metro_build_ms},
       {"metro_sweep_cpu_ms", metro_sweep_ms},
-      {"t400_dense_build_cpu_ms", t400_dense_build_ms},
       {"t400_sparse_build_cpu_ms", t400_sparse_build_ms},
-      {"t400_dense_sweep_cpu_ms", t400_dense_sweep_ms},
       {"t400_sparse_sweep_cpu_ms", t400_sparse_sweep_ms},
       {"calibration_ms", calib}};
   report.add_row(std::move(timing));

@@ -459,19 +459,20 @@ Scenario make_dense_grid(std::string name, int sender_pct) {
       TopologyInstance inst;
       for (int i = 0; i < k; ++i) {
         const phy::NodeId src = ids[static_cast<std::size_t>(i)];
-        // Best-PRR receiver; receivers may themselves be senders
-        // (half-duplex contention is part of the workload).
+        // Best-PRR receiver among the stored connected row (ascending dst,
+        // strict >), so a draw never touches the pair space; receivers
+        // may themselves be senders (half-duplex contention is part of
+        // the workload).
         phy::NodeId best = src;
         double best_prr = -1.0;
-        for (phy::NodeId dst = 0; dst < static_cast<phy::NodeId>(n); ++dst) {
-          if (dst == src) continue;
+        for (const phy::NodeId dst : tb.connected_neighbors(src)) {
           const double p = tb.prr(src, dst);
           if (p > best_prr) {
             best_prr = p;
             best = dst;
           }
         }
-        if (best == src) continue;
+        if (best == src) continue;  // isolated sender: no outbound links
         inst.flows.push_back({src, best});
       }
       if (inst.flows.empty()) continue;
@@ -549,66 +550,26 @@ Scenario make_flows_family(int flows) {
 
 // ---- NEW: metro_10k — sparse link-state at metropolitan scale ----
 //
-// Ten thousand nodes at the paper's floor density: 10^8 directed pairs,
-// a world the dense O(n^2) stores cannot hold and the sparse
-// Medium/Testbed representations (LinkStateMode::kSparse, the default,
-// and MeasurementStore::kSparse) exist for. The building raises the delivery
-// floor and narrows the guard band so candidate neighborhoods stay
+// The dense-grid workload on ten thousand nodes at the paper's floor
+// density: 10^8 directed pairs, a world no O(n^2) store could hold, and
+// the scale the sparse Medium (LinkStateMode::kSparse) and the Testbed's
+// CSR pair store exist for. The building raises the delivery floor and
+// narrows both guard bands so candidate neighborhoods stay
 // metropolitan-sparse (~a thousand candidates, a few dozen connected
 // neighbors per node); with a static channel the sparse medium then holds
-// active links only. Flow picking walks stored CSR rows
+// active links only. The shared draw walks stored CSR rows
 // (connected_neighbors), so a topology draw never touches the pair space
 // either.
 
 Scenario make_metro(int nodes, int sender_pct) {
-  Scenario s;
-  s.name = "metro_" + std::to_string(nodes / 1000) + "k";
+  Scenario s = make_dense_grid(
+      "metro_" + std::to_string(nodes / 1000) + "k", sender_pct);
   char desc[128];
   std::snprintf(desc, sizeof(desc),
                 "%d%% of %d nodes saturate best-PRR neighbor flows over "
                 "sparse link state (10k-scale memory workload)",
                 sender_pct, nodes);
   s.description = desc;
-  s.topology = [sender_pct](const testbed::Testbed& tb, int count,
-                            sim::Rng& rng) {
-    const int n = tb.size();
-    const int k = std::max(1, n * sender_pct / 100);
-    std::vector<TopologyInstance> out;
-    out.reserve(static_cast<std::size_t>(count));
-    for (int draw = 0; draw < count; ++draw) {
-      std::vector<phy::NodeId> ids(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i;
-      for (int i = 0; i < k; ++i) {
-        const auto j = static_cast<std::size_t>(
-            rng.uniform_int(i, static_cast<std::int64_t>(n) - 1));
-        std::swap(ids[static_cast<std::size_t>(i)], ids[j]);
-      }
-      TopologyInstance inst;
-      for (int i = 0; i < k; ++i) {
-        const phy::NodeId src = ids[static_cast<std::size_t>(i)];
-        // Best-PRR receiver among the stored connected row — ascending
-        // dst with strict >, the same tie rule as the dense-grid scan.
-        phy::NodeId best = src;
-        double best_prr = -1.0;
-        for (const phy::NodeId dst : tb.connected_neighbors(src)) {
-          const double p = tb.prr(src, dst);
-          if (p > best_prr) {
-            best_prr = p;
-            best = dst;
-          }
-        }
-        if (best == src) continue;  // isolated sender: no outbound links
-        inst.flows.push_back({src, best});
-      }
-      if (inst.flows.empty()) continue;
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%zu flows / %d nodes",
-                    inst.flows.size(), n);
-      inst.label = buf;
-      out.push_back(std::move(inst));
-    }
-    return out;
-  };
   testbed::TestbedConfig cfg;
   cfg.num_nodes = nodes;
   const double scale = std::sqrt(nodes / 50.0);
@@ -623,7 +584,6 @@ Scenario make_metro(int nodes, int sender_pct) {
   // -sparse. There is no dense reference at this scale to stay
   // byte-identical to; the golden-gated scenarios keep the default 6.
   cfg.medium.cull_guard_sigmas = 3.0;
-  cfg.measurement.store = testbed::MeasurementStore::kSparse;
   cfg.measurement.sparse_guard_sigmas = 3.0;
   s.testbed = cfg;
   // Event-dense at hundreds of concurrent flows: default to a short

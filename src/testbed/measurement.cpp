@@ -98,6 +98,12 @@ LinkMeasurement::LinkMeasurement(
       error_model_(std::move(error_model)) {
   CMAP_ASSERT(propagation_ != nullptr, "measurement needs a propagation model");
   CMAP_ASSERT(error_model_ != nullptr, "measurement needs an error model");
+  // A negative or NaN guard shrinks the candidate radius and silently
+  // drops connected pairs from the CSR.
+  sim::require_valid(std::isfinite(spec_.config.sparse_guard_sigmas) &&
+                         spec_.config.sparse_guard_sigmas >= 0.0,
+                     "MeasurementConfig", "sparse_guard_sigmas",
+                     spec_.config.sparse_guard_sigmas);
   noise_mw_ = phy::dbm_to_mw(spec_.radio.noise_floor_dbm);
   impl_loss_linear_ = phy::db_to_linear(spec_.radio.implementation_loss_db);
   // + MAC overhead, matching the live probe framing.
@@ -175,38 +181,6 @@ std::pair<double, double> LinkMeasurement::measure_one(
 
 LinkMeasurementResult LinkMeasurement::measure(
     const std::vector<phy::Position>& positions) const {
-  if (spec_.config.store == MeasurementStore::kSparse) {
-    return measure_sparse(positions);
-  }
-  const auto n = positions.size();
-  LinkMeasurementResult result;
-  result.prr.assign(n * n, 0.0);
-  result.signal.assign(n * n, -300.0);
-
-  sim::parallel_for(spec_.config.threads, n, [&](std::size_t row) {
-    const auto i = static_cast<phy::NodeId>(row);
-    for (std::size_t col = 0; col < n; ++col) {
-      if (col == row) continue;
-      const auto j = static_cast<phy::NodeId>(col);
-      const auto [p, s] = measure_one(i, j, positions[row], positions[col]);
-      result.signal[row * n + col] = s;
-      result.prr[row * n + col] = p;
-    }
-  });
-
-  for (std::size_t k = 0; k < n * n; ++k) {
-    if (result.signal[k] >= spec_.delivery_floor_dbm) {
-      result.connected_signals.push_back(result.signal[k]);
-    }
-  }
-  std::sort(result.connected_signals.begin(), result.connected_signals.end());
-  result.p10 = percentile_of(result.connected_signals, 10.0);
-  result.p90 = percentile_of(result.connected_signals, 90.0);
-  return result;
-}
-
-LinkMeasurementResult LinkMeasurement::measure_sparse(
-    const std::vector<phy::Position>& positions) const {
   const auto n = positions.size();
   // Candidate radius: beyond it no pair can clear the delivery floor
   // within the guard band (infinite when the model cannot bound itself —
@@ -255,18 +229,17 @@ LinkMeasurementResult LinkMeasurement::measure_sparse(
     result.row_begin.push_back(static_cast<std::uint32_t>(total));
   }
   result.dst.reserve(total);
-  result.sparse_prr.reserve(total);
-  result.sparse_signal.reserve(total);
+  result.prr.reserve(total);
+  result.signal.reserve(total);
   for (Row& r : rows) {
     result.dst.insert(result.dst.end(), r.dst.begin(), r.dst.end());
-    result.sparse_prr.insert(result.sparse_prr.end(), r.prr.begin(),
-                             r.prr.end());
-    result.sparse_signal.insert(result.sparse_signal.end(), r.signal.begin(),
-                                r.signal.end());
+    result.prr.insert(result.prr.end(), r.prr.begin(), r.prr.end());
+    result.signal.insert(result.signal.end(), r.signal.begin(),
+                         r.signal.end());
   }
   // Every stored signal cleared the floor, so the connected population is
-  // exactly the stored one — same multiset the dense pass collects.
-  result.connected_signals = result.sparse_signal;
+  // exactly the stored one.
+  result.connected_signals = result.signal;
   std::sort(result.connected_signals.begin(), result.connected_signals.end());
   result.p10 = percentile_of(result.connected_signals, 10.0);
   result.p90 = percentile_of(result.connected_signals, 90.0);

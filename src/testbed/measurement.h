@@ -1,19 +1,21 @@
 // The testbed "measurement pass": PRR and mean signal strength for every
-// directed pair, extracted from Testbed's constructor into a reusable
-// subsystem (this was the O(n^2 * fading-samples) startup cost that
-// dominated large-testbed instantiation).
+// connected directed pair (mean signal at or above the delivery floor),
+// stored as a CSR. Candidates come from a spatial grid, so the pass never
+// walks the n^2 pair space; any other pair is answered on demand by
+// measure_one().
 //
 // Key insight behind the fast path: with one shared RadioConfig, probe
 // rate and probe size, the fading-averaged packet reception rate is a pure
 // 1-D function of the pair's mean received power. So PRR is tabulated ONCE
 // over a fine dBm grid (stratified Gaussian quadrature over the fading
 // distribution, near-exact) and each pair costs a single table
-// interpolation — O(n^2) lookups instead of O(n^2 * samples) error-model
-// evaluations. The per-pair Monte-Carlo estimator the table replaced is
-// the test-only oracle in tests/oracles/measurement_oracle.h, built on
-// probe_success(), pair_stream_id() and inverse_normal_cdf().
+// interpolation instead of `samples` error-model evaluations. Both
+// references live in tests/oracles/measurement_oracle.h: the per-pair
+// Monte-Carlo estimator the table replaced (built on probe_success(),
+// pair_stream_id() and inverse_normal_cdf()), and the full n^2 matrices
+// built from measure_one() over every pair.
 //
-// The remaining per-pair loop (propagation + lookup) shards across
+// The per-pair loop (propagation + lookup) shards across
 // sim::parallel_for; results are identical for any thread count because
 // every pair's output depends only on (seed, pair).
 #pragma once
@@ -31,26 +33,16 @@
 
 namespace cmap::testbed {
 
-enum class MeasurementStore {
-  kDense,   // full n^2 PRR/signal matrices — the reference layout
-  kSparse,  // CSR over pairs whose mean signal clears the delivery floor
-};
-
 struct MeasurementConfig {
   /// Threads sharding the per-pair loop; 0 = sim::default_thread_count().
   /// Results are identical for any value.
   int threads = 1;
-  /// Pair-state layout measure() produces. kSparse never touches the n^2
-  /// pair space: a spatial grid limits evaluation to pairs within the
-  /// propagation model's guard-banded candidate radius
-  /// (phy::max_candidate_range_m over the delivery floor), and only pairs
-  /// whose mean signal actually clears the floor are stored. Off-CSR pairs
-  /// are answered lazily (see Testbed) with values identical to kDense.
-  MeasurementStore store = MeasurementStore::kDense;
-  /// Confidence (in model sigmas) of the kSparse candidate radius: a pair
+  /// Confidence (in model sigmas) of measure()'s candidate radius: a pair
   /// outside it would need a shadowing realization beyond this many sigmas
   /// to clear the delivery floor. At the default 6 the per-pair miss
-  /// probability is ~1e-9.
+  /// probability is ~1e-9. Must be finite and >= 0, else LinkMeasurement
+  /// aborts: a negative or NaN guard would shrink the radius and silently
+  /// drop connected pairs from the CSR.
   double sparse_guard_sigmas = 6.0;
   bool operator==(const MeasurementConfig&) const = default;
 };
@@ -88,20 +80,16 @@ struct LinkMeasurementSpec {
 };
 
 struct LinkMeasurementResult {
-  // kDense layout (empty under kSparse):
-  std::vector<double> prr;     // [from * n + to]; 0 on the diagonal
-  std::vector<double> signal;  // [from * n + to] dBm; -300 on the diagonal
-  // Both layouts:
   std::vector<double> connected_signals;  // sorted ascending
   double p10 = 0.0;  // 10th / 90th percentile of connected_signals,
   double p90 = 0.0;  // NaN when no pair clears the delivery floor
-  // kSparse layout: CSR over directed pairs whose mean signal clears the
-  // delivery floor; row r covers dst/sparse_prr/sparse_signal indices
-  // [row_begin[r], row_begin[r + 1]), dst ascending within a row.
-  std::vector<std::uint32_t> row_begin;  // size n + 1 (empty under kDense)
+  // CSR over directed pairs whose mean signal clears the delivery floor;
+  // row r covers dst/prr/signal indices [row_begin[r], row_begin[r + 1]),
+  // dst ascending within a row.
+  std::vector<std::uint32_t> row_begin;  // size n + 1
   std::vector<phy::NodeId> dst;
-  std::vector<double> sparse_prr;
-  std::vector<double> sparse_signal;
+  std::vector<double> prr;
+  std::vector<double> signal;  // dBm
 };
 
 class LinkMeasurement {
@@ -110,13 +98,16 @@ class LinkMeasurement {
                   std::shared_ptr<const phy::PropagationModel> propagation,
                   std::shared_ptr<const phy::ErrorModel> error_model);
 
-  /// Run the full pass over every directed pair of `positions` (kDense),
-  /// or over grid candidates only (kSparse; see MeasurementConfig::store).
+  /// Measure the connected pairs of `positions` without touching the n^2
+  /// pair space: a spatial grid limits evaluation to pairs within the
+  /// propagation model's guard-banded candidate radius
+  /// (phy::max_candidate_range_m over the delivery floor), and only pairs
+  /// whose mean signal actually clears the floor are stored.
   LinkMeasurementResult measure(
       const std::vector<phy::Position>& positions) const;
 
   /// One directed pair, computed exactly as measure() would — the lazy
-  /// path for pairs outside a kSparse CSR. Returns {prr, signal_dbm}.
+  /// path for pairs outside the CSR. Returns {prr, signal_dbm}.
   std::pair<double, double> measure_one(phy::NodeId from, phy::NodeId to,
                                         const phy::Position& from_pos,
                                         const phy::Position& to_pos) const;
@@ -135,8 +126,6 @@ class LinkMeasurement {
  private:
   void build_tables();
   double success_from_table(double rx_dbm) const;
-  LinkMeasurementResult measure_sparse(
-      const std::vector<phy::Position>& positions) const;
 
   LinkMeasurementSpec spec_;
   std::shared_ptr<const phy::PropagationModel> propagation_;

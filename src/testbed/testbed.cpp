@@ -21,6 +21,13 @@ LinkMeasurementSpec TestbedConfig::measurement_spec() const {
 }
 
 Testbed::Testbed(TestbedConfig config) : config_(config) {
+  constexpr const char* kConfig = "TestbedConfig";
+  sim::require_valid(config_.num_nodes >= 1, kConfig, "num_nodes",
+                     config_.num_nodes);
+  sim::require_valid(std::isfinite(config_.width_m) && config_.width_m > 0.0,
+                     kConfig, "width_m", config_.width_m);
+  sim::require_valid(std::isfinite(config_.height_m) && config_.height_m > 0.0,
+                     kConfig, "height_m", config_.height_m);
   config_.prop.seed = config_.seed;
   propagation_ = std::make_shared<phy::LogDistanceShadowing>(config_.prop);
   error_model_ = std::make_shared<phy::NistErrorModel>();
@@ -85,75 +92,55 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
     }
   }
 
-  // Measurement pass: PRR and signal strength per directed pair, delegated
-  // to the LinkMeasurement subsystem.
-  auto measurement = std::make_unique<LinkMeasurement>(
-      config_.measurement_spec(), propagation_, error_model_);
-  LinkMeasurementResult result = measurement->measure(positions_);
+  // Measurement pass: PRR and signal strength per connected directed
+  // pair, delegated to the LinkMeasurement subsystem, which stays behind
+  // to answer off-CSR pair queries.
+  lazy_ = std::make_unique<LinkMeasurement>(config_.measurement_spec(),
+                                            propagation_, error_model_);
+  LinkMeasurementResult result = lazy_->measure(positions_);
   connected_signals_ = std::move(result.connected_signals);
   p10_ = result.p10;
   p90_ = result.p90;
-  if (config_.measurement.store == MeasurementStore::kSparse) {
-    row_begin_ = std::move(result.row_begin);
-    link_dst_ = std::move(result.dst);
-    link_prr_ = std::move(result.sparse_prr);
-    link_signal_ = std::move(result.sparse_signal);
-    lazy_ = std::move(measurement);  // answers off-CSR pair queries
-  } else {
-    prr_ = std::move(result.prr);
-    signal_ = std::move(result.signal);
-  }
+  row_begin_ = std::move(result.row_begin);
+  link_dst_ = std::move(result.dst);
+  link_prr_ = std::move(result.prr);
+  link_signal_ = std::move(result.signal);
 
-  // Precompute the potential-link list the topology pickers iterate; the
-  // predicate inputs above are final from here on. The sparse store walks
-  // only connected rows — a pair needs PRR > 0.9 both ways, so any
-  // potential link is stored in both directions.
+  // Precompute the potential-link list the topology pickers iterate, and
+  // its CSR view, straight from the stored rows: a potential link needs
+  // signal >= p10 >= the delivery floor both ways, so an unstored reverse
+  // pair can never qualify.
   const auto n = static_cast<phy::NodeId>(config_.num_nodes);
-  if (sparse()) {
-    for (phy::NodeId a = 0; a < n; ++a) {
-      for (const phy::NodeId b : connected_neighbors(a)) {
-        if (potential_link(a, b)) potential_links_.emplace_back(a, b);
+  pot_begin_.reserve(n + 1);
+  pot_begin_.push_back(0);
+  for (phy::NodeId a = 0; a < n; ++a) {
+    for (std::uint32_t k = row_begin_[a]; k < row_begin_[a + 1]; ++k) {
+      const phy::NodeId b = link_dst_[k];
+      if (stored_clears(k, 0.9, p10_) &&
+          stored_clears(stored_index(b, a), 0.9, p10_)) {
+        potential_links_.emplace_back(a, b);
+        pot_dst_.push_back(b);
       }
     }
-  } else {
-    for (phy::NodeId a = 0; a < n; ++a) {
-      for (phy::NodeId b = 0; b < n; ++b) {
-        if (a != b && potential_link(a, b)) potential_links_.emplace_back(a, b);
-      }
-    }
-  }
-  build_neighbor_csrs();
-}
-
-void Testbed::build_neighbor_csrs() {
-  const auto n = static_cast<std::size_t>(config_.num_nodes);
-  // potential_links_ is (from, to)-lexicographic, so the CSR is a direct
-  // transcription.
-  pot_begin_.assign(n + 1, 0);
-  pot_dst_.reserve(potential_links_.size());
-  for (const auto& [a, b] : potential_links_) {
-    ++pot_begin_[a + 1];
-    pot_dst_.push_back(b);
-  }
-  for (std::size_t i = 0; i < n; ++i) pot_begin_[i + 1] += pot_begin_[i];
-  if (sparse()) return;  // connected rows are the stored CSR itself
-  conn_begin_.assign(n + 1, 0);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a != b && signal_[a * n + b] >= config_.medium.delivery_floor_dbm) {
-        conn_dst_.push_back(static_cast<phy::NodeId>(b));
-      }
-    }
-    conn_begin_[a + 1] = static_cast<std::uint32_t>(conn_dst_.size());
+    pot_begin_.push_back(static_cast<std::uint32_t>(pot_dst_.size()));
   }
 }
 
 std::ptrdiff_t Testbed::stored_index(phy::NodeId from, phy::NodeId to) const {
+  const auto n = static_cast<phy::NodeId>(config_.num_nodes);
+  CMAP_ASSERT(from < n && to < n, "node id out of range");
   const auto* lo = link_dst_.data() + row_begin_[from];
   const auto* hi = link_dst_.data() + row_begin_[from + 1];
   const auto* it = std::lower_bound(lo, hi, to);
   if (it == hi || *it != to) return -1;
   return it - link_dst_.data();
+}
+
+bool Testbed::stored_clears(std::ptrdiff_t k, double min_prr,
+                            double min_signal_dbm) const {
+  if (k < 0) return false;
+  const auto i = static_cast<std::size_t>(k);
+  return link_prr_[i] > min_prr && link_signal_[i] >= min_signal_dbm;
 }
 
 std::pair<double, double> Testbed::link_values(phy::NodeId from,
@@ -163,7 +150,7 @@ std::pair<double, double> Testbed::link_values(phy::NodeId from,
     return {link_prr_[static_cast<std::size_t>(idx)],
             link_signal_[static_cast<std::size_t>(idx)]};
   }
-  // Off-CSR pair: compute the exact dense-store values once and memoize.
+  // Off-CSR pair: measure it exactly once and memoize.
   // The testbed is shared const across sweep threads, hence the lock; the
   // computation itself is read-only and cheap (one propagation query plus
   // a table interpolation), so holding the lock across it is fine.
@@ -180,14 +167,12 @@ std::pair<double, double> Testbed::link_values(phy::NodeId from,
 
 double Testbed::prr(phy::NodeId from, phy::NodeId to) const {
   CMAP_ASSERT(from != to, "self link");
-  if (sparse()) return link_values(from, to).first;
-  return prr_[from * config_.num_nodes + to];
+  return link_values(from, to).first;
 }
 
 double Testbed::signal_dbm(phy::NodeId from, phy::NodeId to) const {
   CMAP_ASSERT(from != to, "self link");
-  if (sparse()) return link_values(from, to).second;
-  return signal_[from * config_.num_nodes + to];
+  return link_values(from, to).second;
 }
 
 double Testbed::signal_percentile(double p) const {
@@ -195,18 +180,21 @@ double Testbed::signal_percentile(double p) const {
   return percentile_of(connected_signals_, p);
 }
 
+// The predicates read the CSR alone: each needs signal >= p10 (or p90),
+// both at or above the delivery floor, which no unstored pair reaches.
 bool Testbed::in_range(phy::NodeId a, phy::NodeId b) const {
-  return prr(a, b) > 0.2 && prr(b, a) > 0.2 && signal_dbm(a, b) >= p10_ &&
-         signal_dbm(b, a) >= p10_;
+  return stored_clears(stored_index(a, b), 0.2, p10_) &&
+         stored_clears(stored_index(b, a), 0.2, p10_);
 }
 
 bool Testbed::potential_link(phy::NodeId a, phy::NodeId b) const {
-  return prr(a, b) > 0.9 && prr(b, a) > 0.9 && signal_dbm(a, b) >= p10_ &&
-         signal_dbm(b, a) >= p10_;
+  return stored_clears(stored_index(a, b), 0.9, p10_) &&
+         stored_clears(stored_index(b, a), 0.9, p10_);
 }
 
 bool Testbed::strong_signal(phy::NodeId from, phy::NodeId to) const {
-  return signal_dbm(from, to) >= p90_;
+  const std::ptrdiff_t k = stored_index(from, to);
+  return k >= 0 && link_signal_[static_cast<std::size_t>(k)] >= p90_;
 }
 
 Testbed::LinkClasses Testbed::link_classes() const {
@@ -222,19 +210,8 @@ Testbed::LinkClasses Testbed::link_classes() const {
       ++perfect;
     }
   };
-  if (sparse()) {
-    // The CSR holds exactly the connected directed pairs.
-    for (const double p : link_prr_) classify(p);
-  } else {
-    const int n = config_.num_nodes;
-    for (phy::NodeId i = 0; i < static_cast<phy::NodeId>(n); ++i) {
-      for (phy::NodeId j = 0; j < static_cast<phy::NodeId>(n); ++j) {
-        if (i == j) continue;
-        if (signal_[i * n + j] < config_.medium.delivery_floor_dbm) continue;
-        classify(prr_[i * n + j]);
-      }
-    }
-  }
+  // The CSR holds exactly the connected directed pairs.
+  for (const double p : link_prr_) classify(p);
   if (out.connected_pairs > 0) {
     const double total = out.connected_pairs;
     out.frac_dead = dead / total;
@@ -246,35 +223,24 @@ Testbed::LinkClasses Testbed::link_classes() const {
 
 double Testbed::mean_degree() const {
   const int n = config_.num_nodes;
-  double total = 0;
-  if (sparse()) {
-    // A PRR > 0.1 link needs signal well above the delivery floor (the
-    // preamble gate), so every counting pair sits in the CSR. A node sees
-    // a neighbor through its own row when either direction is stored
-    // there; when the reverse row is entirely missing (signal below the
-    // floor one way), the stored side credits the other node directly.
-    std::vector<int> deg(static_cast<std::size_t>(n), 0);
-    for (phy::NodeId i = 0; i < static_cast<phy::NodeId>(n); ++i) {
-      for (std::uint32_t k = row_begin_[i]; k < row_begin_[i + 1]; ++k) {
-        const phy::NodeId j = link_dst_[k];
-        const bool fwd = link_prr_[k] > 0.1;
-        const std::ptrdiff_t r = stored_index(j, i);
-        const bool rev = r >= 0 && link_prr_[static_cast<std::size_t>(r)] > 0.1;
-        if (fwd || rev) ++deg[i];
-        if (fwd && r < 0) ++deg[j];
-      }
-    }
-    for (const int d : deg) total += d;
-    return total / n;
-  }
+  // A PRR > 0.1 link needs signal well above the delivery floor (the
+  // preamble gate), so every counting pair sits in the CSR. A node sees
+  // a neighbor through its own row when either direction is stored
+  // there; when the reverse row is entirely missing (signal below the
+  // floor one way), the stored side credits the other node directly.
+  std::vector<int> deg(static_cast<std::size_t>(n), 0);
   for (phy::NodeId i = 0; i < static_cast<phy::NodeId>(n); ++i) {
-    int deg = 0;
-    for (phy::NodeId j = 0; j < static_cast<phy::NodeId>(n); ++j) {
-      if (i == j) continue;
-      if (prr_[i * n + j] > 0.1 || prr_[j * n + i] > 0.1) ++deg;
+    for (std::uint32_t k = row_begin_[i]; k < row_begin_[i + 1]; ++k) {
+      const phy::NodeId j = link_dst_[k];
+      const bool fwd = link_prr_[k] > 0.1;
+      const std::ptrdiff_t r = stored_index(j, i);
+      const bool rev = r >= 0 && link_prr_[static_cast<std::size_t>(r)] > 0.1;
+      if (fwd || rev) ++deg[i];
+      if (fwd && r < 0) ++deg[j];
     }
-    total += deg;
   }
+  double total = 0;
+  for (const int d : deg) total += d;
   return total / n;
 }
 

@@ -4,6 +4,11 @@
 // directed link's packet reception rate (PRR) and signal strength — the
 // inputs the paper's topology constraints (Fig. 11) are phrased in.
 //
+// Pair state is one CSR over the connected directed pairs (mean signal at
+// or above the delivery floor); every other pair is measured on demand
+// and memoized. The full n^2 matrices survive only as the test-only
+// reference in tests/oracles/measurement_oracle.h.
+//
 // Default constants are calibrated so the resulting link population matches
 // the paper's reported statistics: of pairs with any connectivity, ~68%
 // have PRR < 0.1, ~12% are intermediate, ~20% have PRR ~= 1; mean degree
@@ -28,9 +33,9 @@
 namespace cmap::testbed {
 
 struct TestbedConfig {
-  int num_nodes = 50;
-  double width_m = 70.0;
-  double height_m = 40.0;
+  int num_nodes = 50;      // >= 1
+  double width_m = 70.0;   // finite, > 0
+  double height_m = 40.0;  // finite, > 0
   std::uint64_t seed = 1;  // drives placement AND shadowing
 
   phy::LogDistanceConfig prop = default_prop();
@@ -38,7 +43,7 @@ struct TestbedConfig {
   phy::MediumConfig medium = default_medium(); // fading during live runs
   phy::WifiRate probe_rate = phy::WifiRate::k6Mbps;
   std::size_t probe_bytes = 1400;
-  /// How the measurement pass runs (threads, pair-state store) — see
+  /// How the measurement pass runs (threads, candidate guard band) — see
   /// measurement.h. Does not affect placement, signal strengths or PRRs.
   MeasurementConfig measurement = {};
 
@@ -93,7 +98,8 @@ class Testbed {
   }
 
   /// Measured PRR of the directed link from -> to (1400 B probes at the
-  /// probe rate, fading-averaged), in the absence of interference.
+  /// probe rate, fading-averaged), in the absence of interference. A pair
+  /// off the CSR is measured on first query and memoized.
   double prr(phy::NodeId from, phy::NodeId to) const;
 
   /// Mean received signal strength (dBm) of the directed link.
@@ -131,24 +137,14 @@ class Testbed {
   }
 
   /// Destinations b with signal_dbm(a, b) at or above the delivery floor
-  /// ("any connectivity" outbound), ascending. Under the sparse store this
-  /// is the stored CSR row itself; the dense store derives an equivalent
-  /// CSR once at construction.
+  /// ("any connectivity" outbound), ascending: the stored CSR row itself.
   std::span<const phy::NodeId> connected_neighbors(phy::NodeId a) const {
-    if (sparse()) {
-      return {link_dst_.data() + row_begin_[a],
-              link_dst_.data() + row_begin_[a + 1]};
-    }
-    return {conn_dst_.data() + conn_begin_[a],
-            conn_dst_.data() + conn_begin_[a + 1]};
+    return {link_dst_.data() + row_begin_[a],
+            link_dst_.data() + row_begin_[a + 1]};
   }
 
-  /// Whether this testbed runs the sparse pair-state store
-  /// (config().measurement.store == MeasurementStore::kSparse).
-  bool sparse() const { return !row_begin_.empty(); }
-
-  /// Directed pairs held in the sparse CSR (0 under the dense store) —
-  /// observability for memory accounting and tests.
+  /// Directed pairs held in the CSR (the connected pairs) — observability
+  /// for memory accounting and tests.
   std::size_t stored_links() const { return link_dst_.size(); }
 
   // ---- Calibration statistics (validated against §5.1) ----
@@ -163,36 +159,33 @@ class Testbed {
   double mean_degree() const;
 
  private:
-  /// Index of (from, to) in the sparse CSR arrays, or -1 when not stored
+  /// Index of (from, to) in the CSR arrays, or -1 when not stored
   /// (meaning its mean signal is below the delivery floor).
   std::ptrdiff_t stored_index(phy::NodeId from, phy::NodeId to) const;
+  /// Whether CSR entry `k` exists and has PRR > min_prr and signal at or
+  /// above min_signal_dbm.
+  bool stored_clears(std::ptrdiff_t k, double min_prr,
+                     double min_signal_dbm) const;
   /// {prr, signal} for any directed pair: CSR hit, else the lazy memo.
   std::pair<double, double> link_values(phy::NodeId from, phy::NodeId to) const;
-  void build_neighbor_csrs();
 
   TestbedConfig config_;
   std::vector<phy::Position> positions_;
   std::shared_ptr<phy::LogDistanceShadowing> propagation_;
   std::shared_ptr<phy::NistErrorModel> error_model_;
-  // Dense store: full matrices.
-  std::vector<double> prr_;         // [from * n + to]
-  std::vector<double> signal_;      // [from * n + to]
-  // Sparse store: CSR over connected directed pairs (dst ascending per
-  // row), plus a mutex-protected memo lazily answering off-CSR queries
-  // with exactly the values the dense store would hold.
-  std::vector<std::uint32_t> row_begin_;  // size n + 1; empty when dense
+  // CSR over connected directed pairs (dst ascending per row), plus a
+  // mutex-protected memo lazily answering off-CSR queries with exactly
+  // the values measure_one() computes for them.
+  std::vector<std::uint32_t> row_begin_;  // size n + 1
   std::vector<phy::NodeId> link_dst_;
   std::vector<double> link_prr_;
   std::vector<double> link_signal_;
-  std::unique_ptr<LinkMeasurement> lazy_;  // retained only by sparse mode
+  std::unique_ptr<LinkMeasurement> lazy_;  // answers off-CSR pair queries
   mutable std::mutex memo_mutex_;
   mutable std::unordered_map<std::uint64_t, std::pair<double, double>> memo_;
-  // Neighbor CSRs (both stores): potential_link rows, and (dense only —
-  // sparse reads its own CSR) any-connectivity rows.
+  // potential_link rows: the CSR view of potential_links_.
   std::vector<std::uint32_t> pot_begin_;
   std::vector<phy::NodeId> pot_dst_;
-  std::vector<std::uint32_t> conn_begin_;
-  std::vector<phy::NodeId> conn_dst_;
   std::vector<double> connected_signals_;  // sorted, for percentiles
   std::vector<std::pair<phy::NodeId, phy::NodeId>> potential_links_;
   double p10_ = 0.0;  // cached signal_percentile(10/90); NaN when no pair

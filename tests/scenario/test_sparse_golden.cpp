@@ -11,10 +11,9 @@
 // guarantee).
 //
 // Three families:
-//  - SparseGolden: every builtin scenario on its prescribed building, the
-//    cached side also measuring with MeasurementStore::kSparse against the
-//    oracle's kDense. metro_10k is excluded by design: it exists precisely
-//    because no dense reference can be materialized at 10^8 directed pairs
+//  - SparseGolden: every builtin scenario on its prescribed building.
+//    metro_10k is excluded by design: it exists precisely because no
+//    dense reference can be materialized at 10^8 directed pairs
 //    (bench_metro gates its sparse peak RSS instead).
 //  - FastPathGolden: the fig12/fig15 figure benches, CS and CMAP, with
 //    fading on and off.
@@ -40,11 +39,6 @@ testbed::TestbedConfig reference_variant(testbed::TestbedConfig cfg) {
 }
 
 // ---- Registry-wide sweep ----
-
-testbed::TestbedConfig sparse_variant(testbed::TestbedConfig cfg) {
-  cfg.measurement.store = testbed::MeasurementStore::kSparse;
-  return cfg;
-}
 
 std::vector<std::string> golden_scenarios() {
   auto names = ScenarioRegistry::global().names();
@@ -77,7 +71,7 @@ TEST_P(SparseGolden, SweepReportIsByteIdenticalToDense) {
   const testbed::TestbedConfig base =
       s.testbed ? *s.testbed : testbed::TestbedConfig{};
   const std::string dense = run_report(s, reference_variant(base));
-  const std::string sparse = run_report(s, sparse_variant(base));
+  const std::string sparse = run_report(s, base);
   EXPECT_FALSE(dense.empty());
   EXPECT_EQ(dense, sparse);
 }

@@ -169,9 +169,9 @@ TEST(TestbedCache, HitsReturnTheIdenticalInstance) {
   const auto c = cache.get(other);
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.size(), 2u);
-  TestbedConfig sparse = cfg;
-  sparse.measurement.store = MeasurementStore::kSparse;
-  EXPECT_NE(cache.get(sparse).get(), a.get());
+  TestbedConfig narrow_guard = cfg;
+  narrow_guard.measurement.sparse_guard_sigmas = 3.0;
+  EXPECT_NE(cache.get(narrow_guard).get(), a.get());
   EXPECT_EQ(cache.size(), 3u);
 
   // ...and a re-request of the first config still hits.

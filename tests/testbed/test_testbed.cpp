@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace cmap::testbed {
 namespace {
 
@@ -86,6 +88,61 @@ TEST(TestbedDeathTest, OverDenseFloorFailsFastWithAClearError) {
   cfg.width_m = 5.0;
   cfg.height_m = 5.0;
   EXPECT_DEATH(Testbed{cfg}, "too dense");
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(TestbedConfigDeathTest, NonPositiveNodeCountAbortsNamingTheField) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const int bad : {0, -3}) {
+    TestbedConfig cfg;
+    cfg.num_nodes = bad;
+    EXPECT_DEATH(Testbed{cfg}, "TestbedConfig::num_nodes") << bad;
+  }
+}
+
+TEST(TestbedConfigDeathTest, InvalidFloorSizeAbortsNamingTheField) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double bad : {0.0, -10.0, kInf, kNaN}) {
+    TestbedConfig wide;
+    wide.width_m = bad;
+    EXPECT_DEATH(Testbed{wide}, "TestbedConfig::width_m") << bad;
+    TestbedConfig tall;
+    tall.height_m = bad;
+    EXPECT_DEATH(Testbed{tall}, "TestbedConfig::height_m") << bad;
+  }
+}
+
+TEST(MeasurementConfigDeathTest, InvalidGuardSigmasAbortsNamingTheField) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double bad : {-1.0, kInf, kNaN}) {
+    TestbedConfig cfg;
+    cfg.num_nodes = 10;
+    cfg.measurement.sparse_guard_sigmas = bad;
+    EXPECT_DEATH(Testbed{cfg}, "MeasurementConfig::sparse_guard_sigmas")
+        << bad;
+  }
+}
+
+TEST(TestbedConfigValidation, BoundaryValuesAreAccepted) {
+  TestbedConfig cfg;
+  cfg.num_nodes = 1;
+  cfg.width_m = 1.0;
+  cfg.height_m = 1.0;
+  cfg.measurement.sparse_guard_sigmas = 0.0;
+  const Testbed tb(cfg);
+  EXPECT_EQ(tb.size(), 1);
+  EXPECT_EQ(tb.stored_links(), 0u);
+}
+
+TEST(TestbedDeathTest, OutOfRangePairQueryAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Testbed& tb = shared_testbed();
+  const auto n = static_cast<phy::NodeId>(tb.size());
+  EXPECT_DEATH(tb.prr(0, n), "node id out of range");
+  EXPECT_DEATH(tb.prr(n, 0), "node id out of range");
+  EXPECT_DEATH(tb.signal_dbm(0, n + 7), "node id out of range");
 }
 
 TEST(Testbed, LinkClassesMatchPaperStatistics) {

@@ -36,7 +36,7 @@ many --pr files are given:
       one branch on a cached mask.
   metro_bench            (bench_metro)           — sparse link-state memory
       at the 10,000-node metro scale; its metro_sparse_peak_rss_mb metric
-      (process peak RSS taken before any dense-store work runs) is
+      (process peak RSS taken before the bench's testbed_400 timings) is
       enforced as a fixed maximum of 256 MB. The dense O(n^2) pair state
       would need ~1.6 GB for the measurement matrices alone, so any layer
       silently re-densifying fails the gate outright rather than creeping.
@@ -100,8 +100,8 @@ FIXED_MIN_KEYS = {"cache_hit": 1.0, "decisions_match": 1.0,
 # because each disabled instrumentation site is one branch on a
 # MetricsHook's cached mask.
 # metro_sparse_peak_rss_mb is bench_metro's process peak RSS after the
-# sparse 10k-node build + sweep and before any dense work: the sparse
-# stores measure ~21 MB while the dense pair matrices alone would be
+# sparse 10k-node build + sweep and before its testbed_400 timings: the
+# sparse stores measure ~21 MB while the dense pair matrices alone would be
 # ~1.6 GB, so 256 MB is ~12x headroom for allocator noise yet an order of
 # magnitude below what any re-densified layer would cost.
 FIXED_MAX_KEYS = {"trace_overhead_off": 1.02,
