@@ -46,7 +46,7 @@ double wall_ms_now() {
       .count();
 }
 
-// One sweep over the scenario, serial (partitions <= 1) or partitioned,
+// One sweep over the scenario, serial (partitions == 1) or partitioned,
 // with metrics collected in memory (the per-partition stall-attribution
 // rows come from the run's MetricsSnapshot). *wall_ms gets the sweep's
 // wall-clock time. Note the byte-identity probe compares to_json(), which
@@ -123,8 +123,8 @@ int main() {
   if (!p4_report.rows().empty() && p4_report.rows().front().profile) {
     const metrics::MetricsSnapshot& snap = *p4_report.rows().front().profile;
     std::printf("4p stall attribution:  %" PRIu64 " rounds, %" PRIu64
-                " global barriers, %" PRIu64 " merged windows\n",
-                snap.rounds, snap.global_barriers, snap.merged_windows);
+                " global barriers\n",
+                snap.rounds, snap.global_barriers);
     for (const metrics::PartitionExec& pe : snap.parts) {
       const double util =
           snap.parallel_wall_ms > 0.0 ? pe.busy_ms / snap.parallel_wall_ms

@@ -102,8 +102,6 @@ std::string MetricsSnapshot::to_json() const {
   append_u64(&out, rounds);
   out += ",\"global_barriers\":";
   append_u64(&out, global_barriers);
-  out += ",\"merged_windows\":";
-  append_u64(&out, merged_windows);
   out += ",\"parallel_wall_ms\":";
   append_ms(&out, parallel_wall_ms);
   // The histogram serializes sparsely: only occupied bins, as

@@ -198,12 +198,11 @@ struct MetricsSnapshot {
 
   // ---- execution section (not covered by the byte-identity contract) ----
   int partitions = 1;
-  int threads = 1;
+  int threads = 1;  // threads that ran windows: min(threads, partitions)
   std::uint64_t queue_depth_high_water = 0;  // max heap depth, any queue
   std::uint64_t queue_compactions = 0;       // cancelled-entry compactions
   std::uint64_t rounds = 0;                  // conservative PDES rounds
   std::uint64_t global_barriers = 0;         // global-sequencer barriers
-  std::uint64_t merged_windows = 0;          // zero-lookahead merged groups
   /// Histogram of conservative window sizes: bin i counts windows with
   /// floor(log2(size_ns)) == i (bin 0 also takes size 1 ns).
   std::array<std::uint64_t, 64> window_log2{};

@@ -311,7 +311,7 @@ void Medium::deliver_one(Radio& target, const Link& link,
   Signal sig;
   sig.frame = frame;
   sig.power_mw = dbm_to_mw(power_dbm);
-  sig.start = now + (config_.enable_propagation_delay ? link.delay : 0);
+  sig.start = now + link.delay;
   sig.end = sig.start + frame->duration;
   Radio* r = &target;
   // Ranked on (frame id, receiver id) — both intrinsic to the delivery —

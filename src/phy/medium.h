@@ -66,7 +66,6 @@ struct MediumConfig {
   // what widens the PRR transition band into the testbed's "12% of links
   // in (0.1, 1)" middle class.
   double fading_sigma_db = 2.0;
-  bool enable_propagation_delay = true;
   LinkStateMode link_state = LinkStateMode::kSparse;
   // Guard band in units of fading_sigma_db: a culled receiver would need a
   // fade this many sigmas above the mean to have cleared the floor. Also

@@ -13,9 +13,9 @@ constexpr double kSpeedOfLight = 2.99792458e8;
 sim::Time propagation_delay_ns(double meters) {
   // Floored at 1 ns: two distinct radios are never truly co-located, and a
   // strictly positive flight time between every pair keeps the PDES
-  // cross-partition lookahead positive no matter how close mobility drives
-  // two nodes — the engine then never has to merge partitions whose nodes
-  // drift under 0.3 m of each other.
+  // cross-partition lookahead positive — the engine's precondition — no
+  // matter how close mobility drives two nodes (under 0.3 m the raw flight
+  // time truncates to 0).
   return std::max<sim::Time>(
       1, static_cast<sim::Time>(meters / kSpeedOfLight * 1e9));
 }

@@ -30,8 +30,8 @@ struct PartitionPlan {
 /// Signal flight time over `meters`, floored at 1 ns, with the exact
 /// truncation the medium's link delays use — the PDES lookahead must
 /// lower-bound those delays, so the two computations share this one
-/// function (the floor is what keeps cross-partition lookahead positive;
-/// see the .cpp comment).
+/// function (the floor is what keeps cross-partition lookahead positive,
+/// as the PDES engine requires; see the .cpp comment).
 sim::Time propagation_delay_ns(double meters);
 
 /// Partition `positions` (indexed by NodeId, all testbed nodes) into
@@ -43,10 +43,10 @@ PartitionPlan make_partition_plan(const std::vector<Position>& positions,
 /// minimum propagation delay over all (node of `from`, node of `to`)
 /// pairs, or sim::kTimeForever when either side is empty. `parts` and
 /// `positions` are parallel arrays describing the *live* nodes (the
-/// attached radios — culled testbed nodes impose no bound). Entries are
-/// always >= 1 ns (the propagation_delay_ns floor), so the engine never
-/// merges partitions; a World that disables propagation delay installs an
-/// all-zero matrix instead, collapsing everything into one group.
+/// attached radios — culled testbed nodes impose no bound). Off-diagonal
+/// entries are always >= 1 ns (the propagation_delay_ns floor), which is
+/// the positive lookahead sim::PdesEngine::set_min_delays requires; the
+/// diagonal is 0 and unused.
 std::vector<sim::Time> min_cross_delays(const std::vector<int>& parts,
                                         const std::vector<Position>& positions,
                                         int count);

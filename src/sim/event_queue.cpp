@@ -23,10 +23,7 @@ EventId EventQueue::schedule_ranked(Time at, EventRank rank, EventFn&& fn) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  const std::uint64_t seq =
-      seq_source_ != nullptr
-          ? seq_source_->fetch_add(1, std::memory_order_relaxed)
-          : next_seq_++;
+  const std::uint64_t seq = next_seq_++;
   slots_[slot].fn = std::move(fn);
   slots_[slot].seq = seq;
   heap_.push_back(Key{at, rank, seq, slot});

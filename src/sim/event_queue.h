@@ -7,7 +7,6 @@
 // protocol state machines deterministic.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -50,11 +49,10 @@ constexpr EventRank delivery_rank(std::uint64_t frame_id,
   return EventRank{3, frame_id, receiver};
 }
 
-/// The comparable head-of-queue key: what the PDES group scheduler compares
-/// across member queues when a scheduling group interleaves them. Includes
-/// the seq tie-breaker; queues sharing a seq source (set_seq_source) are
-/// therefore merged in exactly the order one serial queue would have popped
-/// the same events.
+/// The comparable head-of-queue key, seq tie-breaker included: the full
+/// order the queue pops by. Seqs are per queue, so keys of different
+/// queues compare meaningfully only on (at, rank). Profilers peek at it
+/// to classify the next event before running it.
 struct EventKey {
   Time at = 0;
   EventRank rank;
@@ -200,7 +198,7 @@ class EventQueue {
   Time next_time();
 
   /// Full ordering key of the earliest pending event; at == kTimeForever
-  /// when empty. The PDES group scheduler merges member queues on this.
+  /// when empty.
   EventKey next_key();
 
   bool empty();
@@ -227,18 +225,6 @@ class EventQueue {
   /// backwards.
   void advance_to(Time t) {
     if (t > current_time_) current_time_ = t;
-  }
-
-  /// Draw seq tie-breakers from a shared counter instead of this queue's
-  /// own. The PDES engine points every partition queue at one counter so
-  /// that when zero lookahead collapses the partitions into a single
-  /// interleaved scheduling group, same-(time, rank) events still execute
-  /// in global insertion order — exactly the serial queue's FIFO. The
-  /// counter is atomic only because independent groups insert concurrently;
-  /// seqs from different groups are never compared (their events commute),
-  /// so the racy numbering is unobservable.
-  void set_seq_source(std::atomic<std::uint64_t>* source) {
-    seq_source_ = source;
   }
 
  private:
@@ -285,7 +271,6 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  // LIFO free list into slots_
   std::uint64_t next_seq_ = 0;
-  std::atomic<std::uint64_t>* seq_source_ = nullptr;
   std::uint64_t executed_ = 0;
   std::size_t depth_high_water_ = 0;
   std::uint64_t compactions_ = 0;

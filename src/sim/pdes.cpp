@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <utility>
 
 #include "sim/assert.h"
@@ -36,80 +37,30 @@ PdesEngine::PdesEngine(Simulator& global, int partitions, int threads)
   mailboxes_.reserve(static_cast<std::size_t>(partitions));
   for (int p = 0; p < partitions; ++p) {
     parts_.push_back(std::make_unique<Simulator>());
-    parts_.back()->queue().set_seq_source(&shared_seq_);
     mailboxes_.push_back(std::make_unique<Mailbox>());
   }
-  // Until the owner installs real minimum delays, assume zero lookahead
-  // everywhere: one scheduling group, which is conservative (serial) and
-  // therefore always sound.
-  dmin_.assign(parts_.size() * parts_.size(), 0);
   stats_.busy_ns.assign(parts_.size(), 0);
-  rebuild_groups();
 }
 
-void PdesEngine::set_min_delays(std::vector<Time> matrix) {
-  CMAP_ASSERT(matrix.size() == parts_.size() * parts_.size(),
-              "delay matrix must be partitions^2");
-  for (const Time d : matrix) CMAP_ASSERT(d >= 0, "negative lookahead");
-  dmin_ = std::move(matrix);
-  rebuild_groups();
-}
-
-void PdesEngine::rebuild_groups() {
-  // Scheduling groups = connected components over "zero lookahead in
-  // either direction". Derived from the current matrix each time, so a
-  // pair that drifts apart under mobility splits back into two groups.
-  const int n = partitions();
-  std::vector<int> root(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) root[static_cast<std::size_t>(p)] = p;
-  const std::function<int(int)> find = [&](int p) {
-    while (root[static_cast<std::size_t>(p)] != p) {
-      root[static_cast<std::size_t>(p)] =
-          root[static_cast<std::size_t>(root[static_cast<std::size_t>(p)])];
-      p = root[static_cast<std::size_t>(p)];
-    }
-    return p;
-  };
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      if (min_delay(a, b) > 0 && min_delay(b, a) > 0) continue;
-      root[static_cast<std::size_t>(find(a))] = find(b);
-    }
-  }
-  groups_.clear();
-  group_id_.assign(static_cast<std::size_t>(n), -1);
-  for (int p = 0; p < n; ++p) {
-    const int r = find(p);
-    if (group_id_[static_cast<std::size_t>(r)] < 0) {
-      group_id_[static_cast<std::size_t>(r)] =
-          static_cast<int>(groups_.size());
-      groups_.emplace_back();
-    }
-    const int g = group_id_[static_cast<std::size_t>(r)];
-    group_id_[static_cast<std::size_t>(p)] = g;
-    groups_[static_cast<std::size_t>(g)].members.push_back(p);
-  }
-  rebuild_closure();
-}
-
-void PdesEngine::rebuild_closure() {
-  // Group-level edges first: the fastest signal between any member pair.
-  const auto n = groups_.size();
+void PdesEngine::set_min_delays(const std::vector<Time>& matrix) {
+  const std::size_t n = parts_.size();
+  CMAP_ASSERT(matrix.size() == n * n, "delay matrix must be partitions^2");
+  // Edges first, validated; the diagonal starts at kTimeForever (not 0)
+  // so Floyd–Warshall relaxes it to the minimum cycle through the
+  // partition — the earliest its own output can reflect back at it.
   closure_.assign(n * n, kTimeForever);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) continue;  // self-influence only via a real cycle
-      Time& e = closure_[a * n + b];
-      for (const int p : groups_[a].members) {
-        for (const int q : groups_[b].members) {
-          e = std::min(e, min_delay(p, q));
-        }
+      if (a == b) continue;
+      const Time d = matrix[a * n + b];
+      if (d < 1) {
+        char field[64];
+        std::snprintf(field, sizeof field, "min_delays[%zu][%zu]", a, b);
+        require_valid(false, "PdesEngine", field, static_cast<double>(d));
       }
+      closure_[a * n + b] = d;
     }
   }
-  // Floyd–Warshall over those edges. The diagonal starts at kTimeForever
-  // (not 0) so it relaxes to the minimum cycle through the group — the
-  // earliest a group's own output can reflect back at it.
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t a = 0; a < n; ++a) {
       const Time ak = closure_[a * n + k];
@@ -127,11 +78,10 @@ void PdesEngine::schedule_delivery(int src_partition, int dst_partition,
                                    Time at, std::uint64_t frame_id,
                                    std::uint64_t receiver,
                                    EventFn fn) {
-  const auto sp = static_cast<std::size_t>(src_partition);
   const auto dp = static_cast<std::size_t>(dst_partition);
-  if (group_id_[sp] == group_id_[dp]) {
-    // Same scheduling group: this thread is the one executing the group's
-    // window, so the target queue is exclusively ours right now.
+  if (src_partition == dst_partition) {
+    // This thread is the one executing the partition's window, so the
+    // target queue is exclusively ours right now.
     parts_[dp]->queue().schedule_ranked(at, delivery_rank(frame_id, receiver),
                                         std::move(fn));
     return;
@@ -176,70 +126,39 @@ void PdesEngine::drain_mailboxes() {
   }
 }
 
-void PdesEngine::run_group(const Group& g, Time window_end) {
-  if (!profiling_) {
-    run_group_events(g, window_end);
-    return;
-  }
-  const std::int64_t t0 = profile_clock_ns();
-  run_group_events(g, window_end);
-  const std::int64_t dt = profile_clock_ns() - t0;
-  // One worker executes the whole group; a merged group's interleave is
-  // charged to its lead member. Distinct groups touch distinct slots, so
-  // concurrent workers never write the same entry.
-  stats_.busy_ns[static_cast<std::size_t>(g.members.front())] +=
-      static_cast<std::uint64_t>(dt > 0 ? dt : 0);
-}
-
-void PdesEngine::run_group_events(const Group& g, Time window_end) {
-  if (g.members.size() == 1) {
-    const int p = g.members.front();
-    const std::shared_ptr<void> token = scope_ ? scope_(p) : nullptr;
-    EventQueue& q = parts_[static_cast<std::size_t>(p)]->queue();
+void PdesEngine::run_partition(std::size_t p, Time window_end) {
+  const std::int64_t t0 = profiling_ ? profile_clock_ns() : 0;
+  {
+    const std::shared_ptr<void> token =
+        scope_ ? scope_(static_cast<int>(p)) : nullptr;
+    EventQueue& q = parts_[p]->queue();
     while (q.next_time() < window_end) q.run_one();
-    return;
   }
-  // Merged group (zero lookahead, i.e. propagation delay disabled):
-  // interleave the member queues by full event key. The shared seq counter
-  // makes (time, rank, seq) a total order across member queues matching
-  // the serial queue's pop order exactly.
-  int scoped = -1;
-  std::shared_ptr<void> token;
-  for (;;) {
-    int best = -1;
-    EventKey best_key{};
-    for (const int p : g.members) {
-      const EventKey k = parts_[static_cast<std::size_t>(p)]->queue().next_key();
-      if (k.at >= window_end) continue;
-      if (best < 0 || k < best_key) {
-        best = p;
-        best_key = k;
-      }
-    }
-    if (best < 0) return;
-    if (scope_ && scoped != best) {
-      token = scope_(best);
-      scoped = best;
-    }
-    parts_[static_cast<std::size_t>(best)]->queue().run_one();
+  if (profiling_) {
+    // Distinct partitions touch distinct slots, so concurrent workers
+    // never write the same entry.
+    const std::int64_t dt = profile_clock_ns() - t0;
+    stats_.busy_ns[p] += static_cast<std::uint64_t>(dt > 0 ? dt : 0);
   }
 }
 
 void PdesEngine::run_until(Time until) {
   CMAP_ASSERT(until < kTimeForever, "PDES run_until needs a finite horizon");
-  std::vector<Time> window(groups_.size());
-  std::vector<std::size_t> batch;  // indices into groups_ with work
+  CMAP_ASSERT(!closure_.empty(),
+              "PDES run_until before set_min_delays installed a matrix");
+  // Deliveries posted between runs (say, by a node that starts
+  // transmitting during setup) must be queued before the first window.
+  drain_mailboxes();
+  const std::size_t n = parts_.size();
+  std::vector<Time> next(n);
+  std::vector<Time> window(n);
+  std::vector<std::size_t> batch;  // partitions with work this round
   for (;;) {
     const Time next_global = global_.queue().next_time();
     Time s = next_global;
-    for (Group& g : groups_) {
-      g.next = kTimeForever;
-      for (const int p : g.members) {
-        g.next = std::min(g.next,
-                          parts_[static_cast<std::size_t>(p)]->queue()
-                              .next_time());
-      }
-      s = std::min(s, g.next);
+    for (std::size_t p = 0; p < n; ++p) {
+      next[p] = parts_[p]->queue().next_time();
+      s = std::min(s, next[p]);
     }
     if (s > until) break;
     ++rounds_;
@@ -253,39 +172,35 @@ void PdesEngine::run_until(Time until) {
       const std::shared_ptr<void> token = scope_ ? scope_(-1) : nullptr;
       while (global_.queue().next_time() == s) global_.queue().run_one();
       if (topology_refresh_) topology_refresh_();
-      // Group membership may have changed; resize the scratch.
-      window.resize(groups_.size());
       continue;
     }
 
-    // Conservative windows: group g may execute strictly before the
+    // Conservative windows: partition g may execute strictly before the
     // earliest instant any causal chain rooted at a pending event — in any
-    // group, itself included — could still influence it. The shortest-path
-    // closure covers chains relayed through groups that are idle right now
-    // and a group's own output reflecting back at it (see rebuild_closure).
+    // partition, itself included — could still influence it. The
+    // shortest-path closure covers chains relayed through partitions that
+    // are idle right now and a partition's own output reflecting back at
+    // it (see set_min_delays).
     batch.clear();
-    window.resize(groups_.size());
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    for (std::size_t g = 0; g < n; ++g) {
       Time w = std::min(next_global, until + 1);
-      for (std::size_t hi = 0; hi < groups_.size(); ++hi) {
-        const Time sp = closure_[hi * groups_.size() + gi];
-        if (groups_[hi].next == kTimeForever || sp == kTimeForever) continue;
-        w = std::min(w, groups_[hi].next + sp);
+      for (std::size_t h = 0; h < n; ++h) {
+        const Time sp = closure_[h * n + g];
+        if (next[h] == kTimeForever || sp == kTimeForever) continue;
+        w = std::min(w, next[h] + sp);
       }
-      window[gi] = w;
-      if (groups_[gi].next < w) {
-        batch.push_back(gi);
-        stats_.window_log2[log2_bin(
-            static_cast<std::uint64_t>(w - groups_[gi].next))]++;
-        if (groups_[gi].members.size() > 1) ++stats_.merged_windows;
+      window[g] = w;
+      if (next[g] < w) {
+        batch.push_back(g);
+        stats_.window_log2[log2_bin(static_cast<std::uint64_t>(w - next[g]))]++;
       }
     }
-    // Merged groups guarantee every cross-group lookahead is >= 1 ns, so
-    // the group holding the minimum event always has a non-empty window.
+    // Every closure entry is >= 1 ns (set_min_delays' precondition), so the
+    // partition holding the minimum event always has a non-empty window.
     CMAP_ASSERT(!batch.empty(), "conservative round made no progress");
     const std::int64_t t0 = profiling_ ? profile_clock_ns() : 0;
     crew_.run(batch.size(), [this, &batch, &window](std::size_t i) {
-      run_group(groups_[batch[i]], window[batch[i]]);
+      run_partition(batch[i], window[batch[i]]);
     });
     if (profiling_) {
       const std::int64_t dt = profile_clock_ns() - t0;

@@ -11,14 +11,14 @@
 //      sequencer is due at S, its events run alone (a barrier: they touch
 //      shared state), then min-delays are refreshed (positions may have
 //      moved).
-//   2. Otherwise every scheduling group g gets a conservative window
+//   2. Otherwise every partition g gets a conservative window
 //      W_g = min(next_global, min_h(next_h + sp(h -> g)))
-//      and executes its events with t < W_g, in parallel across groups.
+//      and executes its events with t < W_g, in parallel across partitions.
 //      sp is the SHORTEST-PATH closure of the pairwise minimum propagation
-//      delays — not the direct edge. The closure matters: a group with no
-//      pending events imposes no next_h term of its own, but it can still
+//      delays — not the direct edge. The closure matters: a partition with
+//      no pending events imposes no next_h term of its own, but it can still
 //      relay influence (a message posted to it this round wakes a node
-//      whose response arrives elsewhere), and a group's own output can
+//      whose response arrives elsewhere), and a partition's own output can
 //      reflect back at it (g -> h -> g). Multi-hop paths and self-cycles
 //      in the closure bound both: any chain of deliveries rooted at some
 //      pending event in h reaches g no earlier than next_h + sp(h, g),
@@ -26,33 +26,28 @@
 //      propagation delay alone — a signal's influence at a receiver starts
 //      at its arrival tick (CCA is event-driven), so frame airtime adds
 //      nothing sound; see docs/pdes.md.
-//   3. Cross-group deliveries were posted as timestamped mailbox
+//   3. Cross-partition deliveries were posted as timestamped mailbox
 //      messages; a barrier drains them into the target queues. Their
 //      arrival times are provably >= the target's window end, so no
 //      message is ever late (the conservative invariant).
 //
-// Partition pairs with zero lookahead are merged into one scheduling
-// *group*: the group's member queues are interleaved by full event key
-// ((time, rank, seq) — every partition queue draws seq from one
-// engine-owned counter) on one worker, which reproduces the serial queue's
-// pop order exactly. Because phy::propagation_delay_ns floors every
-// distinct-pair delay at 1 ns, zero lookahead arises only when propagation
-// delay is disabled outright — in which case the whole matrix is zero and
-// all partitions form one group for the entire run. With propagation on,
-// every group is a single partition. Either way group structure is static;
-// mobility only rescales the (positive) delays between rounds.
+// Precondition: every cross-partition lookahead is >= 1 ns, which
+// phy::propagation_delay_ns guarantees by flooring every distinct-pair
+// delay at 1 ns; set_min_delays aborts on anything smaller. It is what
+// makes every round progress (the partition holding the earliest event
+// always has a non-empty window) and what lets each partition queue keep
+// its own seq counter: seqs from different queues are never compared.
 //
 // Determinism: same-tick ordering is the (rank, seq) total order the
-// serial queue also sorts by, and same-tick events in *different* groups
-// commute (their mutual lookahead is >= 1 ns, so neither's effects can
-// reach the other at the same instant; between barriers they touch
-// disjoint node state and only read shared medium state). Sweep reports
-// are therefore byte-identical to the serial oracle at any partition and
-// thread count — gated by tests/scenario/test_pdes_golden.
+// serial queue also sorts by, and same-tick events in *different*
+// partitions commute (their mutual lookahead is >= 1 ns, so neither's
+// effects can reach the other at the same instant; between barriers they
+// touch disjoint node state and only read shared medium state). Sweep
+// reports are therefore byte-identical to the serial oracle at any
+// partition and thread count — gated by tests/scenario/test_pdes_golden.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,9 +60,11 @@
 
 namespace cmap::sim {
 
-/// The RunConfig knob (testbed::RunConfig::pdes). partitions <= 1 selects
-/// the single-queue serial path — the reference oracle.
+/// The RunConfig knob (testbed::RunConfig::pdes), validated by the World
+/// constructor: a value below 1 in either field aborts naming the field.
 struct PdesOptions {
+  /// Spatial partitions; 1 selects the single-queue serial path — the
+  /// reference oracle.
   int partitions = 1;
   /// Threads executing partition windows, the driving thread included
   /// (4 = 3 workers + the driver; capped at `partitions`). 1 executes
@@ -88,13 +85,11 @@ struct PdesOptions {
 /// so the default path never reads a clock.
 struct PdesExecStats {
   std::uint64_t global_barriers = 0;  // rounds spent running global events
-  std::uint64_t merged_windows = 0;   // windows run by a merged group
-  /// Histogram of conservative window spans (window_end - group.next):
-  /// bin i counts spans with floor(log2(ns)) == i (bin 0 takes span 1 ns).
+  /// Histogram of conservative window spans (window_end - partition's
+  /// next event): bin i counts spans with floor(log2(ns)) == i (bin 0
+  /// takes span 1 ns).
   std::array<std::uint64_t, 64> window_log2{};
-  /// Wall time each partition's events were executing. A merged group's
-  /// interleave is charged to its lead (lowest-index) member — the other
-  /// members did not occupy a worker of their own.
+  /// Wall time each partition's events were executing.
   std::vector<std::uint64_t> busy_ns;
   /// Total wall time partition windows were live (the parallel phase).
   /// A partition's barrier wait is parallel_ns minus its busy_ns.
@@ -113,9 +108,11 @@ class PdesEngine {
 
   /// Install the full partition-to-partition minimum-delay matrix
   /// (row-major, partitions^2 entries, ns; entry [from][to] bounds every
-  /// signal from a node of `from` to a node of `to` from below).
-  /// Scheduling groups are recomputed: pairs with 0 lookahead merge.
-  void set_min_delays(std::vector<Time> matrix);
+  /// signal from a node of `from` to a node of `to` from below;
+  /// kTimeForever means no signal can pass). The diagonal is ignored. An
+  /// off-diagonal entry below 1 ns aborts, naming the entry: the engine
+  /// needs positive lookahead between every pair of partitions.
+  void set_min_delays(const std::vector<Time>& matrix);
 
   /// Called after each global-event barrier so the owner can refresh the
   /// delay matrix when node positions changed.
@@ -132,23 +129,22 @@ class PdesEngine {
   void set_partition_scope(ScopeFn fn) { scope_ = std::move(fn); }
 
   /// Route one delivery event (the only cross-partition interaction).
-  /// Within the source's scheduling group the event is scheduled directly
-  /// (same worker); across groups it is posted as a timestamped mailbox
-  /// message drained at the next barrier. Rank (frame_id, receiver) makes
-  /// the final ordering independent of the route taken.
+  /// Within the source partition the event is scheduled directly (the
+  /// calling thread is the one executing that partition's window); into
+  /// any other partition it is posted as a timestamped mailbox message
+  /// drained at the next barrier, or on entry to run_until when posted
+  /// between runs. Rank (frame_id, receiver) makes the final ordering
+  /// independent of the route taken.
   void schedule_delivery(int src_partition, int dst_partition, Time at,
                          std::uint64_t frame_id, std::uint64_t receiver,
                          EventFn fn);
 
   /// Drive every queue to `until` (events at exactly `until` included,
   /// matching Simulator::run_until), leaving all clocks at `until`.
+  /// Aborts unless set_min_delays installed a matrix first.
   void run_until(Time until);
 
   /// Observability for tests and bench_pdes.
-  int group_of(int partition) const {
-    return group_id_[static_cast<size_t>(partition)];
-  }
-  int groups() const { return static_cast<int>(groups_.size()); }
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t messages() const;
 
@@ -157,14 +153,10 @@ class PdesEngine {
   /// never touches a clock.
   void enable_profiling() { profiling_ = true; }
   const PdesExecStats& exec_stats() const { return stats_; }
-  /// Lifetime cross-group messages addressed to `partition`.
+  /// Lifetime cross-partition messages addressed to `partition`.
   std::uint64_t mailbox_posted(int partition) const;
 
  private:
-  struct Group {
-    std::vector<int> members;  // ascending partition indices
-    Time next = 0;             // scratch: earliest pending member event
-  };
   struct Message {
     Time at = 0;
     std::uint64_t frame_id = 0;
@@ -177,30 +169,17 @@ class PdesEngine {
     std::uint64_t posted = 0;  // lifetime total, for observability
   };
 
-  Time min_delay(int from, int to) const {
-    return dmin_[static_cast<size_t>(from) * parts_.size() +
-                 static_cast<size_t>(to)];
-  }
-  void rebuild_groups();
-  void rebuild_closure();
-  void run_group(const Group& g, Time window_end);
-  void run_group_events(const Group& g, Time window_end);
+  void run_partition(std::size_t p, Time window_end);
   void drain_mailboxes();
 
   Simulator& global_;
   std::vector<std::unique_ptr<Simulator>> parts_;
-  // One seq counter for every partition queue, so a merged group's
-  // interleave ties off exactly like one serial queue (see
-  // EventQueue::set_seq_source for why relaxed atomicity suffices).
-  std::atomic<std::uint64_t> shared_seq_{0};
-  std::vector<Time> dmin_;    // row-major partitions^2, ns
-  std::vector<int> group_id_; // partition -> group index
-  std::vector<Group> groups_;
-  // Shortest-path closure of the GROUP-level delay graph (row-major
-  // groups^2). closure_[h][g] = earliest any causal chain rooted in h can
-  // influence g, over any number of intermediate groups; the diagonal is
-  // the minimum cycle through the group (self-influence via reflection),
-  // kTimeForever when unreachable.
+  // Shortest-path closure of the partition delay graph (row-major
+  // partitions^2; empty until set_min_delays). closure_[h][g] = earliest
+  // any causal chain rooted in h can influence g, over any number of
+  // intermediate partitions; the diagonal is the minimum cycle through the
+  // partition (self-influence via reflection), kTimeForever when
+  // unreachable.
   std::vector<Time> closure_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::function<void()> topology_refresh_;

@@ -1,5 +1,6 @@
 #include "testbed/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -53,6 +54,10 @@ World::World(const Testbed& tb, const RunConfig& config)
                                    channel_)
                              : tb.propagation(),
               tb.config().medium, sim::Rng(config.seed).substream(0xbead, 0)) {
+  sim::require_valid(config_.pdes.partitions >= 1, "PdesOptions", "partitions",
+                     config_.pdes.partitions);
+  sim::require_valid(config_.pdes.threads >= 1, "PdesOptions", "threads",
+                     config_.pdes.threads);
   // The tracer must be bound into the medium before any radio, MAC, or
   // dynamics hook binds (each caches the tracer pointer at construction).
   if (config_.trace && !config_.trace->path.empty()) {
@@ -128,19 +133,6 @@ sim::Simulator& World::node_simulator(phy::NodeId id) {
 
 void World::refresh_pdes_delays() {
   if (engine_ == nullptr) return;
-  if (!medium_.config().enable_propagation_delay) {
-    // Deliveries are instantaneous: zero lookahead everywhere, so all
-    // partitions form one merged (serially interleaved) scheduling group.
-    // Install once; positions cannot change that.
-    if (!pdes_delays_valid_) {
-      pdes_delays_valid_ = true;
-      engine_->set_min_delays(std::vector<sim::Time>(
-          static_cast<std::size_t>(plan_.count) *
-              static_cast<std::size_t>(plan_.count),
-          0));
-    }
-    return;
-  }
   if (pdes_delays_valid_ && medium_.position_epoch() == pdes_epoch_) return;
   pdes_delays_valid_ = true;
   pdes_epoch_ = medium_.position_epoch();
@@ -235,7 +227,6 @@ metrics::MetricsSnapshot World::metrics_snapshot() {
     snap.counters[i] =
         registry_->value(static_cast<metrics::Counter>(i));
   }
-  snap.threads = config_.pdes.threads;
   if (engine_ == nullptr) {
     snap.partitions = 1;
     snap.queue_depth_high_water = sim_.queue().depth_high_water();
@@ -247,12 +238,13 @@ metrics::MetricsSnapshot World::metrics_snapshot() {
     return snap;
   }
   snap.partitions = engine_->partitions();
+  // The engine's crew is capped at the partition count.
+  snap.threads = std::min(config_.pdes.threads, engine_->partitions());
   snap.queue_depth_high_water = sim_.queue().depth_high_water();
   snap.queue_compactions = sim_.queue().compactions();
   const sim::PdesExecStats& es = engine_->exec_stats();
   snap.rounds = engine_->rounds();
   snap.global_barriers = es.global_barriers;
-  snap.merged_windows = es.merged_windows;
   snap.window_log2 = es.window_log2;
   snap.parallel_wall_ms = static_cast<double>(es.parallel_ns) / 1e6;
   for (int p = 0; p < engine_->partitions(); ++p) {

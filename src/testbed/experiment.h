@@ -82,10 +82,10 @@ struct RunConfig {
   // identical to an unmetered one's; the counter section is additionally
   // byte-identical across partition and thread counts.
   std::optional<metrics::MetricsConfig> metrics;
-  // Intra-run parallel execution (sim/pdes.h, docs/pdes.md). partitions <=
+  // Intra-run parallel execution (sim/pdes.h, docs/pdes.md). partitions ==
   // 1 keeps the single-queue serial path — the reference oracle PDES runs
-  // are golden-tested byte-identical against. Results never depend on
-  // partitions or threads.
+  // are golden-tested byte-identical against. Both fields must be >= 1.
+  // Results never depend on partitions or threads.
   sim::PdesOptions pdes;
 
   // ---- Fluent builders ----

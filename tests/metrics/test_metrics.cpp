@@ -192,6 +192,29 @@ TEST(WorldMetrics, UnmeteredRunHasNoProfile) {
   EXPECT_EQ(result.profile, nullptr);
 }
 
+TEST(WorldMetrics, ThreadsReportsTheThreadsThatRan) {
+  const auto tb =
+      testbed::TestbedCache::global().get(testbed::TestbedConfig{});
+  testbed::RunConfig config;
+  config.metrics = MetricsConfig{};
+  config.pdes.threads = 4;
+  // Serial: only the driving thread ever runs events.
+  EXPECT_EQ(testbed::World(*tb, config).metrics_snapshot().threads, 1);
+  // Two partitions: the engine caps its crew at the partition count.
+  config.pdes.partitions = 2;
+  {
+    testbed::World world(*tb, config);
+    world.run(sim::milliseconds(1));
+    const MetricsSnapshot snap = world.metrics_snapshot();
+    EXPECT_EQ(snap.partitions, 2);
+    EXPECT_EQ(snap.threads, 2);
+  }
+  // Fewer threads than partitions: all of them ran.
+  config.pdes.partitions = 4;
+  config.pdes.threads = 3;
+  EXPECT_EQ(testbed::World(*tb, config).metrics_snapshot().threads, 3);
+}
+
 TEST(SweepMetrics, RowsCarryProfilesAndReportAggregates) {
   scenario::Sweep sweep;
   sweep.scenario = "fig12_exposed";

@@ -284,25 +284,5 @@ TEST(EventQueue, RankClassesOrderSameTickEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 8, 9, 5, 6, 7}));
 }
 
-TEST(EventQueue, SharedSeqSourceInterleavesTwoQueuesLikeOne) {
-  // Two queues drawing from one counter, popped by smallest next_key():
-  // same-(time, rank) events must come out in global insertion order, as
-  // one serial queue would pop them.
-  std::atomic<std::uint64_t> seq{0};
-  EventQueue a, b;
-  a.set_seq_source(&seq);
-  b.set_seq_source(&seq);
-  std::vector<int> order;
-  a.schedule(5, [&] { order.push_back(1); });
-  b.schedule(5, [&] { order.push_back(2); });
-  a.schedule(5, [&] { order.push_back(3); });
-  b.schedule(5, [&] { order.push_back(4); });
-  while (!a.empty() || !b.empty()) {
-    EventQueue& next = b.next_key() < a.next_key() ? b : a;
-    next.run_one();
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
 }  // namespace
 }  // namespace cmap::sim

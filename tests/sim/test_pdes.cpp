@@ -17,20 +17,23 @@ namespace {
 // A two-partition engine with symmetric lookahead d between them.
 std::vector<Time> two_part_delays(Time d) { return {0, d, d, 0}; }
 
-TEST(PdesEngine, PositiveLookaheadKeepsPartitionsInSeparateGroups) {
-  Simulator global;
-  PdesEngine engine(global, 2, 1);
-  engine.set_min_delays(two_part_delays(100));
-  EXPECT_EQ(engine.groups(), 2);
-  EXPECT_NE(engine.group_of(0), engine.group_of(1));
+TEST(PdesEngineDeathTest, SubNanosecondLookaheadAbortsNamingTheEntry) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const Time bad : {Time{0}, Time{-4}}) {
+    Simulator global;
+    PdesEngine engine(global, 2, 1);
+    EXPECT_DEATH(engine.set_min_delays({0, 5, bad, 0}),
+                 "PdesEngine::min_delays\\[1\\]\\[0\\]")
+        << bad;
+  }
 }
 
-TEST(PdesEngine, ZeroLookaheadMergesIntoOneGroup) {
+TEST(PdesEngineDeathTest, RunBeforeAnyMatrixAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Simulator global;
-  PdesEngine engine(global, 3, 1);
-  engine.set_min_delays(std::vector<Time>(9, 0));
-  EXPECT_EQ(engine.groups(), 1);
-  EXPECT_EQ(engine.group_of(0), engine.group_of(2));
+  PdesEngine engine(global, 2, 1);
+  engine.partition_sim(0).at(5, [] {});
+  EXPECT_DEATH(engine.run_until(10), "before set_min_delays");
 }
 
 TEST(PdesEngine, RunsPartitionEventsInTimeOrderAcrossPartitions) {
@@ -54,7 +57,7 @@ TEST(PdesEngine, CrossGroupDeliveryArrivesThroughTheMailbox) {
   engine.set_min_delays(two_part_delays(5));
   std::vector<std::pair<int, Time>> log;
   // Partition 0 transmits at t=10; the delivery lands on partition 1 at
-  // t=15 (the lookahead), posted cross-group through the mailbox.
+  // t=15 (the lookahead), posted cross-partition through the mailbox.
   engine.partition_sim(0).at(10, [&] {
     log.emplace_back(0, engine.partition_sim(0).now());
     engine.schedule_delivery(0, 1, 15, /*frame_id=*/1, /*receiver=*/9, [&] {
@@ -68,17 +71,43 @@ TEST(PdesEngine, CrossGroupDeliveryArrivesThroughTheMailbox) {
   EXPECT_GE(engine.messages(), 1u);
 }
 
-TEST(PdesEngine, ReflectedDeliveryChainsStaySound) {
-  // Ping-pong between the partitions at exactly the lookahead spacing: the
-  // regression shape for the closure windows — partition 1 starts empty,
-  // so only the shortest-path closure (0 -> 1 -> 0 reflection) stops
-  // partition 0 from running past the echoes of its own output.
+TEST(PdesEngine, DeliveryPostedBeforeTheRunIsQueuedBeforeTheFirstWindow) {
+  // A node that transmits while the world is being set up posts its
+  // cross-partition deliveries outside any round. They must reach the
+  // target queue before partition 1's first window (up to its own
+  // reflection bound, t = 11) runs past their arrival at t = 3.
   Simulator global;
   PdesEngine engine(global, 2, 1);
-  engine.set_min_delays(two_part_delays(7));
+  engine.set_min_delays(two_part_delays(5));
+  std::vector<Time> seen;
+  for (Time t = 1; t <= 20; ++t) {
+    engine.partition_sim(1).at(t, [&] {
+      seen.push_back(engine.partition_sim(1).now());
+    });
+  }
+  engine.schedule_delivery(0, 1, 3, /*frame_id=*/1, /*receiver=*/4, [&] {
+    seen.push_back(-engine.partition_sim(1).now());
+  });
+  engine.run_until(30);
+  ASSERT_EQ(seen.size(), 21u);
+  EXPECT_EQ(seen[2], 3);
+  EXPECT_EQ(seen[3], -3);  // deliveries sort after same-tick local events
+  EXPECT_EQ(seen[4], 4);
+}
+
+// Ping-pong between two partitions at exactly the lookahead spacing `d`:
+// the regression shape for the closure windows — partition 1 starts
+// empty, so only the shortest-path closure (0 -> 1 -> 0 reflection) stops
+// partition 0 from running past the echoes of its own output. Partition 0
+// also keeps dense local traffic pending, tempting the window to run far
+// ahead of the unstarted ping-pong. Returns the arrival times.
+std::vector<Time> ping_pong_arrivals(Time d) {
+  Simulator global;
+  PdesEngine engine(global, 2, 1);
+  engine.set_min_delays(two_part_delays(d));
   std::vector<Time> arrivals;
   std::function<void(int, int)> ping = [&](int from, int to) {
-    const Time at = engine.partition_sim(from).now() + 7;
+    const Time at = engine.partition_sim(from).now() + d;
     engine.schedule_delivery(from, to, at,
                             /*frame_id=*/arrivals.size() + 1, /*receiver=*/0,
                             [&, from, to] {
@@ -87,16 +116,31 @@ TEST(PdesEngine, ReflectedDeliveryChainsStaySound) {
                               if (arrivals.size() < 8) ping(to, from);
                             });
   };
-  // Partition 0 also keeps dense local traffic pending, tempting the
-  // window to run far ahead of the unstarted ping-pong.
   for (Time t = 1; t <= 100; ++t) {
     engine.partition_sim(0).at(t, [] {});
   }
   engine.partition_sim(0).at(1, [&] { ping(0, 1); });
   engine.run_until(1000);
+  return arrivals;
+}
+
+TEST(PdesEngine, ReflectedDeliveryChainsStaySound) {
+  const std::vector<Time> arrivals = ping_pong_arrivals(7);
   ASSERT_EQ(arrivals.size(), 8u);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i], static_cast<Time>(1 + 7 * (i + 1)));
+  }
+}
+
+TEST(PdesEngine, OneNanosecondLookaheadPingPongStaysSound) {
+  // The tightest lookahead the propagation-delay floor allows: every
+  // window is 1 ns wide around the ping-pong, and each echo lands on the
+  // very next tick. A window one tick too wide schedules into the past
+  // and aborts.
+  const std::vector<Time> arrivals = ping_pong_arrivals(1);
+  ASSERT_EQ(arrivals.size(), 8u);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(arrivals[i], static_cast<Time>(1 + (i + 1)));
   }
 }
 
@@ -113,22 +157,6 @@ TEST(PdesEngine, GlobalEventsRunAloneAndTriggerTopologyRefresh) {
   engine.run_until(100);
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
   EXPECT_EQ(refreshes, 1);
-}
-
-TEST(PdesEngine, MergedGroupInterleavesSameTickFifoAcrossQueues) {
-  // Zero lookahead (propagation disabled): one merged group. Same-tick
-  // default-rank events across different partition queues must run in
-  // global insertion order — the shared seq counter's contract.
-  Simulator global;
-  PdesEngine engine(global, 2, 1);
-  engine.set_min_delays(std::vector<Time>(4, 0));
-  std::vector<int> order;
-  engine.partition_sim(0).at(5, [&] { order.push_back(1); });
-  engine.partition_sim(1).at(5, [&] { order.push_back(2); });
-  engine.partition_sim(0).at(5, [&] { order.push_back(3); });
-  engine.partition_sim(1).at(5, [&] { order.push_back(4); });
-  engine.run_until(10);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(PdesEngine, MultiThreadedRunMatchesSingleThreaded) {

@@ -127,6 +127,30 @@ TEST(CmapConfigDeathTest, RunConfigNvpktOverrideIsValidated) {
   EXPECT_DEATH(world.add_node(f.src), "CmapConfig::nwindow_vps");
 }
 
+TEST(PdesOptionsDeathTest, NonPositivePartitionsAbortsNamingTheField) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const int bad : {0, -2}) {
+    EXPECT_DEATH(World(shared_testbed(), RunConfig{}.with_partitions(bad)),
+                 "PdesOptions::partitions")
+        << bad;
+  }
+}
+
+TEST(PdesOptionsDeathTest, NonPositiveThreadsAbortsNamingTheField) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Serial or partitioned, a thread count below 1 is rejected: it used to
+  // mean "inline" here but "all cores" in parallel_for.
+  for (const int partitions : {1, 2}) {
+    for (const int bad : {0, -1}) {
+      EXPECT_DEATH(World(shared_testbed(), RunConfig{}
+                                               .with_partitions(partitions)
+                                               .with_pdes_threads(bad)),
+                   "PdesOptions::threads")
+          << partitions << " partitions, threads " << bad;
+    }
+  }
+}
+
 TEST(Experiment, WorldExposesComponentsForBespokeScenarios) {
   World world(shared_testbed(), quick(Scheme::kCmap));
   const Flow f = first_potential_flow();
