@@ -14,6 +14,20 @@ DcfMac::DcfMac(sim::Simulator& simulator, phy::Radio& radio, DcfConfig config,
       config_(config),
       rng_(rng),
       cw_(config.cw_min) {
+  // Backoff draws from [0, cw]: a negative or inverted window has no
+  // slots to draw; a zero slot or SIFS collapses every interframe gap.
+  constexpr const char* kConfig = "DcfConfig";
+  sim::require_valid(config_.cw_min >= 0, kConfig, "cw_min", config_.cw_min);
+  sim::require_valid(config_.cw_max >= config_.cw_min, kConfig, "cw_max",
+                     config_.cw_max);
+  sim::require_valid(config_.retry_limit >= 0, kConfig, "retry_limit",
+                     config_.retry_limit);
+  sim::require_valid(config_.queue_limit >= 1, kConfig, "queue_limit",
+                     static_cast<double>(config_.queue_limit));
+  sim::require_valid(config_.slot > 0, kConfig, "slot",
+                     static_cast<double>(config_.slot));
+  sim::require_valid(config_.sifs > 0, kConfig, "sifs",
+                     static_cast<double>(config_.sifs));
   radio_.set_listener(this);
 }
 

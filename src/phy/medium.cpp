@@ -74,14 +74,6 @@ Medium::Link Medium::compute_link(const Radio& src, const Radio& dst) const {
   return link;
 }
 
-void Medium::set_partition_tracers(std::vector<trace::Tracer*> tracers) {
-  part_tracers_ = std::move(tracers);
-  part_hooks_.assign(part_tracers_.size(), trace::TraceHook{});
-  for (std::size_t p = 0; p < part_tracers_.size(); ++p) {
-    part_hooks_[p].bind(part_tracers_[p]);
-  }
-}
-
 std::uint32_t Medium::index_of(NodeId id) const {
   if (static_cast<std::size_t>(id) >= index_by_id_.size()) return kNoIndex;
   return index_by_id_[id];
@@ -333,16 +325,6 @@ void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
   // lives on its partition's simulator, and the medium's own handle is the
   // global sequencer whose clock lags inside a parallel window.
   const sim::Time now = source.simulator().now();
-  const trace::TraceHook& hook =
-      engine_ != nullptr && !part_hooks_.empty()
-          ? part_hooks_[static_cast<std::size_t>(partition_of(source.id()))]
-          : trace_;
-  if (hook.wants(trace::Category::kPhyTx)) {
-    hook.tracer->phy_tx(now, source.id(), frame->id,
-                        static_cast<std::uint32_t>(frame->rate),
-                        static_cast<std::uint32_t>(frame->size_bytes()),
-                        frame->duration);
-  }
   if (metrics_.on()) {
     metrics_.inc(metrics::Counter::kPhyTransmits);
     if (cached()) {

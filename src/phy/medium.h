@@ -147,7 +147,9 @@ class Medium {
   /// Per-partition trace streams (parallel to the engine's partitions).
   /// Components of a node bind tracer_for(id): the node's partition stream
   /// under PDES, else the run tracer. Install before radios attach.
-  void set_partition_tracers(std::vector<trace::Tracer*> tracers);
+  void set_partition_tracers(std::vector<trace::Tracer*> tracers) {
+    part_tracers_ = std::move(tracers);
+  }
   trace::Tracer* tracer_for(NodeId id) const {
     if (plan_ == nullptr || part_tracers_.empty()) return trace_.tracer;
     return part_tracers_[static_cast<std::size_t>(partition_of(id))];
@@ -231,7 +233,6 @@ class Medium {
   sim::PdesEngine* engine_ = nullptr;
   const PartitionPlan* plan_ = nullptr;
   std::vector<trace::Tracer*> part_tracers_;
-  std::vector<trace::TraceHook> part_hooks_;  // transmit()'s phy_tx records
   std::uint64_t position_epoch_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "phy/radio.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "phy/medium.h"
 #include "phy/units.h"
@@ -25,6 +26,23 @@ Radio::Radio(sim::Simulator& simulator, Medium& medium, NodeId id,
       sensitivity_mw_(dbm_to_mw(config.sensitivity_dbm)),
       capture_ratio_(db_to_linear(config.capture_margin_db)),
       preamble_min_sinr_(db_to_linear(config.preamble_min_sinr_db)) {
+  // Every level feeds a dB conversion: a NaN or infinity would silently
+  // disable locking, sensing or capture. A negative capture margin would
+  // let a weaker arrival steal the lock.
+  const auto require_finite = [](const char* field, double value) {
+    sim::require_valid(std::isfinite(value), "RadioConfig", field, value);
+  };
+  require_finite("tx_power_dbm", config_.tx_power_dbm);
+  require_finite("noise_floor_dbm", config_.noise_floor_dbm);
+  require_finite("sensitivity_dbm", config_.sensitivity_dbm);
+  require_finite("cs_signal_dbm", config_.cs_signal_dbm);
+  require_finite("energy_detect_dbm", config_.energy_detect_dbm);
+  require_finite("preamble_min_sinr_db", config_.preamble_min_sinr_db);
+  require_finite("implementation_loss_db", config_.implementation_loss_db);
+  sim::require_valid(std::isfinite(config_.capture_margin_db) &&
+                         config_.capture_margin_db >= 0.0,
+                     "RadioConfig", "capture_margin_db",
+                     config_.capture_margin_db);
   medium_.attach(this);
   trace_.bind(medium_.tracer_for(id_), id_);
   metrics_.bind(medium_.metrics(), metrics::Domain::kPhy);
@@ -57,6 +75,12 @@ void Radio::transmit(Frame frame) {
   tx_start_ = sim_.now();
   tx_end_ = sim_.now() + shared->duration;
   ++counters_.frames_sent;
+  if (trace_.wants(trace::Category::kPhyTx)) {
+    trace_.tracer->phy_tx(tx_start_, id_, shared->id,
+                          static_cast<std::uint32_t>(shared->rate),
+                          static_cast<std::uint32_t>(shared->size_bytes()),
+                          shared->duration);
+  }
   medium_.transmit(*this, shared);
   sim_.in(shared->duration, [this] { finish_tx(); });
   update_cca();

@@ -22,6 +22,17 @@ std::string pair_label(const testbed::LinkPair& p) {
   return buf;
 }
 
+// A bespoke executor that builds more than one World per cell gives each
+// earlier World its own trace stream, `<cell path><suffix>` (see
+// Sweep::trace); otherwise the Worlds would open, and clobber, one file.
+testbed::RunConfig with_trace_suffix(testbed::RunConfig config,
+                                     const char* suffix) {
+  if (config.trace && !config.trace->path.empty()) {
+    config.trace->path += suffix;
+  }
+  return config;
+}
+
 std::vector<TopologyInstance> instances_from_pairs(
     const std::vector<testbed::LinkPair>& pairs) {
   std::vector<TopologyInstance> out;
@@ -138,7 +149,7 @@ Scenario make_mesh_dissemination() {
     const sim::Time measure_from = phase / 5;
 
     // Phase 1: the source broadcasts to its forwarders.
-    testbed::World w1(ctx.tb, ctx.config);
+    testbed::World w1(ctx.tb, with_trace_suffix(ctx.config, ".phase1"));
     w1.add_node(source);
     for (const auto& f : ctx.topology.flows) w1.add_node(f.src);
     w1.add_saturated_flow(source, phy::kBroadcastId);
@@ -197,7 +208,10 @@ Scenario make_interferer_triple() {
     const phy::NodeId interferer = ctx.topology.extras[0];
 
     const double alone =
-        testbed::run_flows(ctx.tb, {flow}, ctx.config).flows[0].mbps;
+        testbed::run_flows(ctx.tb, {flow},
+                           with_trace_suffix(ctx.config, ".alone"))
+            .flows[0]
+            .mbps;
     RunOutcome out;
     if (alone <= 0.01) {
       out.valid = false;  // control run below the measurement floor

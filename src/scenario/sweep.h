@@ -44,6 +44,10 @@ struct Sweep {
   /// When set, every run emits a binary event trace. `trace->path` names a
   /// DIRECTORY; each run writes `trace_run_path(path, scenario, spec)`
   /// inside it (deterministic per cell, so reruns overwrite in place).
+  /// An executor that runs more than one World per cell writes the earlier
+  /// Worlds' streams next to it: `<cell path>.phase1` (mesh_dissemination's
+  /// broadcast phase) and `<cell path>.alone` (interferer_triple's control
+  /// run), in the style of the `.p<N>` partition streams.
   /// Categories / sampling apply to every run. Tracing never perturbs
   /// results — the report is identical with or without it.
   std::optional<trace::TraceConfig> trace;

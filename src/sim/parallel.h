@@ -14,9 +14,8 @@
 // a mutex handshake per batch. A crew hands each batch over through
 // atomics alone: workers park in std::atomic::wait on a generation
 // counter, claim indices with one compare-and-swap, and the calling thread
-// claims items alongside them. This file (with sim/log.*) is the blessed
-// home for raw threads — tools/cmap_lint's raw-thread rule allows them
-// nowhere else.
+// claims items alongside them. This file is the blessed home for raw
+// threads — tools/cmap_lint's raw-thread rule allows them nowhere else.
 #pragma once
 
 #include <atomic>

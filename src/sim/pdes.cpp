@@ -128,12 +128,8 @@ void PdesEngine::drain_mailboxes() {
 
 void PdesEngine::run_partition(std::size_t p, Time window_end) {
   const std::int64_t t0 = profiling_ ? profile_clock_ns() : 0;
-  {
-    const std::shared_ptr<void> token =
-        scope_ ? scope_(static_cast<int>(p)) : nullptr;
-    EventQueue& q = parts_[p]->queue();
-    while (q.next_time() < window_end) q.run_one();
-  }
+  EventQueue& q = parts_[p]->queue();
+  while (q.next_time() < window_end) q.run_one();
   if (profiling_) {
     // Distinct partitions touch distinct slots, so concurrent workers
     // never write the same entry.
@@ -169,7 +165,6 @@ void PdesEngine::run_until(Time until) {
       // lookaheads for any motion. Rank-0 ordering in the serial queue
       // sorts the same events first at the same instant.
       ++stats_.global_barriers;
-      const std::shared_ptr<void> token = scope_ ? scope_(-1) : nullptr;
       while (global_.queue().next_time() == s) global_.queue().run_one();
       if (topology_refresh_) topology_refresh_();
       continue;

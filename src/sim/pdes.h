@@ -120,14 +120,6 @@ class PdesEngine {
     topology_refresh_ = std::move(fn);
   }
 
-  /// Optional execution scope: called with the partition index (or -1 for
-  /// the global sequencer) before a contiguous run of its events on the
-  /// executing thread; the returned token is held for that run's duration.
-  /// The World uses this to make the partition's Tracer thread-active so
-  /// log records land in the right per-partition stream.
-  using ScopeFn = std::function<std::shared_ptr<void>(int partition)>;
-  void set_partition_scope(ScopeFn fn) { scope_ = std::move(fn); }
-
   /// Route one delivery event (the only cross-partition interaction).
   /// Within the source partition the event is scheduled directly (the
   /// calling thread is the one executing that partition's window); into
@@ -183,7 +175,6 @@ class PdesEngine {
   std::vector<Time> closure_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::function<void()> topology_refresh_;
-  ScopeFn scope_;
   WorkerCrew crew_;
   std::uint64_t rounds_ = 0;
   bool profiling_ = false;

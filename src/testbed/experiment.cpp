@@ -89,18 +89,6 @@ World::World(const Testbed& tb, const RunConfig& config)
         tracers.push_back(part_tracers_.back().get());
       }
       medium_.set_partition_tracers(std::move(tracers));
-      // Each Tracer constructor made itself thread-active; put the run
-      // tracer back for everything outside a partition scope.
-      active_restore_.emplace(tracer_.get());
-      // Route each window's records (whichever thread runs it) into its
-      // partition's stream. Untraced runs install no scope, so a window
-      // costs no allocation.
-      engine_->set_partition_scope([this](int p) -> std::shared_ptr<void> {
-        trace::Tracer* t =
-            p < 0 ? tracer_.get()
-                  : part_tracers_[static_cast<std::size_t>(p)].get();
-        return std::make_shared<trace::ScopedActive>(t);
-      });
     }
     engine_->set_topology_refresh([this] { refresh_pdes_delays(); });
     // Stall attribution reads a wall clock; only pay for it when metrics
@@ -311,12 +299,14 @@ RunResult run_flows(const Testbed& tb, const std::vector<Flow>& flows,
     auto snap = std::make_shared<metrics::MetricsSnapshot>(
         world.metrics_snapshot());
     if (!config.metrics->path.empty()) {
-      if (std::FILE* f = std::fopen(config.metrics->path.c_str(), "w")) {
-        const std::string json = snap->to_json();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-      }
+      const std::string& path = config.metrics->path;
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      CMAP_ASSERT(f != nullptr,
+                  ("cannot open metrics file for writing: " + path).c_str());
+      const std::string json = snap->to_json();
+      std::fwrite(json.data(), 1, json.size(), f);
+      std::fputc('\n', f);
+      std::fclose(f);
     }
     result.profile = std::move(snap);
   }

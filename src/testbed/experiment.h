@@ -72,7 +72,8 @@ struct RunConfig {
   // Tracer over the configured categories and every subsystem streams into
   // it. Tracing never draws randomness or schedules events, so a traced
   // run's results are identical to an untraced one's. Under PDES each
-  // partition additionally gets its own stream at `path + ".p<N>"`
+  // partition additionally gets its own stream at `path + ".p<N>"`, and a
+  // node's components bind their partition's stream at construction
   // (trace::merge_streams reassembles one time-ordered file).
   std::optional<trace::TraceConfig> trace;
   // Run-level metrics (metrics/metrics.h): when set, the World owns a
@@ -209,11 +210,6 @@ class World {
   phy::PartitionPlan plan_;
   std::unique_ptr<sim::PdesEngine> engine_;
   std::vector<std::unique_ptr<trace::Tracer>> part_tracers_;
-  // Constructing the partition tracers leaves the last one thread-active;
-  // this restores the run tracer for code running outside a partition
-  // scope (setup, barriers). Declared after part_tracers_ so it unwinds
-  // first.
-  std::optional<trace::ScopedActive> active_restore_;
   std::uint64_t pdes_epoch_ = 0;
   bool pdes_delays_valid_ = false;
   // Per-run channel wrapper (nullptr without channel dynamics); must

@@ -30,17 +30,6 @@ struct FieldReader {
     }
     return data[pos++] != 0;
   }
-  std::string str() {
-    const std::uint64_t n = u64();
-    if (!ok || pos + n > size) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data + pos),
-                  static_cast<std::size_t>(n));
-    pos += static_cast<std::size_t>(n);
-    return s;
-  }
   /// All payload bytes consumed, nothing trailing.
   bool done() const { return ok && pos == size; }
 };
@@ -181,14 +170,6 @@ bool TraceReader::parse_body(Category c, const std::uint8_t* data,
     case Category::kChannelEpoch: {
       ChannelEpochRecord r;
       r.epoch = f.u64();
-      out->body = r;
-      break;
-    }
-    case Category::kLog: {
-      LogRecord r;
-      r.level = f.u32();
-      r.component = f.str();
-      r.message = f.str();
       out->body = r;
       break;
     }
@@ -441,12 +422,6 @@ std::string describe(const Record& r) {
     case Category::kChannelEpoch: {
       const auto& b = std::get<ChannelEpochRecord>(r.body);
       appendf(&out, " epoch=%" PRIu64, b.epoch);
-      break;
-    }
-    case Category::kLog: {
-      const auto& b = std::get<LogRecord>(r.body);
-      appendf(&out, " level=%u [%s] %s", b.level, b.component.c_str(),
-              b.message.c_str());
       break;
     }
     case Category::kCount:

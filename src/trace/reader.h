@@ -77,18 +77,11 @@ struct ChannelEpochRecord {
   std::uint64_t epoch = 0;
 };
 
-struct LogRecord {
-  std::uint32_t level = 0;
-  std::string component;
-  std::string message;
-};
-
 struct Record {
   Category category = Category::kPhyTx;
   sim::Time tick = 0;  // absolute (deltas resolved by the reader)
   std::variant<PhyTxRecord, PhyRxRecord, PhyCollisionRecord, MacDeferRecord,
-               DeferTableRecord, OngoingRecord, MoveRecord, ChannelEpochRecord,
-               LogRecord>
+               DeferTableRecord, OngoingRecord, MoveRecord, ChannelEpochRecord>
       body;
 };
 

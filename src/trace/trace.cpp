@@ -9,14 +9,6 @@ namespace {
 
 constexpr std::size_t kFileBufferBytes = 64 * 1024;
 
-// The calling thread's stack of live Tracers (innermost wins). thread_local
-// because SweepRunner executes independent runs — each with its own Tracer
-// — concurrently on worker threads.
-// cmap-lint: allow(mutable-static) -- the per-thread binding IS the
-// mechanism that keeps concurrent sweep runs' traces apart; each worker
-// only ever sees the tracer it bound itself (see Tracer::bind_world).
-thread_local Tracer* g_thread_tracer = nullptr;
-
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   wire::put_varint(out, v);
 }
@@ -48,8 +40,6 @@ const char* category_name(Category c) {
       return "move";
     case Category::kChannelEpoch:
       return "channel_epoch";
-    case Category::kLog:
-      return "log";
     case Category::kCount:
       break;
   }
@@ -85,7 +75,8 @@ bool get_varint(const std::uint8_t* data, std::size_t size, std::size_t* pos,
 
 FileTraceSink::FileTraceSink(const std::string& path)
     : file_(std::fopen(path.c_str(), "wb")) {
-  CMAP_ASSERT(file_ != nullptr, "cannot open trace file for writing");
+  CMAP_ASSERT(file_ != nullptr,
+              ("cannot open trace file for writing: " + path).c_str());
   buffer_.reserve(kFileBufferBytes);
 }
 
@@ -117,14 +108,6 @@ void MemoryTraceSink::write(const void* data, std::size_t size) {
   bytes_.insert(bytes_.end(), bytes, bytes + size);
 }
 
-Tracer* Tracer::thread_active() { return g_thread_tracer; }
-
-ScopedActive::ScopedActive(Tracer* tracer) : prev_(g_thread_tracer) {
-  g_thread_tracer = tracer;
-}
-
-ScopedActive::~ScopedActive() { g_thread_tracer = prev_; }
-
 Tracer::Tracer(const TraceConfig& config, std::unique_ptr<TraceSink> sink)
     : config_(config), sink_(std::move(sink)) {
   for (std::uint32_t every : config_.sample_every) {
@@ -143,14 +126,9 @@ Tracer::Tracer(const TraceConfig& config, std::unique_ptr<TraceSink> sink)
     wire::put_varint(body_, every);
   }
   sink_->write(body_.data(), body_.size());
-  prev_thread_active_ = g_thread_tracer;
-  g_thread_tracer = this;
 }
 
-Tracer::~Tracer() {
-  g_thread_tracer = prev_thread_active_;
-  sink_->flush();
-}
+Tracer::~Tracer() { sink_->flush(); }
 
 bool Tracer::sample(Category c) {
   const std::size_t i = static_cast<std::size_t>(c);
@@ -281,18 +259,6 @@ void Tracer::emit_raw(Category c, sim::Time now, const std::uint8_t* body,
   if (!wants(c) || !sample(c)) return;
   body_.assign(body, body + size);
   emit(c, now);
-}
-
-void Tracer::log(sim::Time now, std::uint32_t level,
-                 std::string_view component, std::string_view message) {
-  if (!wants(Category::kLog) || !sample(Category::kLog)) return;
-  body_.clear();
-  put_u32(body_, level);
-  wire::put_varint(body_, component.size());
-  body_.insert(body_.end(), component.begin(), component.end());
-  wire::put_varint(body_, message.size());
-  body_.insert(body_.end(), message.begin(), message.end());
-  emit(Category::kLog, now);
 }
 
 }  // namespace cmap::trace

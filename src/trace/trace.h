@@ -4,7 +4,8 @@
 // mutations, dynamics events — through a TraceSink as length-prefixed
 // varint-encoded records (docs/trace_format.md).
 //
-// Cost model: every instrumented component holds a TraceHook whose category
+// Cost model: every instrumented component holds a TraceHook, bound once at
+// construction and its only way to reach a Tracer. The hook's category
 // mask is cached at bind time, so the disabled hot path pays exactly one
 // branch (`mask & bit`) per site — no virtual call, no pointer chase. With
 // tracing off entirely the mask is zero. High-rate categories can be
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -39,7 +39,6 @@ enum class Category : std::uint8_t {
   kOngoing = 5,      // ongoing-list note / update / expiry
   kMove = 6,         // a mobile node's position update
   kChannelEpoch = 7, // channel-dynamics epoch advanced (full gain refresh)
-  kLog = 8,          // sim::log_line routed into the trace stream
   kCount
 };
 
@@ -102,7 +101,7 @@ struct TraceConfig {
   /// Per-category decimation: keep every Nth record (1 = keep all). Applies
   /// after the mask. kDeferTable must stay at 1 when the trace will feed
   /// DeferTableReplay — dropped mutations would corrupt the reconstruction.
-  std::array<std::uint32_t, kCategoryCount> sample_every{1, 1, 1, 1, 1,
+  std::array<std::uint32_t, kCategoryCount> sample_every{1, 1, 1, 1,
                                                          1, 1, 1, 1};
 
   bool operator==(const TraceConfig&) const = default;
@@ -116,8 +115,8 @@ class TraceSink {
   virtual void flush() {}
 };
 
-/// Buffered file writer; opening failure fails loudly (CMAP_ASSERT), a
-/// silently empty trace being worse than a dead run.
+/// Buffered file writer; opening failure fails loudly (CMAP_ASSERT, naming
+/// the path), a silently empty trace being worse than a dead run.
 class FileTraceSink final : public TraceSink {
  public:
   explicit FileTraceSink(const std::string& path);
@@ -161,9 +160,8 @@ bool get_varint(const std::uint8_t* data, std::size_t size, std::size_t* pos,
 /// Serializes records for one run. Construction writes the file header;
 /// every emitter is a no-op for categories outside the config mask (but
 /// call sites should pre-filter through a TraceHook so the disabled path
-/// never reaches the call). While alive, the Tracer registers itself as the
-/// calling thread's active tracer so sim::log_line can route into the
-/// stream (one observability path); nesting saves and restores.
+/// never reaches the call). Code reaches a Tracer only through the
+/// TraceHook it bound at construction; there is no ambient "current" tracer.
 class Tracer {
  public:
   explicit Tracer(const TraceConfig& config,
@@ -178,10 +176,6 @@ class Tracer {
   /// consistency test uses this as an exact stream position marker.
   std::uint64_t records_written() const { return records_; }
   void flush() { sink_->flush(); }
-
-  /// The calling thread's innermost live Tracer, or nullptr. sim::log_line
-  /// routes through this so ad-hoc debug prints land in the trace.
-  static Tracer* thread_active();
 
   // ---- Typed emitters (field layouts in docs/trace_format.md) ----
   void phy_tx(sim::Time now, std::uint32_t node, std::uint64_t frame_id,
@@ -201,8 +195,6 @@ class Tracer {
                std::uint32_t src, std::uint32_t dst, sim::Time end_time);
   void move(sim::Time now, std::uint32_t node, double x_m, double y_m);
   void channel_epoch(sim::Time now, std::uint64_t epoch);
-  void log(sim::Time now, std::uint32_t level, std::string_view component,
-           std::string_view message);
 
   /// Re-emit an already-encoded record payload verbatim (merge_streams):
   /// only the length prefix and tick delta are re-encoded against this
@@ -222,24 +214,6 @@ class Tracer {
   std::vector<std::uint8_t> body_;    // payload fields
   std::vector<std::uint8_t> head_;    // category + tick delta
   std::vector<std::uint8_t> prefix_;  // length varint
-  Tracer* prev_thread_active_ = nullptr;
-};
-
-/// RAII: make `tracer` (may be null) the calling thread's active tracer
-/// for the scope, exactly as a Tracer's own constructor does on the thread
-/// that built it. The PDES engine's partition scope holds one of these
-/// while a worker executes a partition window, so sim::log_line calls from
-/// node code route into that partition's stream; the destructor restores
-/// whatever was active before.
-class ScopedActive {
- public:
-  explicit ScopedActive(Tracer* tracer);
-  ~ScopedActive();
-  ScopedActive(const ScopedActive&) = delete;
-  ScopedActive& operator=(const ScopedActive&) = delete;
-
- private:
-  Tracer* prev_;
 };
 
 /// The per-component handle instrumentation sites check. `mask` caches the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mac_test_util.h"
 #include "sim/time.h"
 
@@ -227,6 +229,41 @@ TEST(Dcf, HiddenSendersCollideAtSharedReceiver) {
   // Both senders burned airtime regardless (no carrier deference).
   EXPECT_GT(a.stats().data_frames_sent, 100u);
   EXPECT_GT(b.stats().data_frames_sent, 100u);
+}
+
+TEST(DcfConfigDeathTest, InvalidFieldAbortsNamingTheField) {
+  const std::pair<const char*, void (*)(DcfConfig&)> cases[] = {
+      {"DcfConfig::cw_min", [](DcfConfig& c) { c.cw_min = -1; }},
+      {"DcfConfig::cw_max", [](DcfConfig& c) { c.cw_max = c.cw_min - 1; }},
+      {"DcfConfig::retry_limit", [](DcfConfig& c) { c.retry_limit = -1; }},
+      {"DcfConfig::queue_limit", [](DcfConfig& c) { c.queue_limit = 0; }},
+      {"DcfConfig::slot", [](DcfConfig& c) { c.slot = 0; }},
+      {"DcfConfig::sifs", [](DcfConfig& c) { c.sifs = -1; }},
+  };
+  for (const auto& [field, edit] : cases) {
+    DcfConfig cfg;
+    edit(cfg);
+    EXPECT_DEATH(MacWorld().add_node(1, {0, 0}, cfg), field) << field;
+  }
+}
+
+TEST(DcfConfigValidation, BoundaryValuesAndTestOverridesAreAccepted) {
+  MacWorld w;
+  DcfConfig edge;
+  edge.cw_min = 0;
+  edge.cw_max = 0;
+  edge.retry_limit = 0;
+  edge.queue_limit = 1;
+  edge.slot = 1;
+  edge.sifs = 1;
+  EXPECT_EQ(w.add_node(1, {0, 0}, edge).config().cw_max, 0);
+  // The overrides other tests in this file rely on.
+  DcfConfig retries;
+  retries.retry_limit = 12;
+  EXPECT_EQ(w.add_node(2, {10, 0}, retries).config().retry_limit, 12);
+  DcfConfig small_queue;
+  small_queue.queue_limit = 4;
+  EXPECT_EQ(w.add_node(3, {20, 0}, small_queue).config().queue_limit, 4u);
 }
 
 }  // namespace

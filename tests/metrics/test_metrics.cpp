@@ -215,6 +215,19 @@ TEST(WorldMetrics, ThreadsReportsTheThreadsThatRan) {
   EXPECT_EQ(testbed::World(*tb, config).metrics_snapshot().threads, 3);
 }
 
+TEST(WorldMetricsDeathTest, UnwritablePathAbortsNamingThePath) {
+  const auto tb =
+      testbed::TestbedCache::global().get(testbed::TestbedConfig{});
+  testbed::RunConfig config;
+  config.duration = sim::milliseconds(5);
+  config.warmup = sim::milliseconds(1);
+  config.metrics = MetricsConfig{};
+  config.metrics->path =
+      ::testing::TempDir() + "no_such_dir/run.metrics.json";
+  EXPECT_DEATH(testbed::run_flows(*tb, {{0, 1}}, config),
+               config.metrics->path);
+}
+
 TEST(SweepMetrics, RowsCarryProfilesAndReportAggregates) {
   scenario::Sweep sweep;
   sweep.scenario = "fig12_exposed";

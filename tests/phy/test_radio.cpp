@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "phy/medium.h"
 #include "phy/units.h"
@@ -342,6 +345,53 @@ TEST(RadioDeathTest, DoubleTransmitAsserts) {
     EXPECT_DEATH(a.transmit(World::whole_frame(100)), "transmitting");
   });
   w.simulator().run();
+}
+
+TEST(RadioConfigDeathTest, NonFiniteLevelAbortsNamingTheField) {
+  const std::pair<const char*, double RadioConfig::*> fields[] = {
+      {"tx_power_dbm", &RadioConfig::tx_power_dbm},
+      {"noise_floor_dbm", &RadioConfig::noise_floor_dbm},
+      {"sensitivity_dbm", &RadioConfig::sensitivity_dbm},
+      {"cs_signal_dbm", &RadioConfig::cs_signal_dbm},
+      {"energy_detect_dbm", &RadioConfig::energy_detect_dbm},
+      {"preamble_min_sinr_db", &RadioConfig::preamble_min_sinr_db},
+      {"capture_margin_db", &RadioConfig::capture_margin_db},
+      {"implementation_loss_db", &RadioConfig::implementation_loss_db},
+  };
+  for (const auto& [field, member] : fields) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      RadioConfig cfg;
+      cfg.*member = bad;
+      EXPECT_DEATH(World(nist()).add_radio(1, {0, 0}, cfg),
+                   std::string("RadioConfig::") + field)
+          << field << " = " << bad;
+    }
+  }
+}
+
+TEST(RadioConfigDeathTest, NegativeCaptureMarginAbortsNamingTheField) {
+  RadioConfig cfg;
+  cfg.capture_margin_db = -0.5;
+  EXPECT_DEATH(World(nist()).add_radio(1, {0, 0}, cfg),
+               "RadioConfig::capture_margin_db");
+}
+
+TEST(RadioConfigValidation, BoundaryValuesAndTestOverridesAreAccepted) {
+  World w(nist());
+  RadioConfig zero_margin;
+  zero_margin.capture_margin_db = 0.0;
+  EXPECT_EQ(w.add_radio(1, {0, 0}, zero_margin).config(), zero_margin);
+  // The deafened hidden-terminal senders (mac/test_dcf) and the mute
+  // receiver (core/test_cmap_mac).
+  RadioConfig deaf;
+  deaf.sensitivity_dbm = -80.0;
+  deaf.cs_signal_dbm = -80.0;
+  deaf.energy_detect_dbm = -70.0;
+  EXPECT_EQ(w.add_radio(2, {10, 0}, deaf).config(), deaf);
+  RadioConfig mute;
+  mute.tx_power_dbm = -30.0;
+  EXPECT_EQ(w.add_radio(3, {20, 0}, mute).config(), mute);
 }
 
 }  // namespace

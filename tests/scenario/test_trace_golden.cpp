@@ -4,7 +4,9 @@
 // simulation (drew randomness, scheduled an event, changed iteration
 // order) — the invariant that makes tracing safe to leave on anywhere.
 // Covers a static figure sweep and a mobile (dynamics-on) sweep so the
-// kMove/kChannelEpoch instrumentation is exercised too.
+// kMove/kChannelEpoch instrumentation is exercised too, plus the two
+// bespoke executors that build more than one World per cell: each World
+// must write its own stream, and every stream must decode to its end.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,6 +29,14 @@ Sweep make_sweep(const char* scenario) {
   sweep.duration = sim::seconds(1);
   sweep.warmup = sim::milliseconds(250);
   return sweep;
+}
+
+// The stream a multi-World executor's earlier World writes next to each
+// cell file (documented at Sweep::trace), or nullptr.
+const char* earlier_world_suffix(const std::string& scenario) {
+  if (scenario == "mesh_dissemination") return ".phase1";
+  if (scenario == "interferer_triple") return ".alone";
+  return nullptr;
 }
 
 class TraceGolden : public ::testing::TestWithParam<const char*> {};
@@ -55,13 +65,31 @@ TEST_P(TraceGolden, TracedSweepReportIsByteIdentical) {
     const std::string path = trace_run_path(dir, GetParam(), spec);
     trace::TraceReader reader(path);
     EXPECT_TRUE(reader.ok()) << path << ": " << reader.error();
+    if (const char* suffix = earlier_world_suffix(GetParam())) {
+      std::string error;
+      trace::read_all(path + suffix, &error);
+      EXPECT_TRUE(error.empty()) << path << suffix << ": " << error;
+    }
   }
+  // Every stream in the directory (cell files and the extra Worlds'
+  // derived ones) decodes cleanly to its last record.
+  int streams = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string path = entry.path().string();
+    if (path.find(".cmtrace") == std::string::npos) continue;
+    ++streams;
+    std::string error;
+    trace::read_all(path, &error);
+    EXPECT_TRUE(error.empty()) << path << ": " << error;
+  }
+  EXPECT_GE(streams, static_cast<int>(specs.size()));
   std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweeps, TraceGolden,
-                         ::testing::Values("fig12_exposed",
-                                           "mobile_floor_25"));
+                         ::testing::Values("fig12_exposed", "mobile_floor_25",
+                                           "mesh_dissemination",
+                                           "interferer_triple"));
 
 }  // namespace
 }  // namespace cmap::scenario

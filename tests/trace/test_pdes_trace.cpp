@@ -16,7 +16,9 @@
 // decimate independently, so sample_every > 1 would drop different
 // records from equivalent runs. The partitioned run goes once with fewer
 // threads than partitions and once with one thread per partition, where
-// the driving thread runs windows too, under the same partition scope.
+// the driving thread runs windows too. Which stream a record lands in is
+// fixed by the hook its component bound at construction, not by the thread
+// that runs the window.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "phy/partition.h"
 #include "sim/random.h"
 #include "testbed/experiment.h"
 #include "testbed/testbed.h"
@@ -71,22 +74,19 @@ std::string fingerprint(const trace::Record& r) {
           out << b.node << ',' << b.x_mm << ',' << b.y_mm;
         } else if constexpr (std::is_same_v<T, trace::ChannelEpochRecord>) {
           out << b.epoch;
-        } else if constexpr (std::is_same_v<T, trace::LogRecord>) {
-          out << b.level << ',' << b.component << ',' << b.message;
         }
       },
       r.body);
   return out.str();
 }
 
-// The node a record belongs to, when it names one (log and channel-epoch
-// records are global; they participate in the per-tick check only).
+// The node a record belongs to, when it names one (channel-epoch records
+// are global; they participate in the per-tick check only).
 std::optional<std::uint32_t> record_node(const trace::Record& r) {
   return std::visit(
       [](const auto& b) -> std::optional<std::uint32_t> {
         using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, trace::ChannelEpochRecord> ||
-                      std::is_same_v<T, trace::LogRecord>) {
+        if constexpr (std::is_same_v<T, trace::ChannelEpochRecord>) {
           return std::nullopt;
         } else {
           return b.node;
@@ -200,6 +200,60 @@ TEST(PdesTraceFuzz, PartitionedEventOrderMatchesSerial) {
       for (const auto& p : inputs) std::remove(p.c_str());
     }
   }
+}
+
+// The stream a record lands in is fixed by the hook its component bound at
+// construction, whichever thread runs the window: every phy_tx of a
+// partitioned run sits in its sender's partition stream, none in the
+// global one, and none is lost or duplicated.
+TEST(PdesTraceStreams, PhyTxLandsInItsSendersPartitionStream) {
+  const Testbed tb{TestbedConfig{}};
+  const std::string path =
+      ::testing::TempDir() + "pdes_phy_tx_streams.cmtrace";
+  std::vector<phy::Position> positions;
+  for (int i = 0; i < tb.size(); ++i) {
+    positions.push_back(tb.position(static_cast<phy::NodeId>(i)));
+  }
+  const phy::PartitionPlan plan =
+      phy::make_partition_plan(positions, kPartitions);
+
+  std::uint64_t frames_sent = 0;
+  {
+    World world(tb, traced_config(11, path, kPartitions, kPartitions));
+    std::set<phy::NodeId> nodes;
+    for (const Flow& f : fuzz_flows(11)) {
+      world.add_saturated_flow(f.src, f.dst);
+      nodes.insert(f.src);
+      nodes.insert(f.dst);
+    }
+    world.run(world.config().duration);
+    for (const phy::NodeId id : nodes) {
+      frames_sent += world.radio(id).counters().frames_sent;
+    }
+  }  // tracers flush on destruction
+
+  for (const auto& r : read_checked(path)) {
+    EXPECT_NE(r.category, trace::Category::kPhyTx) << "global stream";
+  }
+  std::uint64_t traced = 0;
+  int populated = 0;
+  for (int p = 0; p < kPartitions; ++p) {
+    const std::string part_path = path + ".p" + std::to_string(p);
+    std::uint64_t here = 0;
+    for (const auto& r : read_checked(part_path)) {
+      if (r.category != trace::Category::kPhyTx) continue;
+      const auto node = std::get<trace::PhyTxRecord>(r.body).node;
+      EXPECT_EQ(plan.partition_of(node), p) << "node " << node;
+      ++here;
+    }
+    traced += here;
+    if (here > 0) ++populated;
+    std::remove(part_path.c_str());
+  }
+  std::remove(path.c_str());
+  EXPECT_GE(populated, 2);  // non-vacuity: senders span partitions
+  EXPECT_GT(frames_sent, 0u);
+  EXPECT_EQ(traced, frames_sent);
 }
 
 }  // namespace

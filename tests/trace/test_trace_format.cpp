@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "trace/reader.h"
@@ -120,8 +121,7 @@ TEST(TraceFormat, AllCategoriesRoundTrip) {
   t.ongoing(60, 6, OngoingOp::kUpdate, 8, 9, 777);
   t.move(70, 11, 12.345, -0.5);
   t.channel_epoch(80, 17);
-  t.log(90, 2, "mac", "hello trace");
-  EXPECT_EQ(t.records_written(), 9u);
+  EXPECT_EQ(t.records_written(), 8u);
 
   TraceReader reader(mt.sink->bytes());
   ASSERT_TRUE(reader.ok()) << reader.error();
@@ -217,16 +217,6 @@ TEST(TraceFormat, AllCategoriesRoundTrip) {
   EXPECT_EQ(r.tick, 80);
   EXPECT_EQ(std::get<ChannelEpochRecord>(r.body).epoch, 17u);
 
-  ASSERT_TRUE(reader.next(&r));
-  EXPECT_EQ(r.category, Category::kLog);
-  EXPECT_EQ(r.tick, 90);
-  {
-    const auto& b = std::get<LogRecord>(r.body);
-    EXPECT_EQ(b.level, 2u);
-    EXPECT_EQ(b.component, "mac");
-    EXPECT_EQ(b.message, "hello trace");
-  }
-
   EXPECT_FALSE(reader.next(&r));
   EXPECT_TRUE(reader.ok()) << reader.error();
 }
@@ -300,6 +290,11 @@ TEST(TraceFormat, MissingFileFailsLoudly) {
   EXPECT_FALSE(reader.error().empty());
 }
 
+TEST(FileTraceSinkDeathTest, UnwritablePathAbortsNamingThePath) {
+  const std::string path = ::testing::TempDir() + "no_such_dir/run.cmtrace";
+  EXPECT_DEATH(FileTraceSink{path}, path);
+}
+
 TEST(TraceHookTest, UnboundHookWantsNothing) {
   TraceHook hook;
   EXPECT_FALSE(hook.wants(Category::kPhyTx));
@@ -317,20 +312,6 @@ TEST(TraceHookTest, BindCachesTheMask) {
   EXPECT_FALSE(hook.wants(Category::kPhyTx));
   EXPECT_EQ(hook.self, 9u);
   EXPECT_EQ(hook.tracer, mt.tracer.get());
-}
-
-TEST(TracerThreadActive, RegistersAndRestoresInnermost) {
-  EXPECT_EQ(Tracer::thread_active(), nullptr);
-  {
-    MemoryTracer outer(TraceConfig{});
-    EXPECT_EQ(Tracer::thread_active(), outer.tracer.get());
-    {
-      MemoryTracer inner(TraceConfig{});
-      EXPECT_EQ(Tracer::thread_active(), inner.tracer.get());
-    }
-    EXPECT_EQ(Tracer::thread_active(), outer.tracer.get());
-  }
-  EXPECT_EQ(Tracer::thread_active(), nullptr);
 }
 
 }  // namespace

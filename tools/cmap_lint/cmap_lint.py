@@ -38,7 +38,7 @@ Rules
                     annotated.
   raw-thread        std::thread / std::jthread / std::async /
                     pthread_create outside the blessed concurrency
-                    layer (sim/parallel.*, sim/log.*).  All fan-out
+                    layer (sim/parallel.*).  All fan-out
                     must go through sim::parallel_for so the
                     results-are-thread-count-invariant argument stays
                     in one place.
@@ -87,14 +87,14 @@ RULES = {
     "banned-wallclock": "wall-clock reads (time(), chrono system/steady clocks)",
     "pointer-order": "ordering or hashing raw pointer values",
     "unordered-iter": "iteration over std::unordered_map/std::unordered_set",
-    "raw-thread": "raw threads outside sim/parallel.* / sim/log.*",
+    "raw-thread": "raw threads outside sim/parallel.*",
     "mutable-static": "mutable static / thread_local state",
     "bad-annotation": "malformed cmap-lint annotation",
     "unused-annotation": "annotation that silences no finding",
 }
 
 # Files allowed to use raw threads: the blessed concurrency layer.
-THREAD_ALLOWED = ("sim/parallel.", "sim/log.")
+THREAD_ALLOWED = ("sim/parallel.",)
 
 ANNOT_RE = re.compile(
     r"cmap-lint:\s*(allow|allow-file)\(([^)]*)\)\s*(--\s*(.*\S))?")

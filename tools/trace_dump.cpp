@@ -65,28 +65,6 @@ std::string id_or_star(std::uint32_t id) {
   return std::to_string(id);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void print_text(const trace::Record& r) {
   std::printf("%14" PRId64 " %-13s", r.tick,
               trace::category_name(r.category));
@@ -145,12 +123,6 @@ void print_text(const trace::Record& r) {
     case trace::Category::kChannelEpoch: {
       const auto& b = std::get<trace::ChannelEpochRecord>(r.body);
       std::printf(" epoch=%" PRIu64, b.epoch);
-      break;
-    }
-    case trace::Category::kLog: {
-      const auto& b = std::get<trace::LogRecord>(r.body);
-      std::printf(" level=%u [%s] %s", b.level, b.component.c_str(),
-                  b.message.c_str());
       break;
     }
     case trace::Category::kCount:
@@ -220,13 +192,6 @@ void print_json(const trace::Record& r) {
       std::printf(",\"epoch\":%" PRIu64, b.epoch);
       break;
     }
-    case trace::Category::kLog: {
-      const auto& b = std::get<trace::LogRecord>(r.body);
-      std::printf(",\"level\":%u,\"component\":\"%s\",\"message\":\"%s\"",
-                  b.level, json_escape(b.component).c_str(),
-                  json_escape(b.message).c_str());
-      break;
-    }
     case trace::Category::kCount:
       break;
   }
@@ -239,7 +204,7 @@ int usage(const char* argv0) {
                "       %s FILE --replay-defer-table --tick T_NS [--node ID]\n"
                "       %s FILE --replay-ongoing --tick T_NS [--node ID]\n"
                "categories: phy_tx phy_rx phy_collision mac_defer"
-               " defer_table ongoing move channel_epoch log\n",
+               " defer_table ongoing move channel_epoch\n",
                argv0, argv0, argv0);
   return 2;
 }
