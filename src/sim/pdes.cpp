@@ -90,6 +90,7 @@ void PdesEngine::schedule_delivery(int src_partition, int dst_partition,
   const std::lock_guard<std::mutex> lock(mb.mutex);
   mb.msgs.push_back(Message{at, frame_id, receiver, std::move(fn)});
   ++mb.posted;
+  mb.pending.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t PdesEngine::messages() const {
@@ -110,19 +111,25 @@ std::uint64_t PdesEngine::mailbox_posted(int partition) const {
 void PdesEngine::drain_mailboxes() {
   for (std::size_t p = 0; p < parts_.size(); ++p) {
     Mailbox& mb = *mailboxes_[p];
-    std::vector<Message> batch;
+    // Relaxed is enough: every post happened either on this thread or in
+    // a window that the crew's barrier has since closed.
+    if (mb.pending.load(std::memory_order_relaxed) == 0) continue;
     {
       const std::lock_guard<std::mutex> lock(mb.mutex);
-      batch.swap(mb.msgs);
+      // Swap, not move: both buffers keep their capacity, so posting into
+      // an emptied mailbox does not reallocate.
+      mb.draining.swap(mb.msgs);
+      mb.pending.store(0, std::memory_order_relaxed);
     }
     // Insertion order is whatever the mutex handed out, but the ranked
     // comparator totally orders deliveries by (time, frame, receiver) —
     // a key pair no two deliveries share — so execution order is
     // insertion-independent.
-    for (Message& m : batch) {
+    for (Message& m : mb.draining) {
       parts_[p]->queue().schedule_ranked(
           m.at, delivery_rank(m.frame_id, m.receiver), std::move(m.fn));
     }
+    mb.draining.clear();
   }
 }
 
@@ -145,10 +152,11 @@ void PdesEngine::run_until(Time until) {
   // Deliveries posted between runs (say, by a node that starts
   // transmitting during setup) must be queued before the first window.
   drain_mailboxes();
+  // Workers poll for the next round instead of parking until this returns.
+  const WorkerCrew::LiveRun live(crew_);
   const std::size_t n = parts_.size();
   std::vector<Time> next(n);
   std::vector<Time> window(n);
-  std::vector<std::size_t> batch;  // partitions with work this round
   for (;;) {
     const Time next_global = global_.queue().next_time();
     Time s = next_global;
@@ -176,7 +184,8 @@ void PdesEngine::run_until(Time until) {
     // shortest-path closure covers chains relayed through partitions that
     // are idle right now and a partition's own output reflecting back at
     // it (see set_min_delays).
-    batch.clear();
+    std::size_t busy = 0;
+    std::size_t last_busy = 0;
     for (std::size_t g = 0; g < n; ++g) {
       Time w = std::min(next_global, until + 1);
       for (std::size_t h = 0; h < n; ++h) {
@@ -186,17 +195,25 @@ void PdesEngine::run_until(Time until) {
       }
       window[g] = w;
       if (next[g] < w) {
-        batch.push_back(g);
+        ++busy;
+        last_busy = g;
         stats_.window_log2[log2_bin(static_cast<std::uint64_t>(w - next[g]))]++;
       }
     }
     // Every closure entry is >= 1 ns (set_min_delays' precondition), so the
     // partition holding the minimum event always has a non-empty window.
-    CMAP_ASSERT(!batch.empty(), "conservative round made no progress");
+    CMAP_ASSERT(busy > 0, "conservative round made no progress");
     const std::int64_t t0 = profiling_ ? profile_clock_ns() : 0;
-    crew_.run(batch.size(), [this, &batch, &window](std::size_t i) {
-      run_partition(batch[i], window[batch[i]]);
-    });
+    if (busy == 1) {
+      // Inline on the driving thread: cheaper than any handoff.
+      run_partition(last_busy, window[last_busy]);
+    } else {
+      // One item per partition, so partition p runs on crew thread
+      // p % threads (bar a late owner); an empty window returns at once.
+      crew_.run(n, [this, &next, &window](std::size_t p) {
+        if (next[p] < window[p]) run_partition(p, window[p]);
+      });
+    }
     if (profiling_) {
       const std::int64_t dt = profile_clock_ns() - t0;
       stats_.parallel_ns += static_cast<std::uint64_t>(dt > 0 ? dt : 0);

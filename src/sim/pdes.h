@@ -48,6 +48,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,10 +68,13 @@ struct PdesOptions {
   /// reference oracle.
   int partitions = 1;
   /// Threads executing partition windows, the driving thread included
-  /// (4 = 3 workers + the driver; capped at `partitions`). 1 executes
-  /// windows inline on the driving thread (deterministic without any
-  /// thread machinery; what golden tests use). Results are identical at
-  /// any value.
+  /// (4 = 3 workers + the driver; capped at `partitions`). When two or
+  /// more partitions have work in a round, partition p runs on thread
+  /// p % threads (the driver is thread 0) unless that thread is late and
+  /// the driver takes it over; a lone busy window runs on the driver.
+  /// 1 executes windows inline on the driving thread
+  /// (deterministic without any thread machinery; what golden tests use).
+  /// Results are identical at any value.
   int threads = 1;
 
   bool operator==(const PdesOptions&) const = default;
@@ -159,6 +163,11 @@ class PdesEngine {
     mutable std::mutex mutex;
     std::vector<Message> msgs;
     std::uint64_t posted = 0;  // lifetime total, for observability
+    // Messages in `msgs`; lets a drain skip the lock when there are none.
+    std::atomic<std::size_t> pending{0};
+    // Drain-side buffer, touched only by the driving thread between
+    // rounds; swapped with `msgs` so neither loses its capacity.
+    std::vector<Message> draining;
   };
 
   void run_partition(std::size_t p, Time window_end);

@@ -1,13 +1,18 @@
 // The shared-index parallel loop must execute every index exactly once for
 // any worker count, propagate the first exception, and degrade to an
 // inline loop for <= 1 effective worker. The persistent WorkerCrew must do
-// the same across many back-to-back batches, and its run() must be a full
-// barrier in both directions (the TSan build checks the plain-data tests).
+// the same across many back-to-back batches, run index i on crew thread
+// i % threads outside a live run, lose no item inside one whether its
+// workers spin, park or have their share taken over by the caller, and
+// its run() must be a full barrier in both directions (the TSan build
+// checks the plain-data tests).
 #include "sim/parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <thread>
@@ -149,6 +154,62 @@ TEST(WorkerCrew, ConstructAndDestroyWithParkedWorkers) {
     std::atomic<int> ran{0};
     crew.run(3, [&](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 3) << "crew " << c;
+  }
+}
+
+TEST(WorkerCrew, EachIndexRunsOnTheSameThreadEveryBatch) {
+  // Outside a live run ownership is strict: nothing is ever taken over.
+  WorkerCrew crew(4);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> first(4);
+  crew.run(first.size(),
+           [&](std::size_t i) { first[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(first[0], caller);
+  std::vector<std::thread::id> distinct = first;
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  for (int b = 1; b < 500; ++b) {
+    std::vector<std::thread::id> seen(4);
+    crew.run(seen.size(),
+             [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
+    ASSERT_EQ(seen, first) << "batch " << b;
+  }
+}
+
+TEST(WorkerCrew, MoreItemsThanThreadsMapsByModulo) {
+  WorkerCrew crew(2);
+  const auto caller = std::this_thread::get_id();
+  for (int b = 0; b < 100; ++b) {
+    std::vector<std::thread::id> seen(5);
+    crew.run(seen.size(),
+             [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
+    ASSERT_EQ(seen[0], caller) << "batch " << b;
+    ASSERT_EQ(seen[2], caller) << "batch " << b;
+    ASSERT_EQ(seen[4], caller) << "batch " << b;
+    ASSERT_NE(seen[1], caller) << "batch " << b;
+    ASSERT_EQ(seen[3], seen[1]) << "batch " << b;
+  }
+}
+
+TEST(WorkerCrew, LiveRunSurvivesGapsLongerThanTheSpinBudget) {
+  // Inside a live run the workers spin between batches; a gap well past
+  // the spin budget makes them park mid-run, so the next batch either
+  // wakes them or, if they wake late, has its shares taken over by the
+  // caller. Every handoff must lose no item and stay a plain-data barrier.
+  WorkerCrew crew(4);
+  const WorkerCrew::LiveRun live(crew);
+  std::vector<long> output(4, 0);
+  for (long round = 1; round <= 200; ++round) {
+    if (round % 20 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    crew.run(output.size(), [&](std::size_t i) {
+      output[i] = round * 10 + static_cast<long>(i);
+    });
+    for (std::size_t i = 0; i < output.size(); ++i) {
+      ASSERT_EQ(output[i], round * 10 + static_cast<long>(i))
+          << "round " << round << " index " << i;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <tuple>
@@ -187,6 +188,66 @@ TEST(PdesEngine, MultiThreadedRunMatchesSingleThreaded) {
     return log;
   };
   EXPECT_EQ(run_program(1), run_program(2));
+}
+
+TEST(PdesEngine, MorePartitionsThanThreadsMatchesSingleThreaded) {
+  // 5 partitions on 2 threads: partitions 0, 2, 4 share the driving thread
+  // and 1, 3 the worker. Every partition keeps local events pending and
+  // relays deliveries around the ring, so rounds mix busy and idle windows
+  // and mailboxes fill in parallel. Each partition appends to its own log,
+  // so the logs compare without sorting (and a partition run by two
+  // threads in one round would race under TSan).
+  static constexpr int kParts = 5;
+  static constexpr Time kDelay = 20;
+  const auto run_program = [](int threads) {
+    Simulator global;
+    PdesEngine engine(global, kParts, threads);
+    std::vector<Time> d(kParts * kParts, kDelay);
+    for (std::size_t p = 0; p < kParts; ++p) d[p * kParts + p] = 0;
+    engine.set_min_delays(d);
+    std::vector<std::vector<std::pair<Time, int>>> logs(kParts);
+    std::vector<std::uint64_t> frames(kParts, 0);
+    std::function<void(int, int)> relay = [&](int from, int hops) {
+      const auto fp = static_cast<std::size_t>(from);
+      const std::uint64_t frame = fp * 1000000 + ++frames[fp];
+      const int to = (from + 1 + hops % 2) % kParts;
+      const Time at = engine.partition_sim(from).now() + kDelay +
+                      static_cast<Time>(frame % 7);
+      engine.schedule_delivery(from, to, at, frame, /*receiver=*/0,
+                               [&, to, hops] {
+                                 logs[static_cast<std::size_t>(to)]
+                                     .emplace_back(
+                                         engine.partition_sim(to).now(),
+                                         -hops);
+                                 if (hops < 4) relay(to, hops + 1);
+                               });
+    };
+    for (int p = 0; p < kParts; ++p) {
+      for (Time t = 10; t <= 400; t += 10 + p) {
+        engine.partition_sim(p).at(t, [&, p, t] {
+          logs[static_cast<std::size_t>(p)].emplace_back(
+              engine.partition_sim(p).now(), 1);
+          if (t % 30 == 0) relay(p, 0);
+        });
+      }
+    }
+    engine.run_until(600);
+    return logs;
+  };
+  // Every chain starts at a local event with t % 30 == 0 and makes five
+  // hops, all landing before the horizon.
+  std::size_t chains = 0;
+  for (int p = 0; p < kParts; ++p) {
+    for (Time t = 10; t <= 400; t += 10 + p) chains += t % 30 == 0 ? 1 : 0;
+  }
+  const auto serial = run_program(1);
+  std::size_t deliveries = 0;
+  for (const auto& log : serial) {
+    EXPECT_FALSE(log.empty());
+    for (const auto& entry : log) deliveries += entry.second <= 0 ? 1 : 0;
+  }
+  EXPECT_EQ(deliveries, 5 * chains);
+  EXPECT_EQ(run_program(2), serial);
 }
 
 }  // namespace
