@@ -22,6 +22,8 @@ struct MacStats {
   std::uint64_t duplicates = 0;
   std::uint64_t acks_sent = 0;
   std::uint64_t corrupt_frames = 0;        // locked but failed CRC
+
+  bool operator==(const MacStats&) const = default;
 };
 
 }  // namespace cmap::mac

@@ -29,6 +29,9 @@ DcfMac::DcfMac(sim::Simulator& simulator, phy::Radio& radio, DcfConfig config,
   sim::require_valid(config_.sifs > 0, kConfig, "sifs",
                      static_cast<double>(config_.sifs));
   radio_.set_listener(this);
+  // Only carrier sense reads CCA edges (on_cca); without it the radio
+  // skips their bookkeeping.
+  if (config_.carrier_sense) radio_.request_cca_notifications();
 }
 
 bool DcfMac::send(mac::Packet packet) {

@@ -102,7 +102,7 @@ void Radio::deliver(Signal signal) {
   const std::uint64_t fid = signal.frame->id;
   tracker_.prune(sim_.now());
   tracker_.add(signal);
-  sim_.at(signal.end, [this, fid] { on_signal_end(fid); });
+  if (watch_cca_ || config_.salvage_enabled) schedule_signal_end(signal);
 
   if (signal.power_mw >= sensitivity_mw_) {
     const bool idle_lock_candidate = state_ == State::kIdle;
@@ -274,6 +274,22 @@ void Radio::abort_rx() {
   update_cca();
 }
 
+void Radio::request_cca_notifications() {
+  if (watch_cca_) return;
+  watch_cca_ = true;
+  last_cca_busy_ = carrier_busy();
+  // A salvaging radio already scheduled an end for every signal.
+  if (config_.salvage_enabled) return;
+  for (const Signal& sig : tracker_.signals()) {
+    if (sig.end > sim_.now()) schedule_signal_end(sig);
+  }
+}
+
+void Radio::schedule_signal_end(const Signal& sig) {
+  const std::uint64_t fid = sig.frame->id;
+  sim_.at(sig.end, [this, fid] { on_signal_end(fid); });
+}
+
 void Radio::on_signal_end(std::uint64_t frame_id) {
   const Signal* sig = tracker_.find(frame_id);
   CMAP_ASSERT(sig != nullptr, "signal missing at its end");
@@ -318,6 +334,7 @@ bool Radio::carrier_busy() const {
 }
 
 void Radio::update_cca() {
+  if (!watch_cca_) return;
   const bool busy = carrier_busy();
   if (busy == last_cca_busy_) return;
   last_cca_busy_ = busy;

@@ -8,6 +8,14 @@
 // chunked SINR at frame end. In integrated-PHY mode the radio additionally
 // salvages header/trailer segments of frames it never locked to — the PPR
 // behaviour CMAP's conflict map relies on (paper §2.1, Figure 5).
+//
+// Carrier sense is on demand. carrier_busy() always answers exactly, but
+// CCA edge callbacks (RadioListener::on_cca) reach only a radio whose MAC
+// called request_cca_notifications(): DCF with carrier sense on does, CMAP
+// and the carrier-sense-off DCF schemes do not. A radio that has not opted
+// in keeps no CCA state and, unless it salvages (integrated mode), schedules
+// no event at the end of each arriving signal — that event exists only to
+// re-evaluate CCA and to salvage.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +81,8 @@ class RadioListener {
     (void)frame;
     (void)result;
   }
-  /// Carrier-sense (CCA) state changed.
+  /// Carrier-sense (CCA) state changed. Only called on a radio that
+  /// requested it (Radio::request_cca_notifications).
   virtual void on_cca(bool busy) { (void)busy; }
   /// Own transmission completed.
   virtual void on_tx_end(const Frame& frame) { (void)frame; }
@@ -98,7 +107,14 @@ class Radio {
   Radio(const Radio&) = delete;
   Radio& operator=(const Radio&) = delete;
 
+  /// Swaps the callback target only; the CCA opt-in below stays with the
+  /// radio.
   void set_listener(RadioListener* listener) { listener_ = listener; }
+
+  /// Opt in to on_cca edge callbacks from now on (idempotent). The first
+  /// edge reported is a change from the carrier state at the time of the
+  /// call; signals already on the air get their end events here.
+  void request_cca_notifications();
 
   /// Transmit `frame` at the configured power. Aborts any reception in
   /// progress (half-duplex). The radio assigns the frame id and duration.
@@ -135,6 +151,7 @@ class Radio {
  private:
   enum class State { kIdle, kRx, kTx };
 
+  void schedule_signal_end(const Signal& sig);
   void on_signal_end(std::uint64_t frame_id);
   void evaluate_preamble(std::uint64_t frame_id);
   void lock(const Signal& sig);
@@ -179,6 +196,7 @@ class Radio {
 
   trace::TraceHook trace_;
   metrics::MetricsHook metrics_;
+  bool watch_cca_ = false;  // set by request_cca_notifications()
   bool last_cca_busy_ = false;
   double sinr_scale_;  // linear implementation loss
   double cs_signal_mw_;

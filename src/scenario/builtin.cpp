@@ -23,12 +23,16 @@ std::string pair_label(const testbed::LinkPair& p) {
 }
 
 // A bespoke executor that builds more than one World per cell gives each
-// earlier World its own trace stream, `<cell path><suffix>` (see
-// Sweep::trace); otherwise the Worlds would open, and clobber, one file.
-testbed::RunConfig with_trace_suffix(testbed::RunConfig config,
-                                     const char* suffix) {
+// earlier World its own trace stream and metrics file, `<cell path><suffix>`
+// (see Sweep::trace and Sweep::metrics); otherwise the Worlds would open,
+// and clobber, one file. The cell paths belong to the measured World.
+testbed::RunConfig with_output_suffix(testbed::RunConfig config,
+                                      const char* suffix) {
   if (config.trace && !config.trace->path.empty()) {
     config.trace->path += suffix;
+  }
+  if (config.metrics && !config.metrics->path.empty()) {
+    config.metrics->path += suffix;
   }
   return config;
 }
@@ -149,12 +153,13 @@ Scenario make_mesh_dissemination() {
     const sim::Time measure_from = phase / 5;
 
     // Phase 1: the source broadcasts to its forwarders.
-    testbed::World w1(ctx.tb, with_trace_suffix(ctx.config, ".phase1"));
+    testbed::World w1(ctx.tb, with_output_suffix(ctx.config, ".phase1"));
     w1.add_node(source);
     for (const auto& f : ctx.topology.flows) w1.add_node(f.src);
     w1.add_saturated_flow(source, phy::kBroadcastId);
     w1.set_measurement_window(measure_from, phase);
     w1.run(phase);
+    testbed::publish_metrics(w1);
 
     // Phase 2: the forwarders push onward concurrently.
     testbed::World w2(ctx.tb, ctx.config);
@@ -165,6 +170,7 @@ Scenario make_mesh_dissemination() {
     w2.run(phase);
 
     RunOutcome out;
+    out.profile = testbed::publish_metrics(w2);
     for (const auto& f : ctx.topology.flows) {
       const double hop1 = w1.sink(f.src).meter().mbps();
       const double hop2 = w2.sink(f.dst).meter().mbps();
@@ -209,7 +215,7 @@ Scenario make_interferer_triple() {
 
     const double alone =
         testbed::run_flows(ctx.tb, {flow},
-                           with_trace_suffix(ctx.config, ".alone"))
+                           with_output_suffix(ctx.config, ".alone"))
             .flows[0]
             .mbps;
     RunOutcome out;
@@ -221,6 +227,7 @@ Scenario make_interferer_triple() {
     world.add_saturated_flow(flow.src, flow.dst);
     world.add_saturated_flow(interferer, phy::kBroadcastId);
     world.run(ctx.config.duration);
+    out.profile = testbed::publish_metrics(world);
     const double with_i = world.sink(flow.dst).meter().mbps();
     const double norm = std::min(1.0, with_i / alone);
     const double prr_r = ctx.tb.prr(interferer, flow.dst);

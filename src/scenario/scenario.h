@@ -43,8 +43,8 @@ struct RunContext {
 /// stable order; `valid == false` drops the row from the report (e.g. a
 /// control run below the measurement floor). `profile` is the run's
 /// metrics snapshot when RunConfig::metrics was set (run_saturated_flows
-/// forwards it; bespoke executors may fill it from
-/// World::metrics_snapshot()).
+/// forwards it; bespoke executors fill it with testbed::publish_metrics()
+/// of the World they measure).
 struct RunOutcome {
   double aggregate_mbps = 0.0;
   std::vector<testbed::FlowResult> flows;

@@ -54,7 +54,9 @@ struct Sweep {
   /// When set, every run accumulates metrics and its snapshot rides in the
   /// report row (stats::RunRow::profile). `metrics->path`, when non-empty,
   /// names a DIRECTORY; each run writes its snapshot JSON to
-  /// `metrics_run_path(path, scenario, spec)`. Metrics never perturb
+  /// `metrics_run_path(path, scenario, spec)`, which holds the measured
+  /// World's snapshot; an executor with earlier Worlds writes theirs next
+  /// to it with the same suffixes as their traces. Metrics never perturb
   /// results, and the counter sections are byte-identical across
   /// SweepRunner thread counts and PDES partition counts.
   std::optional<metrics::MetricsConfig> metrics;

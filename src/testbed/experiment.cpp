@@ -274,7 +274,10 @@ RunResult run_flows(const Testbed& tb, const std::vector<Flow>& flows,
     world.add_saturated_flow(f.src, f.dst);
   }
   world.run(config.duration);
+  return collect_results(world, flows);
+}
 
+RunResult collect_results(World& world, const std::vector<Flow>& flows) {
   RunResult result;
   for (const auto& f : flows) {
     FlowResult fr;
@@ -295,22 +298,25 @@ RunResult run_flows(const Testbed& tb, const std::vector<Flow>& flows,
     result.flows.push_back(fr);
     result.aggregate_mbps += fr.mbps;
   }
-  if (config.metrics) {
-    auto snap = std::make_shared<metrics::MetricsSnapshot>(
-        world.metrics_snapshot());
-    if (!config.metrics->path.empty()) {
-      const std::string& path = config.metrics->path;
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      CMAP_ASSERT(f != nullptr,
-                  ("cannot open metrics file for writing: " + path).c_str());
-      const std::string json = snap->to_json();
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    }
-    result.profile = std::move(snap);
-  }
+  result.profile = publish_metrics(world);
   return result;
+}
+
+std::shared_ptr<const metrics::MetricsSnapshot> publish_metrics(World& world) {
+  const auto& config = world.config().metrics;
+  if (!config) return nullptr;
+  auto snap =
+      std::make_shared<metrics::MetricsSnapshot>(world.metrics_snapshot());
+  if (!config->path.empty()) {
+    std::FILE* f = std::fopen(config->path.c_str(), "w");
+    CMAP_ASSERT(f != nullptr, ("cannot open metrics file for writing: " +
+                               config->path).c_str());
+    const std::string json = snap->to_json();
+    std::fwrite(json.data(), 1, json.size(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+  }
+  return snap;
 }
 
 }  // namespace cmap::testbed

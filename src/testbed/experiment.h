@@ -39,6 +39,8 @@ bool scheme_is_cmap(Scheme scheme);
 struct Flow {
   phy::NodeId src = 0;
   phy::NodeId dst = 0;
+
+  bool operator==(const Flow&) const = default;
 };
 
 /// CMAP-specific run overrides, grouped (ignored by the DCF schemes).
@@ -232,6 +234,8 @@ struct FlowResult {
   std::uint64_t rx_vps_header = 0;   // receiver saw the header
   std::uint64_t defer_events = 0;
   std::uint64_t retx_timeouts = 0;
+
+  bool operator==(const FlowResult&) const = default;
 };
 
 struct RunResult {
@@ -246,5 +250,14 @@ struct RunResult {
 /// aggregate goodput over the measurement window.
 RunResult run_flows(const Testbed& tb, const std::vector<Flow>& flows,
                     const RunConfig& config);
+
+/// What run_flows reports for `flows` once `world` has run: per-flow and
+/// aggregate results, plus the metrics snapshot from publish_metrics().
+RunResult collect_results(World& world, const std::vector<Flow>& flows);
+
+/// The finished `world`'s metrics snapshot, also written as JSON to
+/// config().metrics->path when that is non-empty; nullptr when the world
+/// runs without metrics. Aborts naming the path if it cannot be written.
+std::shared_ptr<const metrics::MetricsSnapshot> publish_metrics(World& world);
 
 }  // namespace cmap::testbed

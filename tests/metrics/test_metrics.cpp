@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -263,6 +267,67 @@ TEST(SweepMetrics, RowsCarryProfilesAndReportAggregates) {
   EXPECT_EQ(report.to_json(),
             scenario::SweepRunner(1).run(plain, *tb).to_json());
 }
+
+// phy.transmits as written in a snapshot file; 0 when the file is missing.
+std::uint64_t transmits_in_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  const std::string key = "\"phy.transmits\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+// An executor that builds more than one World per cell writes the measured
+// World's snapshot to the cell file and into the row, and the earlier
+// World's next to it: interferer_triple's control run to `.alone`
+// (without the broadcasting interferer, so it transmits less) and
+// mesh_dissemination's broadcast phase to `.phase1` (one sender against
+// three).
+class BespokeMetrics : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BespokeMetrics, CellFileHoldsTheMeasuredWorld) {
+  const std::string scenario = GetParam();
+  const char* suffix =
+      scenario == "interferer_triple" ? ".alone" : ".phase1";
+  const std::string dir =
+      ::testing::TempDir() + "bespoke_metrics_" + scenario;
+  std::filesystem::create_directories(dir);
+  scenario::Sweep sweep;
+  sweep.scenario = scenario;
+  sweep.schemes = {testbed::Scheme::kCsma, testbed::Scheme::kCmap};
+  sweep.topologies = 2;
+  sweep.duration = sim::seconds(1);
+  sweep.warmup = sim::milliseconds(250);
+  sweep.metrics = MetricsConfig{};
+  sweep.metrics->path = dir;
+  const testbed::Testbed tb{testbed::TestbedConfig{}};
+  const auto report = scenario::SweepRunner(1).run(sweep, tb);
+
+  ASSERT_FALSE(report.empty());
+  for (const auto& row : report.rows()) {
+    const scenario::RunSpec spec{row.scheme_index, row.variant_index,
+                                 row.topology_index, row.replicate, row.seed};
+    const std::string path =
+        scenario::metrics_run_path(dir, scenario, spec);
+    ASSERT_TRUE(std::filesystem::exists(path)) << path;
+    ASSERT_TRUE(std::filesystem::exists(path + suffix)) << path << suffix;
+    ASSERT_NE(row.profile, nullptr) << path;
+    const std::uint64_t cell = transmits_in_file(path);
+    EXPECT_EQ(cell, row.profile->counter(Counter::kPhyTransmits)) << path;
+    EXPECT_GT(cell, transmits_in_file(path + suffix)) << path;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Executors, BespokeMetrics,
+                         ::testing::Values("interferer_triple",
+                                           "mesh_dissemination"),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           return std::string(i.param);
+                         });
 
 }  // namespace
 }  // namespace cmap::metrics

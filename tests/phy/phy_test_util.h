@@ -45,6 +45,11 @@ class RecordingListener : public RadioListener {
   std::vector<Frame> tx_ends;
 };
 
+/// Whether a test radio opts in to CCA edge callbacks, as a carrier-sensing
+/// MAC does (Radio::request_cca_notifications), or leaves them off, as CMAP
+/// does.
+enum class Cca { kWatched, kUnwatched };
+
 /// A little world: N radios on a line, configurable spacing, Friis
 /// propagation, fading off, threshold or NIST error model.
 class World {
@@ -63,11 +68,13 @@ class World {
     return m;
   }
 
-  Radio& add_radio(NodeId id, Position pos, RadioConfig cfg = {}) {
+  Radio& add_radio(NodeId id, Position pos, RadioConfig cfg = {},
+                   Cca cca = Cca::kWatched) {
     radios_.push_back(std::make_unique<Radio>(sim_, medium_, id, pos, cfg,
                                               model_, sim::Rng(1000 + id)));
     listeners_.push_back(std::make_unique<RecordingListener>());
     radios_.back()->set_listener(listeners_.back().get());
+    if (cca == Cca::kWatched) radios_.back()->request_cca_notifications();
     return *radios_.back();
   }
 

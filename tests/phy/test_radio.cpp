@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "mac80211/dcf.h"
 #include "phy/medium.h"
 #include "phy/units.h"
 #include "phy_test_util.h"
@@ -16,6 +17,7 @@
 namespace cmap::phy {
 namespace {
 
+using testing::Cca;
 using testing::RecordingListener;
 using testing::World;
 
@@ -143,6 +145,108 @@ TEST(Radio, CcaCallbacksFireOnEdges) {
   EXPECT_FALSE(changes.back());
 }
 
+// ---- Carrier sense on demand: radios that never asked for CCA edges ----
+
+TEST(Radio, UnwatchedRadioGetsNoCcaCallbacksAndOneEventFewerPerDelivery) {
+  // Three frames from a, each delivered to b and c: the same outcomes
+  // either way, and each delivery to an unwatched radio saves its
+  // signal-end event.
+  const auto run = [](Cca cca, std::uint64_t* events) {
+    auto w = std::make_unique<World>(nist());
+    Radio& a = w->add_radio(1, {0, 0}, {}, cca);
+    w->add_radio(2, {50, 0}, {}, cca);
+    w->add_radio(3, {100, 0}, {}, cca);
+    const sim::Time d = frame_airtime(WifiRate::k6Mbps, 500) +
+                        sim::microseconds(100);
+    for (int i = 0; i < 3; ++i) {
+      w->simulator().at(i * d, [&a] { a.transmit(World::whole_frame(500)); });
+    }
+    w->simulator().run();
+    *events = w->simulator().events_executed();
+    return w;
+  };
+  std::uint64_t watched_events = 0, unwatched_events = 0;
+  const auto watched = run(Cca::kWatched, &watched_events);
+  const auto unwatched = run(Cca::kUnwatched, &unwatched_events);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(watched->listener(i).cca_changes.empty()) << i;
+    EXPECT_TRUE(unwatched->listener(i).cca_changes.empty()) << i;
+    EXPECT_EQ(unwatched->listener(i).rx_ends.size(),
+              watched->listener(i).rx_ends.size())
+        << i;
+  }
+  EXPECT_EQ(unwatched->radio(2).counters().rx_ok, 3u);
+  EXPECT_EQ(watched_events - unwatched_events, 3u * 2u);
+}
+
+TEST(Radio, UnwatchedCarrierBusyStillAnswersExactly) {
+  World w(nist());
+  Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
+  // Too deaf to lock, so only the preamble-CS threshold makes it busy.
+  RadioConfig deaf;
+  deaf.sensitivity_dbm = -60.0;
+  Radio& b = w.add_radio(2, {50, 0}, deaf, Cca::kUnwatched);
+  bool busy_mid = false, busy_after = true;
+  w.simulator().at(0, [&] { a.transmit(World::whole_frame(1400)); });
+  w.simulator().at(sim::microseconds(900),
+                   [&] { busy_mid = b.carrier_busy(); });
+  w.simulator().at(sim::milliseconds(3),
+                   [&] { busy_after = b.carrier_busy(); });
+  w.simulator().run();
+  EXPECT_TRUE(busy_mid);
+  EXPECT_FALSE(busy_after);
+  EXPECT_EQ(b.counters().locks, 0u);
+  EXPECT_TRUE(w.listener(1).cca_changes.empty());
+}
+
+TEST(Radio, OptInMidFrameReportsBusyToIdleAsFirstEdge) {
+  World w(nist());
+  Radio& a = w.add_radio(1, {0, 0});
+  // Too deaf to lock: no reception ends the frame for it, so only the
+  // signal end scheduled at opt-in can report the idle edge.
+  RadioConfig deaf;
+  deaf.sensitivity_dbm = -60.0;
+  Radio& b = w.add_radio(2, {50, 0}, deaf, Cca::kUnwatched);
+  const auto& changes = w.listener(1).cca_changes;
+  std::size_t edges_before_end = 99;
+  w.simulator().at(0, [&] { a.transmit(World::whole_frame(1400)); });
+  w.simulator().at(sim::microseconds(900), [&] {
+    ASSERT_TRUE(b.carrier_busy());
+    b.request_cca_notifications();
+    b.request_cca_notifications();  // idempotent: no second end event
+  });
+  // a's frame airs 0 .. 1892 us.
+  w.simulator().at(sim::microseconds(1800),
+                   [&] { edges_before_end = changes.size(); });
+  const std::uint64_t before = w.simulator().events_executed();
+  w.simulator().run();
+  EXPECT_EQ(edges_before_end, 0u);
+  EXPECT_EQ(changes, std::vector<bool>{false});
+  EXPECT_FALSE(b.carrier_busy());
+  // transmit, delivery, tx end, the opt-in, the probe and the one signal
+  // end the opt-in scheduled.
+  EXPECT_EQ(w.simulator().events_executed() - before, 6u);
+}
+
+TEST(Radio, DcfOptsInToCcaOnlyWithCarrierSense) {
+  for (const bool carrier_sense : {true, false}) {
+    World w(nist());
+    Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
+    Radio& b = w.add_radio(2, {50, 0}, {}, Cca::kUnwatched);
+    mac80211::DcfConfig cfg;
+    cfg.carrier_sense = carrier_sense;
+    mac80211::DcfMac dcf(w.simulator(), b, cfg, sim::Rng(7));
+    // Hand the radio back to the recorder: the opt-in, if the MAC made
+    // it, stays with the radio.
+    b.set_listener(&w.listener(1));
+    w.simulator().at(0, [&] { a.transmit(World::whole_frame(1400)); });
+    w.simulator().run();
+    EXPECT_EQ(w.listener(1).cca_changes.empty(), !carrier_sense)
+        << "carrier_sense " << carrier_sense;
+    EXPECT_EQ(w.listener(1).rx_ends.size(), 1u);
+  }
+}
+
 TEST(Radio, BelowDeliveryFloorNothingArrives) {
   World w(nist());
   Radio& a = w.add_radio(1, {0, 0});
@@ -200,27 +304,32 @@ TEST(Radio, IntegratedHeaderStreamsBeforeFrameEnd) {
 }
 
 TEST(Radio, SalvageRecoversTrailerOfUnlockedFrame) {
-  World w(nist());
-  RadioConfig cfg;
-  cfg.salvage_enabled = true;
-  Radio& a = w.add_radio(1, {50, 0});
-  Radio& x = w.add_radio(2, {60, 0});
-  w.add_radio(3, {0, 0}, cfg);
-  // a's frame: 0 .. 1892 us. x's frame starts at 500 us, ends ~2456 us;
-  // its trailer airs after a finishes, in the clear.
-  w.simulator().at(0, [&] { a.transmit(World::whole_frame(1400)); });
-  w.simulator().at(sim::microseconds(500),
-                   [&] { x.transmit(World::hbt_frame(24, 1400, 24)); });
-  w.simulator().run();
+  // Salvage needs no CCA watcher: an integrated-mode radio keeps its
+  // signal-end events either way.
+  for (const Cca cca : {Cca::kWatched, Cca::kUnwatched}) {
+    World w(nist());
+    RadioConfig cfg;
+    cfg.salvage_enabled = true;
+    Radio& a = w.add_radio(1, {50, 0}, {}, cca);
+    Radio& x = w.add_radio(2, {60, 0}, {}, cca);
+    w.add_radio(3, {0, 0}, cfg, cca);
+    // a's frame: 0 .. 1892 us. x's frame starts at 500 us, ends ~2456 us;
+    // its trailer airs after a finishes, in the clear.
+    w.simulator().at(0, [&] { a.transmit(World::whole_frame(1400)); });
+    w.simulator().at(sim::microseconds(500),
+                     [&] { x.transmit(World::hbt_frame(24, 1400, 24)); });
+    w.simulator().run();
 
-  auto& rx = w.listener(2);
-  ASSERT_EQ(rx.rx_ends.size(), 1u);        // locked frame from a
-  EXPECT_FALSE(rx.rx_ends[0].result.all_ok());  // x collided with it
-  ASSERT_EQ(rx.salvages.size(), 1u);
-  EXPECT_EQ(rx.salvages[0].frame.tx_node, 2u);
-  EXPECT_FALSE(rx.salvages[0].result.segment_ok[0]);  // header collided
-  EXPECT_TRUE(rx.salvages[0].result.segment_ok[2]);   // trailer clean
-  EXPECT_EQ(w.radio(2).counters().salvages, 1u);
+    auto& rx = w.listener(2);
+    ASSERT_EQ(rx.rx_ends.size(), 1u);        // locked frame from a
+    EXPECT_FALSE(rx.rx_ends[0].result.all_ok());  // x collided with it
+    ASSERT_EQ(rx.salvages.size(), 1u);
+    EXPECT_EQ(rx.salvages[0].frame.tx_node, 2u);
+    EXPECT_FALSE(rx.salvages[0].result.segment_ok[0]);  // header collided
+    EXPECT_TRUE(rx.salvages[0].result.segment_ok[2]);   // trailer clean
+    EXPECT_EQ(w.radio(2).counters().salvages, 1u);
+    EXPECT_EQ(rx.cca_changes.empty(), cca == Cca::kUnwatched);
+  }
 }
 
 TEST(Radio, NoSalvageWhenDisabled) {
