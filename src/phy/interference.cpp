@@ -9,11 +9,25 @@ namespace {
 // Below this size the compaction scan is cheaper than the bookkeeping to
 // avoid it; prune() never compacts a smaller vector.
 constexpr std::size_t kMinCompactSize = 16;
+
+// True when `a` sorts before `b` in the tracker's (start, frame id) order.
+bool arrives_before(const Signal& a, const Signal& b) {
+  if (a.start != b.start) return a.start < b.start;
+  const std::uint64_t fa = a.frame ? a.frame->id : 0;
+  const std::uint64_t fb = b.frame ? b.frame->id : 0;
+  return fa < fb;
+}
 }  // namespace
 
 void InterferenceTracker::add(Signal signal) {
   longest_ = std::max(longest_, signal.end - signal.start);
-  signals_.push_back(std::move(signal));
+  if (signals_.empty() || !arrives_before(signal, signals_.back())) {
+    signals_.push_back(std::move(signal));
+    return;
+  }
+  const auto at = std::upper_bound(signals_.begin(), signals_.end(), signal,
+                                   arrives_before);
+  signals_.insert(at, std::move(signal));
 }
 
 void InterferenceTracker::prune(sim::Time now) {

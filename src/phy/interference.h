@@ -8,6 +8,14 @@
 // S) in the number of tracked signals instead of the O(sub-intervals x S)
 // rescan of the original implementation, which lives on as the test-only
 // oracle in tests/oracles/interference_oracle.h.
+//
+// Signals are kept in (start, frame id) order: the order in which delivery
+// events run at one receiver (sim::delivery_rank). A signal the medium adds
+// at transmit time, ahead of its arrival (an inert arrival, phy/radio.h),
+// lands exactly where its arrival event would have put it, so every power
+// sum runs over the same signals in the same order either way. Queries
+// already ignore signals that have not started yet: active_power(t) counts
+// only start <= t, and evaluate() skips a signal with start >= end.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +56,9 @@ class InterferenceTracker {
       : noise_mw_(noise_floor_mw) {}
 
   /// Track `signal`, and record its duration if it is the longest seen.
+  /// Inserts in (start, frame id) order, a frameless signal counting as
+  /// frame id 0 and equal keys keeping add order. Adds that arrive in that
+  /// order, as delivery events do, are appends.
   void add(Signal signal);
 
   /// Drop the signals that no query from `now` on can see: those with
@@ -61,9 +72,9 @@ class InterferenceTracker {
   /// Amortized: the O(S) compaction only runs once the vector has grown
   /// past a threshold that doubles with the surviving size, so a caller
   /// pruning on every delivery pays O(1) amortized and expired signals may
-  /// linger in signals(). Compaction keeps insertion order, so every power
-  /// sum runs over the same signals in the same order as without pruning:
-  /// results are bit-identical.
+  /// linger in signals(). Compaction keeps the signals' order, so every
+  /// power sum runs over the same signals in the same order as without
+  /// pruning: results are bit-identical.
   void prune(sim::Time now);
 
   /// The tracked signal carrying frame `frame_id`, or null.

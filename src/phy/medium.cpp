@@ -305,19 +305,30 @@ void Medium::deliver_one(Radio& target, const Link& link,
   sig.power_mw = dbm_to_mw(power_dbm);
   sig.start = now + link.delay;
   sig.end = sig.start + frame->duration;
+  const int src_part = partition_of(frame->tx_node);
+  const int dst_part = partition_of(target.id());
+  // An inert arrival (phy/radio.h) goes straight into the receiver's
+  // tracker. Only within one partition: this thread owns that tracker.
+  if (src_part == dst_part && target.inert_arrival(sig.power_mw, sig.start)) {
+    target.add_interference(std::move(sig));
+    return;
+  }
   Radio* r = &target;
   // Ranked on (frame id, receiver id) — both intrinsic to the delivery —
   // so same-tick arrivals order identically whether this run is serial or
   // partitioned, and whichever route (direct or mailbox) a PDES delivery
   // takes.
+  const sim::Time start = sig.start;
+  auto arrive = [r, sig = std::move(sig)]() mutable {
+    r->deliver(std::move(sig));
+  };
   if (engine_ == nullptr) {
-    sim_.at_ranked(sig.start, sim::delivery_rank(frame->id, target.id()),
-                   [r, sig] { r->deliver(sig); });
+    sim_.at_ranked(start, sim::delivery_rank(frame->id, target.id()),
+                   std::move(arrive));
     return;
   }
-  engine_->schedule_delivery(partition_of(frame->tx_node),
-                             partition_of(target.id()), sig.start, frame->id,
-                             target.id(), [r, sig] { r->deliver(sig); });
+  engine_->schedule_delivery(src_part, dst_part, start, frame->id,
+                             target.id(), std::move(arrive));
 }
 
 void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {

@@ -100,21 +100,37 @@ void Radio::deliver(Signal signal) {
   // radio reception is keyed on frame ids throughout.
   CMAP_ASSERT(signal.frame != nullptr, "radio delivery requires a frame");
   const std::uint64_t fid = signal.frame->id;
+  const double power_mw = signal.power_mw;
+  const sim::Time start = signal.start;
+  const sim::Time end = signal.end;
   tracker_.prune(sim_.now());
-  tracker_.add(signal);
-  if (watch_cca_ || config_.salvage_enabled) schedule_signal_end(signal);
+  tracker_.add(std::move(signal));
+  if (watch_cca_ || config_.salvage_enabled) schedule_signal_end(fid, end);
 
-  if (signal.power_mw >= sensitivity_mw_) {
+  if (power_mw >= sensitivity_mw_) {
     const bool idle_lock_candidate = state_ == State::kIdle;
     const bool capture_candidate =
         state_ == State::kRx && config_.capture_enabled &&
-        signal.power_mw >= lock_power_mw_ * capture_ratio_;
+        power_mw >= lock_power_mw_ * capture_ratio_;
     if (idle_lock_candidate || capture_candidate) {
-      sim_.at(signal.start + kPlcpDuration,
-              [this, fid] { evaluate_preamble(fid); });
+      sim_.at(start + kPlcpDuration, [this, fid] { evaluate_preamble(fid); });
     }
   }
   update_cca();
+}
+
+bool Radio::inert_arrival(double power_mw, sim::Time start) const {
+  if (watch_cca_) return false;
+  if (power_mw < sensitivity_mw_) return true;
+  // Still transmitting when the signal starts, so deliver() would find the
+  // radio in kTx: no lock, no capture, no CCA to update.
+  return !config_.salvage_enabled && state_ == State::kTx && tx_end_ > start;
+}
+
+void Radio::add_interference(Signal signal) {
+  CMAP_ASSERT(signal.frame != nullptr, "radio delivery requires a frame");
+  tracker_.prune(sim_.now());
+  tracker_.add(std::move(signal));
 }
 
 void Radio::evaluate_preamble(std::uint64_t frame_id) {
@@ -278,16 +294,30 @@ void Radio::request_cca_notifications() {
   if (watch_cca_) return;
   watch_cca_ = true;
   last_cca_busy_ = carrier_busy();
-  // A salvaging radio already scheduled an end for every signal.
-  if (config_.salvage_enabled) return;
+  const sim::Time now = sim_.now();
   for (const Signal& sig : tracker_.signals()) {
-    if (sig.end > sim_.now()) schedule_signal_end(sig);
+    const std::uint64_t fid = sig.frame->id;
+    if (sig.start > now) {
+      // An inert arrival still in flight: replay the deliver() event it
+      // skipped, at its rank, as far as a watching radio needs it.
+      const sim::Time end = sig.end;
+      sim_.at_ranked(sig.start, sim::delivery_rank(fid, id_),
+                     [this, fid, end] {
+                       schedule_signal_end(fid, end);
+                       update_cca();
+                     });
+      continue;
+    }
+    // A salvaging radio already scheduled an end for every signal it did
+    // not take as inert, i.e. every signal at or above sensitivity.
+    const bool has_end =
+        config_.salvage_enabled && sig.power_mw >= sensitivity_mw_;
+    if (sig.end > now && !has_end) schedule_signal_end(fid, sig.end);
   }
 }
 
-void Radio::schedule_signal_end(const Signal& sig) {
-  const std::uint64_t fid = sig.frame->id;
-  sim_.at(sig.end, [this, fid] { on_signal_end(fid); });
+void Radio::schedule_signal_end(std::uint64_t frame_id, sim::Time end) {
+  sim_.at(end, [this, frame_id] { on_signal_end(frame_id); });
 }
 
 void Radio::on_signal_end(std::uint64_t frame_id) {

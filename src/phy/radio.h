@@ -16,6 +16,18 @@
 // in keeps no CCA state and, unless it salvages (integrated mode), schedules
 // no event at the end of each arriving signal — that event exists only to
 // re-evaluate CCA and to salvage.
+//
+// Inert arrivals take no event at all. An arrival is inert when the radio
+// has not opted in to CCA and either its power is below sensitivity_dbm, or
+// the radio does not salvage and is transmitting past the arrival's start.
+// Its arrival event could only have added the signal to the interference
+// tracker, so the medium adds it there at transmit time instead (only when
+// sender and receiver share a partition: the sender's thread must own the
+// tracker). The tracker keeps signals in (start, frame id) order, the order
+// arrival events run in at one receiver, so the early add lands where the
+// event would have put it (phy/interference.h). A salvaging radio is exempt
+// from the transmitting rule: maybe_salvage checks only its latest
+// transmission, so the signal's end event may still draw from its rng.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +125,8 @@ class Radio {
 
   /// Opt in to on_cca edge callbacks from now on (idempotent). The first
   /// edge reported is a change from the carrier state at the time of the
-  /// call; signals already on the air get their end events here.
+  /// call; signals already on the air get their end events here, and inert
+  /// arrivals still in flight get back the arrival event they skipped.
   void request_cca_notifications();
 
   /// Transmit `frame` at the configured power. Aborts any reception in
@@ -125,7 +138,9 @@ class Radio {
 
   /// Carrier-sense: busy when transmitting, locked onto a frame, any single
   /// signal exceeds the preamble-CS threshold, or total energy exceeds the
-  /// energy-detect threshold.
+  /// energy-detect threshold. An inert arrival starting at exactly now()
+  /// counts, even where its skipped arrival event would have run later in
+  /// the same tick.
   bool carrier_busy() const;
 
   NodeId id() const { return id_; }
@@ -148,10 +163,17 @@ class Radio {
   /// Not for MAC use.
   void deliver(Signal signal);
 
+  /// Medium-facing: whether an arrival of `power_mw` starting at `start`
+  /// is inert (see the file comment), judged at the transmit instant.
+  bool inert_arrival(double power_mw, sim::Time start) const;
+  /// Medium-facing: track an inert arrival's signal now, in place of its
+  /// deliver() event. Only from the thread that runs this radio's events.
+  void add_interference(Signal signal);
+
  private:
   enum class State { kIdle, kRx, kTx };
 
-  void schedule_signal_end(const Signal& sig);
+  void schedule_signal_end(std::uint64_t frame_id, sim::Time end);
   void on_signal_end(std::uint64_t frame_id);
   void evaluate_preamble(std::uint64_t frame_id);
   void lock(const Signal& sig);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "oracles/interference_oracle.h"
@@ -201,6 +203,93 @@ TEST(Interference, PrunedTrackerMatchesUnprunedOracleExactly) {
   }
   // Not vacuous: pruning dropped most of the stream.
   EXPECT_LT(3 * pruned_total, oracle_total);
+}
+
+// The early-add invariant behind inert arrivals (phy/radio.h): adds made
+// out of arrival order leave the tracker exactly as adds in (start, frame
+// id) order, the order delivery events run in at one receiver, so every
+// query answers bit-for-bit the same.
+TEST(Interference, OutOfOrderAddsMatchArrivalOrderAddsExactly) {
+  sim::Rng rng(77);
+  NistErrorModel model;
+  for (int trial = 0; trial < 20; ++trial) {
+    // Distinct frame ids, deliberately not in start order; a 10 ns grid
+    // so that starts tie.
+    const int n = 40;
+    std::vector<Signal> signals;
+    for (int i = 0; i < n; ++i) {
+      const sim::Time start = 10 * rng.uniform_int(0, 40);
+      const sim::Time end = start + 10 * rng.uniform_int(1, 20);
+      signals.push_back(make_signal(static_cast<std::uint64_t>(1 + (7 * i) % n),
+                                    rng.uniform(-95.0, -60.0), start, end));
+    }
+    std::vector<Signal> arrival_order = signals;
+    std::sort(arrival_order.begin(), arrival_order.end(),
+              [](const Signal& a, const Signal& b) {
+                return a.start != b.start ? a.start < b.start
+                                          : a.frame->id < b.frame->id;
+              });
+    std::vector<Signal> shuffled = signals;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1],
+                shuffled[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    InterferenceTracker in_order(dbm_to_mw(kNoiseDbm));
+    InterferenceTracker out_of_order(dbm_to_mw(kNoiseDbm));
+    for (const Signal& x : arrival_order) in_order.add(x);
+    for (const Signal& x : shuffled) out_of_order.add(x);
+
+    ASSERT_EQ(in_order.signals().size(), out_of_order.signals().size());
+    for (std::size_t i = 0; i < in_order.signals().size(); ++i) {
+      const Signal& a = in_order.signals()[i];
+      const Signal& b = out_of_order.signals()[i];
+      EXPECT_EQ(a.frame->id, arrival_order[i].frame->id) << i;
+      EXPECT_EQ(a.frame->id, b.frame->id) << i;
+      EXPECT_EQ(a.start, b.start) << i;
+      EXPECT_EQ(a.end, b.end) << i;
+      EXPECT_EQ(a.power_mw, b.power_mw) << i;
+    }
+    for (sim::Time t = 0; t <= 620; t += 10) {
+      const ActivePower a = in_order.active_power(t);
+      const ActivePower b = out_of_order.active_power(t);
+      EXPECT_EQ(a.total_mw, b.total_mw) << "t=" << t;
+      EXPECT_EQ(a.max_mw, b.max_mw) << "t=" << t;
+    }
+    for (const Signal& x : signals) {
+      const std::uint64_t id = x.frame->id;
+      const sim::Time begin = x.start + rng.uniform_int(0, x.end - x.start - 1);
+      const sim::Time end = begin + rng.uniform_int(1, x.end - begin);
+      const ChunkOutcome a = in_order.evaluate(id, begin, end, 800,
+                                               WifiRate::k6Mbps, model, 1.0);
+      const ChunkOutcome b = out_of_order.evaluate(
+          id, begin, end, 800, WifiRate::k6Mbps, model, 1.0);
+      EXPECT_EQ(a.success_prob, b.success_prob) << "frame " << id;
+      EXPECT_EQ(a.min_sinr, b.min_sinr) << "frame " << id;
+      EXPECT_EQ(in_order.min_sinr(id, x.start, x.end),
+                out_of_order.min_sinr(id, x.start, x.end))
+          << "frame " << id;
+    }
+  }
+}
+
+TEST(Interference, EqualKeysKeepAddOrder) {
+  InterferenceTracker t(dbm_to_mw(kNoiseDbm));
+  Signal noise;
+  noise.power_mw = dbm_to_mw(-80.0);
+  noise.start = 5;
+  noise.end = 50;
+  t.add(make_signal(3, -80.0, 5, 50));
+  t.add(noise);  // frameless: frame id 0, before frame 3
+  noise.end = 60;
+  t.add(noise);  // same key: after the first frameless signal
+  t.add(make_signal(2, -80.0, 0, 50));
+  ASSERT_EQ(t.signals().size(), 4u);
+  EXPECT_EQ(t.signals()[0].frame->id, 2u);
+  EXPECT_EQ(t.signals()[1].end, 50);
+  EXPECT_EQ(t.signals()[1].frame, nullptr);
+  EXPECT_EQ(t.signals()[2].end, 60);
+  EXPECT_EQ(t.signals()[3].frame->id, 3u);
 }
 
 TEST(Interference, FramelessSignalCountsAsInterference) {

@@ -7,9 +7,11 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mac80211/dcf.h"
 #include "phy/medium.h"
+#include "phy/partition.h"
 #include "phy/units.h"
 #include "phy_test_util.h"
 #include "sim/time.h"
@@ -223,9 +225,9 @@ TEST(Radio, OptInMidFrameReportsBusyToIdleAsFirstEdge) {
   EXPECT_EQ(edges_before_end, 0u);
   EXPECT_EQ(changes, std::vector<bool>{false});
   EXPECT_FALSE(b.carrier_busy());
-  // transmit, delivery, tx end, the opt-in, the probe and the one signal
-  // end the opt-in scheduled.
-  EXPECT_EQ(w.simulator().events_executed() - before, 6u);
+  // transmit, tx end, the opt-in, the probe and the one signal end the
+  // opt-in scheduled. The deaf radio's arrival is inert: no event.
+  EXPECT_EQ(w.simulator().events_executed() - before, 5u);
 }
 
 TEST(Radio, DcfOptsInToCcaOnlyWithCarrierSense) {
@@ -245,6 +247,179 @@ TEST(Radio, DcfOptsInToCcaOnlyWithCarrierSense) {
         << "carrier_sense " << carrier_sense;
     EXPECT_EQ(w.listener(1).rx_ends.size(), 1u);
   }
+}
+
+// ---- Inert arrivals: deliveries that can only add interference ----
+
+// How many events `fn` put on the queue. The tests' queues stay far below
+// the size at which stale keys are compacted.
+template <class F>
+std::size_t events_scheduled_by(World& w, F&& fn) {
+  const std::size_t before = w.simulator().queue().heap_size();
+  fn();
+  return w.simulator().queue().heap_size() - before;
+}
+
+// Records the instant of every CCA edge.
+class CcaClock : public RadioListener {
+ public:
+  explicit CcaClock(const sim::Simulator& sim) : sim_(sim) {}
+  void on_cca(bool busy) override { edges.emplace_back(sim_.now(), busy); }
+  std::vector<std::pair<sim::Time, bool>> edges;
+
+ private:
+  const sim::Simulator& sim_;
+};
+
+RadioConfig deaf_config() {
+  RadioConfig deaf;
+  deaf.sensitivity_dbm = -60.0;  // a's -70.7 dBm at 50 m stays below it
+  return deaf;
+}
+
+TEST(Radio, SubSensitivityArrivalIsEventlessOnlyAtAnUnwatchedRadio) {
+  for (const Cca cca : {Cca::kUnwatched, Cca::kWatched}) {
+    World w(nist());
+    Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
+    Radio& b = w.add_radio(2, {50, 0}, deaf_config(), cca);
+    std::size_t scheduled = 0, tracked = 0;
+    w.simulator().at(0, [&] {
+      scheduled = events_scheduled_by(
+          w, [&] { a.transmit(World::whole_frame(1400)); });
+      tracked = b.interference().signals().size();
+    });
+    w.simulator().run();
+    const bool watched = cca == Cca::kWatched;
+    // a's tx end, plus b's arrival event unless the arrival is inert, in
+    // which case the signal is tracked before it starts.
+    EXPECT_EQ(scheduled, watched ? 2u : 1u) << "watched " << watched;
+    EXPECT_EQ(tracked, watched ? 0u : 1u) << "watched " << watched;
+    EXPECT_EQ(b.counters().locks, 0u);
+    EXPECT_EQ(b.interference().signals().size(), 1u);
+  }
+}
+
+TEST(Radio, WatchedRadioReportsSubSensitivityEnergyAtTheArrivalInstant) {
+  // Two frames, each below b's sensitivity and energy-detect levels, are
+  // together above energy detect: b turns busy when the second arrives.
+  World w(nist());
+  Radio& a1 = w.add_radio(1, {-50, 0}, {}, Cca::kUnwatched);
+  Radio& a2 = w.add_radio(2, {50, 0}, {}, Cca::kUnwatched);
+  RadioConfig cfg = deaf_config();
+  cfg.cs_signal_dbm = -60.0;
+  cfg.energy_detect_dbm = -69.0;
+  Radio& b = w.add_radio(3, {0, 0}, cfg, Cca::kWatched);
+  const double one = w.medium().mean_rx_power_dbm(1, 3);
+  ASSERT_NEAR(one, w.medium().mean_rx_power_dbm(2, 3), 1e-9);
+  ASSERT_LT(one, cfg.energy_detect_dbm);
+  ASSERT_GT(mw_to_dbm(2.0 * dbm_to_mw(one)), cfg.energy_detect_dbm);
+  CcaClock clock(w.simulator());
+  b.set_listener(&clock);
+
+  const sim::Time second = sim::microseconds(200);
+  w.simulator().at(0, [&] { a1.transmit(World::whole_frame(1400)); });
+  w.simulator().at(second, [&] { a2.transmit(World::whole_frame(1400)); });
+  w.simulator().run();
+
+  const sim::Time delay = propagation_delay_ns(50.0);
+  const sim::Time airtime = frame_airtime(WifiRate::k6Mbps, 1400);
+  const std::vector<std::pair<sim::Time, bool>> expected = {
+      {second + delay, true}, {delay + airtime, false}};
+  EXPECT_EQ(clock.edges, expected);
+  EXPECT_EQ(b.counters().locks, 0u);
+}
+
+TEST(Radio, ArrivalAtATransmittingRadioIsEventlessOnlyIfItStartsBeforeTxEnd) {
+  // b transmits 0 .. airtime; a's frame reaches b `delay` after a sends.
+  const sim::Time delay = propagation_delay_ns(50.0);
+  const sim::Time airtime = frame_airtime(WifiRate::k6Mbps, 1400);
+  struct Case {
+    sim::Time start;  // of a's signal at b
+    bool salvage;
+    std::size_t arrival_events;
+  };
+  for (const Case c : {Case{airtime - sim::microseconds(1), false, 0},
+                       Case{airtime, false, 1},
+                       Case{airtime - sim::microseconds(1), true, 1}}) {
+    World w(nist());
+    RadioConfig cfg;
+    cfg.salvage_enabled = c.salvage;
+    // Deaf, so b's frame does not lock a: a schedules only its own events.
+    Radio& a = w.add_radio(1, {0, 0}, deaf_config(), Cca::kUnwatched);
+    Radio& b = w.add_radio(2, {50, 0}, cfg, Cca::kUnwatched);
+    std::size_t scheduled = 0;
+    w.simulator().at(0, [&] { b.transmit(World::whole_frame(1400)); });
+    w.simulator().at(c.start - delay, [&] {
+      ASSERT_TRUE(b.transmitting());
+      scheduled = events_scheduled_by(
+          w, [&] { a.transmit(World::whole_frame(1400)); });
+    });
+    w.simulator().run();
+    // a's tx end, plus the arrival event at b when it is not inert.
+    EXPECT_EQ(scheduled, 1u + c.arrival_events)
+        << "start " << c.start << " salvage " << c.salvage;
+    EXPECT_EQ(b.counters().frames_sent, 1u);
+  }
+}
+
+TEST(Radio, SalvagingTransmitterKeepsTheEndEventOfAFrameItTalksOver) {
+  // a's frame reaches b while b is still transmitting, and b starts its
+  // next frame at exactly the instant a's frame ends. maybe_salvage then
+  // checks only that newest transmission, finds no overlap and decodes:
+  // the signal-end event matters even though b talked over the frame's
+  // start, so an unwatched salvaging radio must behave as a watched one.
+  std::vector<RecordingListener::RxEvent> salvages[2];
+  for (const Cca cca : {Cca::kWatched, Cca::kUnwatched}) {
+    World w(nist());
+    RadioConfig cfg;
+    cfg.salvage_enabled = true;
+    Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
+    Radio& b = w.add_radio(2, {50, 0}, cfg, cca);
+    const sim::Time sent = sim::microseconds(1800);  // b airs 0 .. 1892 us
+    const Frame frame = World::hbt_frame(24, 1400, 24);
+    const sim::Time end = sent + propagation_delay_ns(50.0) +
+                          frame_airtime(frame.rate, frame.size_bytes());
+    // Scheduled first, so b's second transmit runs before the signal end
+    // that a's arrival schedules for the same instant.
+    w.simulator().at(end, [&] { b.transmit(World::whole_frame(100)); });
+    w.simulator().at(0, [&] { b.transmit(World::whole_frame(1400)); });
+    w.simulator().at(sent, [&] { a.transmit(frame); });
+    w.simulator().run();
+    EXPECT_EQ(b.counters().frames_sent, 2u);
+    salvages[cca == Cca::kUnwatched] = w.listener(1).salvages;
+  }
+  ASSERT_EQ(salvages[0].size(), 1u);  // not vacuous: the end event decoded
+  ASSERT_EQ(salvages[1].size(), salvages[0].size());
+  EXPECT_EQ(salvages[1][0].frame.id, salvages[0][0].frame.id);
+  EXPECT_EQ(salvages[1][0].result.segment_ok,
+            salvages[0][0].result.segment_ok);
+}
+
+TEST(Radio, OptInBeforeAnInertArrivalReplaysItsArrivalEdge) {
+  // b opts in while a's frame is in flight to it, after the frame went
+  // into b's tracker as an inert arrival: b still reports the busy edge
+  // at the arrival instant, exactly as a radio watching all along does.
+  std::vector<std::pair<sim::Time, bool>> edges[2];
+  for (const bool late : {false, true}) {
+    World w(nist());
+    Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
+    Radio& b = w.add_radio(2, {50, 0}, deaf_config(),
+                           late ? Cca::kUnwatched : Cca::kWatched);
+    CcaClock clock(w.simulator());
+    b.set_listener(&clock);
+    w.simulator().at(0, [&] {
+      a.transmit(World::whole_frame(1400));
+      EXPECT_EQ(b.interference().signals().size(), late ? 1u : 0u);
+      b.request_cca_notifications();
+    });
+    w.simulator().run();
+    edges[late] = clock.edges;
+  }
+  const sim::Time delay = propagation_delay_ns(50.0);
+  const std::vector<std::pair<sim::Time, bool>> expected = {
+      {delay, true}, {delay + frame_airtime(WifiRate::k6Mbps, 1400), false}};
+  EXPECT_EQ(edges[0], expected);
+  EXPECT_EQ(edges[1], expected);
 }
 
 TEST(Radio, BelowDeliveryFloorNothingArrives) {

@@ -5,7 +5,16 @@
 // once with every radio opted in to CCA notifications, which restores the
 // signal-end event per delivery. The per-flow results, the metrics counter
 // section and the trace streams must be identical, and the run as built
-// must execute fewer events, by at most one per delivery.
+// must execute fewer events.
+//
+// Watching also turns each inert arrival (phy/radio.h) at a watched radio
+// back into an arrival event, so the watched run has at most two events
+// per delivery more: the arrival and the signal end. Without salvage the
+// gap must exceed one event per delivery, more than the saved signal ends
+// alone can account for: that shows the inert path fired. A salvaging
+// radio keeps both events for every arrival at or above sensitivity, so
+// there only the upper bound holds; that case runs the salvage exemption
+// of the inert rule.
 //
 // The opted-in run also keeps the "signal missing at its end" assertion in
 // Radio::on_signal_end exercised under CMAP, whose radios otherwise never
@@ -130,7 +139,11 @@ TEST_P(CarrierSenseOnDemand, UnwatchedSignalEndsChangeNothing) {
 
   EXPECT_EQ(as_built.deliveries, watched.deliveries);
   EXPECT_LT(as_built.events, watched.events);
-  EXPECT_LE(watched.events - as_built.events, as_built.deliveries);
+  const std::uint64_t saved = watched.events - as_built.events;
+  if (c.scheme != testbed::Scheme::kCmapIntegrated) {
+    EXPECT_LT(as_built.deliveries, saved);
+  }
+  EXPECT_LE(saved, 2 * as_built.deliveries);
   std::filesystem::remove_all(dir);
 }
 
@@ -143,7 +156,9 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"mobile_floor_50_cmap", "mobile_floor_50",
              testbed::Scheme::kCmap, 1, 1},
         Case{"flows_50_cs_off_acks", "flows_50",
-             testbed::Scheme::kCsmaOffAcks, 1, 1}),
+             testbed::Scheme::kCsmaOffAcks, 1, 1},
+        Case{"flows_50_cmap_integrated", "flows_50",
+             testbed::Scheme::kCmapIntegrated, 1, 1}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.label);
     });
