@@ -1,6 +1,6 @@
 // Micro-benchmarks of the hot paths: event queue churn, SINR chunking
-// (swept vs brute-force reference), transmit fan-out (cached/culled vs
-// brute-force reference), error-model evaluation, defer-table lookups, and
+// (swept vs brute-force reference), transmit fan-out (cached/culled rows vs
+// the brute-force row scan), error-model evaluation, defer-table lookups, and
 // full testbed construction (the measurement pass dominates experiment
 // startup).
 #include <benchmark/benchmark.h>
@@ -11,6 +11,7 @@
 
 #include "core/defer_table.h"
 #include "oracles/interference_oracle.h"
+#include "oracles/link_oracle.h"
 #include "phy/error_model.h"
 #include "phy/interference.h"
 #include "phy/medium.h"
@@ -126,24 +127,19 @@ BENCHMARK(BM_InterferenceEvaluateReference)
     ->Arg(256);
 
 // N radios on a grid under log-distance-with-shadowing propagation; one
-// center node transmits. Fast = the default kSparse medium (cached, culled
-// rows); brute = kDenseReference (per-receiver propagation recomputation
-// and full fan-out). Deliveries are drained outside the timed region, so
-// the measurement isolates Medium::transmit itself.
+// center node transmits. Fast = Medium::transmit from the cached, culled
+// row, with deliveries drained outside the timed region, so the
+// measurement isolates Medium::transmit itself. Brute = the link oracle's
+// row for the same source: a propagation query for every other radio,
+// the work a fan-out without cached rows repeats on every frame.
 struct FanoutWorld {
   sim::Simulator sim;
   phy::Medium medium;
   std::vector<std::unique_ptr<phy::Radio>> radios;
 
-  static phy::MediumConfig medium_config(bool fast) {
-    phy::MediumConfig m;
-    if (!fast) m.link_state = phy::LinkStateMode::kDenseReference;
-    return m;
-  }
-
-  FanoutWorld(int n, bool fast)
+  explicit FanoutWorld(int n)
       : medium(sim, std::make_shared<phy::LogDistanceShadowing>(),
-               medium_config(fast), sim::Rng(7)) {
+               phy::MediumConfig{}, sim::Rng(7)) {
     const auto model = std::make_shared<phy::NistErrorModel>();
     const int side =
         static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
@@ -158,9 +154,9 @@ struct FanoutWorld {
   }
 };
 
-void run_transmit_fanout(benchmark::State& state, bool fast) {
+void BM_TransmitFanoutFast(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  FanoutWorld w(n, fast);
+  FanoutWorld w(n);
   phy::Radio& src = *w.radios[static_cast<std::size_t>(n) / 2];
   const sim::Time airtime = phy::frame_airtime(phy::WifiRate::k6Mbps, 1400);
   int batch = 0;
@@ -184,14 +180,20 @@ void run_transmit_fanout(benchmark::State& state, bool fast) {
     }
   }
   state.counters["reach"] =
-      static_cast<double>(w.medium.fanout_candidates(src.id()));
+      static_cast<double>(w.medium.row(src.id()).size());
 }
 
-void BM_TransmitFanoutFast(benchmark::State& state) {
-  run_transmit_fanout(state, true);
-}
 void BM_TransmitFanoutBrute(benchmark::State& state) {
-  run_transmit_fanout(state, false);
+  const int n = static_cast<int>(state.range(0));
+  FanoutWorld w(n);
+  const phy::NodeId src = w.radios[static_cast<std::size_t>(n) / 2]->id();
+  std::size_t reach = 0;
+  for (auto _ : state) {
+    const auto row = oracles::brute_row(w.medium, src);
+    reach = row.size();
+    benchmark::DoNotOptimize(row.data());
+  }
+  state.counters["reach"] = static_cast<double>(reach);
 }
 BENCHMARK(BM_TransmitFanoutFast)->Arg(50)->Arg(200)->Arg(400);
 BENCHMARK(BM_TransmitFanoutBrute)->Arg(50)->Arg(200)->Arg(400);

@@ -8,8 +8,8 @@
 // over an identical seeded move sequence on a shadowed floor, then verifies
 // the moved medium landed in a bit-identical state to a fresh build at the
 // final positions (every mean gain, every row size). Reports the speedup;
-// the golden tests (test_sparse_golden.cpp) separately pin that whole
-// mobile sweeps stay byte-identical to the kDenseReference oracle.
+// the row audits (test_sparse_golden.cpp) separately check every row of
+// whole mobile runs against the brute-force link oracle.
 //
 // Doubles as a CI regression probe: the timing row rides in CMAP_BENCH_JSON
 // and tools/check_bench_regression.py enforces mobility_speedup as a
@@ -73,7 +73,7 @@ std::uint64_t state_hash(const Floor& floor) {
   const int n = static_cast<int>(floor.radios.size());
   for (int a = 0; a < n; ++a) {
     h = sim::mix64(
-        h ^ floor.medium->fanout_candidates(static_cast<phy::NodeId>(a)));
+        h ^ floor.medium->row(static_cast<phy::NodeId>(a)).size());
     for (int b = 0; b < n; ++b) {
       if (a == b) continue;
       const double g = floor.medium->mean_rx_power_dbm(

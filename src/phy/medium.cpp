@@ -37,8 +37,7 @@ Medium::Medium(sim::Simulator& simulator,
       config_(config),
       rng_(rng) {
   // A negative guard or sigma would raise the cull floor above the
-  // delivery floor and silently drop receivers the reference path
-  // delivers to.
+  // delivery floor and silently drop receivers that clear it.
   constexpr const char* kConfig = "MediumConfig";
   sim::require_valid(std::isfinite(config_.delivery_floor_dbm), kConfig,
                      "delivery_floor_dbm", config_.delivery_floor_dbm);
@@ -48,11 +47,8 @@ Medium::Medium(sim::Simulator& simulator,
   sim::require_valid(std::isfinite(config_.cull_guard_sigmas) &&
                          config_.cull_guard_sigmas >= 0.0,
                      kConfig, "cull_guard_sigmas", config_.cull_guard_sigmas);
-  if (cached()) {
-    dyn_delta_db_ =
-        propagation_->epoch_delta_bound_db(config_.cull_guard_sigmas);
-    track_watch_ = dyn_delta_db_ > 0.0;
-  }
+  dyn_delta_db_ = propagation_->epoch_delta_bound_db(config_.cull_guard_sigmas);
+  track_watch_ = dyn_delta_db_ > 0.0;
 }
 
 double Medium::cull_floor_dbm() const {
@@ -60,11 +56,15 @@ double Medium::cull_floor_dbm() const {
          config_.cull_guard_sigmas * config_.fading_sigma_db;
 }
 
-Medium::Link Medium::compute_link(const Radio& src, const Radio& dst) const {
-  // Every propagation-model query is a cache miss by definition: the two
-  // link-state modes differ exactly in how rarely they land here.
+Medium::RowLink Medium::compute_link(std::uint32_t src_idx,
+                                     std::uint32_t dst_idx) const {
+  // Every propagation-model query is a cache miss by definition: rows
+  // exist so that transmit() never lands here.
   metrics_.inc(metrics::Counter::kPhyGainCacheMisses);
-  Link link;
+  const Radio& src = *radios_[src_idx];
+  const Radio& dst = *radios_[dst_idx];
+  RowLink link;
+  link.dst = dst_idx;
   link.gain_dbm =
       propagation_->rx_power_dbm(src.config().tx_power_dbm, src.id(), dst.id(),
                                  src.position(), dst.position());
@@ -100,7 +100,6 @@ void Medium::attach(Radio* radio) {
   const auto idx = static_cast<std::uint32_t>(radios_.size());
   index_by_id_[radio->id()] = idx;
   radios_.push_back(radio);
-  if (!cached()) return;
 
   ensure_candidate_radius(radio->config().tx_power_dbm);
   if (!grid_) {
@@ -130,27 +129,27 @@ void Medium::ensure_candidate_radius(double tx_power_dbm) {
 }
 
 void Medium::link_neighborhood(std::uint32_t idx) {
-  const Radio& radio = *radios_[idx];
-  grid_->query(radio.position(), candidate_radius_m_, &scratch_);
+  grid_->query(radios_[idx]->position(), candidate_radius_m_, &scratch_);
   for (const std::uint32_t j : scratch_) {
     if (j == idx) continue;
-    sparse_classify(idx, j, compute_link(radio, *radios_[j]));
-    sparse_classify(j, idx, compute_link(*radios_[j], radio));
+    sparse_classify(idx, compute_link(idx, j));
+    sparse_classify(j, compute_link(j, idx));
   }
 }
 
-void Medium::sparse_classify(std::uint32_t src, std::uint32_t dst,
-                             const Link& link) {
+void Medium::sparse_classify(std::uint32_t src, const RowLink& link) {
   if (link.gain_dbm >= cull_floor_dbm()) {
     auto& row = sparse_rows_[src];
-    const auto it = find_dst(row, dst);
-    CMAP_ASSERT(it == row.end() || it->dst != dst, "duplicate sparse link");
-    row.insert(it, SparseLink{dst, link});
+    const auto it = find_dst(row, link.dst);
+    CMAP_ASSERT(it == row.end() || it->dst != link.dst,
+                "duplicate sparse link");
+    row.insert(it, link);
   } else if (track_watch_) {
     auto& row = watch_rows_[src];
-    const auto it = find_dst(row, dst);
-    CMAP_ASSERT(it == row.end() || it->dst != dst, "duplicate watch entry");
-    row.insert(it, WatchEntry{dst, link.gain_dbm, channel_epoch_});
+    const auto it = find_dst(row, link.dst);
+    CMAP_ASSERT(it == row.end() || it->dst != link.dst,
+                "duplicate watch entry");
+    row.insert(it, WatchEntry{link.dst, link.gain_dbm, channel_epoch_});
   }
 }
 
@@ -168,20 +167,17 @@ void Medium::sparse_erase(std::uint32_t src, std::uint32_t dst) {
 }
 
 void Medium::refresh_all() {
-  if (!cached()) return;
   metrics_dyn_.inc(metrics::Counter::kDynFullRefreshes);
   ++channel_epoch_;
   const double floor = cull_floor_dbm();
-  std::vector<SparseLink> new_active;
+  std::vector<RowLink> new_active;
   std::vector<WatchEntry> new_watch;
   for (std::uint32_t i = 0; i < radios_.size(); ++i) {
     auto& active = sparse_rows_[i];
     if (!track_watch_) {
       // Static model: gains cannot have moved, but honor refresh_all's
       // "reconcile with current answers" contract on what is materialized.
-      for (auto& e : active) {
-        e.link = compute_link(*radios_[i], *radios_[e.dst]);
-      }
+      for (auto& e : active) e = compute_link(i, e.dst);
       continue;
     }
     auto& watch = watch_rows_[i];
@@ -190,9 +186,9 @@ void Medium::refresh_all() {
     new_active.reserve(active.size());
     new_watch.reserve(watch.size());
     const auto classify = [&](std::uint32_t dst) {
-      const Link link = compute_link(*radios_[i], *radios_[dst]);
+      const RowLink link = compute_link(i, dst);
       if (link.gain_dbm >= floor) {
-        new_active.push_back(SparseLink{dst, link});
+        new_active.push_back(link);
       } else {
         new_watch.push_back(WatchEntry{dst, link.gain_dbm, channel_epoch_});
       }
@@ -228,7 +224,6 @@ void Medium::refresh_all() {
 void Medium::on_position_changed(Radio& radio) {
   ++position_epoch_;
   metrics_dyn_.inc(metrics::Counter::kDynMoves);
-  if (!cached()) return;
   const std::uint32_t idx = index_of(radio.id());
   CMAP_ASSERT(idx != kNoIndex, "position change for unattached radio");
   metrics_dyn_.inc(metrics::Counter::kDynIncrementalInvalidations);
@@ -252,10 +247,10 @@ Radio* Medium::radio(NodeId id) const {
   return idx == kNoIndex ? nullptr : radios_[idx];
 }
 
-std::size_t Medium::fanout_candidates(NodeId source) const {
+std::span<const Medium::RowLink> Medium::row(NodeId source) const {
   const std::uint32_t idx = index_of(source);
   CMAP_ASSERT(idx != kNoIndex, "unknown radio id");
-  return cached() ? sparse_rows_[idx].size() : radios_.size() - 1;
+  return sparse_rows_[idx];
 }
 
 std::size_t Medium::watch_entries() const {
@@ -268,21 +263,20 @@ double Medium::mean_rx_power_dbm(NodeId from, NodeId to) const {
   const Radio* src = radio(from);
   const Radio* dst = radio(to);
   CMAP_ASSERT(src != nullptr && dst != nullptr, "unknown radio id");
-  if (cached() && from != to) {
+  if (from != to) {
     const auto& row = sparse_rows_[index_of(from)];
     const std::uint32_t di = index_of(to);
     const auto it = std::lower_bound(
         row.begin(), row.end(), di,
-        [](const SparseLink& e, std::uint32_t d) { return e.dst < d; });
-    if (it != row.end() && it->dst == di) return it->link.gain_dbm;
-    // Not materialized (below the cull floor): the model's current answer
-    // is exactly what the reference path computes.
+        [](const RowLink& e, std::uint32_t d) { return e.dst < d; });
+    if (it != row.end() && it->dst == di) return it->gain_dbm;
+    // Not in the row (below the cull floor): ask the model directly.
   }
   return propagation_->rx_power_dbm(src->config().tx_power_dbm, from, to,
                                     src->position(), dst->position());
 }
 
-void Medium::deliver_one(Radio& target, const Link& link,
+void Medium::deliver_one(Radio& target, const RowLink& link,
                          const std::shared_ptr<const Frame>& frame,
                          sim::Time now) {
   double power_dbm = link.gain_dbm;
@@ -336,33 +330,18 @@ void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
   // lives on its partition's simulator, and the medium's own handle is the
   // global sequencer whose clock lags inside a parallel window.
   const sim::Time now = source.simulator().now();
+  const std::uint32_t si = index_of(source.id());
+  CMAP_ASSERT(si != kNoIndex, "transmit from unattached radio");
+  const std::vector<RowLink>& links = sparse_rows_[si];
   if (metrics_.on()) {
+    // The row serves the whole fan-out; everyone outside it was culled.
     metrics_.inc(metrics::Counter::kPhyTransmits);
-    if (cached()) {
-      // The cached mode serves the whole fan-out from stored rows; everyone
-      // outside the row was culled. The reference mode's per-receiver
-      // recomputes land in kPhyGainCacheMisses via compute_link.
-      const std::size_t candidates = fanout_candidates(source.id());
-      metrics_.add(metrics::Counter::kPhyGainCacheHits, candidates);
-      metrics_.add(metrics::Counter::kPhyCulledReceivers,
-                   radios_.size() - 1 - candidates);
-    }
+    metrics_.add(metrics::Counter::kPhyGainCacheHits, links.size());
+    metrics_.add(metrics::Counter::kPhyCulledReceivers,
+                 radios_.size() - 1 - links.size());
   }
-  if (cached()) {
-    const std::uint32_t si = index_of(source.id());
-    CMAP_ASSERT(si != kNoIndex, "transmit from unattached radio");
-    // Rows are dst-index-sorted: deliveries land in the same order the
-    // reference path's attach-order scan produces.
-    for (const SparseLink& e : sparse_rows_[si]) {
-      deliver_one(*radios_[e.dst], e.link, frame, now);
-    }
-    return;
-  }
-  // Reference path: re-derive propagation per receiver on every frame.
-  for (Radio* r : radios_) {
-    if (r == &source) continue;
-    deliver_one(*r, compute_link(source, *r), frame, now);
-  }
+  // Rows are dst-index-sorted: deliveries land in attach order.
+  for (const RowLink& e : links) deliver_one(*radios_[e.dst], e, frame, now);
 }
 
 }  // namespace cmap::phy

@@ -2,33 +2,33 @@
 // radio whose received power clears the delivery floor, applying
 // propagation loss, per-delivery fading and propagation delay.
 //
-// Link state comes in two representations (MediumConfig::link_state):
+// Link state is sparse: nothing O(n^2) ever materializes. A uniform-grid
+// spatial index over radio positions supplies candidate neighbors within
+// the propagation model's guard-banded range bound
+// (PropagationModel::rx_power_bound_dbm). Each source keeps one row: the
+// links whose mean gain clears the cull floor (delivery floor minus the
+// fading guard band), sorted by destination, with gains and delays cached.
+// A move touches only the mover's old and new candidate neighborhoods.
+// Below-floor candidates go on a per-source *watch list* only when the
+// model is time-varying (epoch_delta_bound_db > 0); refresh_all() then
+// re-checks a watched link only once the accumulated per-epoch AR(1)
+// delta bound says it could have crossed the floor.
 //
-//  - kSparse (default): nothing O(n^2) ever materializes. A uniform-grid
-//    spatial index over radio positions supplies candidate neighbors
-//    within the propagation model's guard-banded range bound
-//    (PropagationModel::rx_power_bound_dbm); each source stores only the
-//    sorted list of links whose mean gain clears the cull floor (delivery
-//    floor minus the fading guard band), with gains and delays cached.
-//    A move touches only the mover's old and new candidate neighborhoods.
-//    Below-floor candidates go on a per-source *watch list* only when the
-//    model is time-varying (epoch_delta_bound_db > 0); refresh_all() then
-//    re-checks a watched link only once the accumulated per-epoch AR(1)
-//    delta bound says it could have crossed the floor.
-//  - kDenseReference: no caching; every transmit re-queries the
-//    PropagationModel for every other radio. The oracle kSparse is
-//    golden-tested against.
+// A row must equal what a brute-force scan of every radio through the
+// propagation model finds (docs/link_state.md); the test-only link oracle
+// (tests/oracles/link_oracle.h) checks exactly that, through row().
 //
 // Per-delivery fading is drawn from a substream keyed on (frame id,
 // receiver id) rather than a shared sequential stream, so culling a
 // hopeless receiver cannot perturb any other delivery's randomness — with
-// fading disabled the culled path is exactly the brute-force path; with
-// fading enabled they may differ only when a fade exceeds the guard band
-// (cull_guard_sigmas sigmas, probability ~1e-9 at the default 6).
+// fading disabled the culled fan-out is exactly a fan-out to every radio;
+// with fading enabled they may differ only when a fade exceeds the guard
+// band (cull_guard_sigmas sigmas, probability ~1e-9 at the default 6).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "metrics/metrics.h"
@@ -49,12 +49,6 @@ namespace cmap::phy {
 
 class Radio;
 
-/// How the medium stores pair state. See the file comment for semantics.
-enum class LinkStateMode {
-  kDenseReference,
-  kSparse,
-};
-
 /// Validated by the Medium constructor: a negative or non-finite
 /// fading_sigma_db or cull_guard_sigmas, or a non-finite
 /// delivery_floor_dbm, aborts naming the field.
@@ -66,7 +60,6 @@ struct MediumConfig {
   // what widens the PRR transition band into the testbed's "12% of links
   // in (0.1, 1)" middle class.
   double fading_sigma_db = 2.0;
-  LinkStateMode link_state = LinkStateMode::kSparse;
   // Guard band in units of fading_sigma_db: a culled receiver would need a
   // fade this many sigmas above the mean to have cleared the floor. Also
   // the confidence (in component sigmas) handed to the propagation model's
@@ -107,9 +100,9 @@ class Medium {
   void transmit(Radio& source, std::shared_ptr<const Frame> frame);
 
   /// Mean (unfaded) received power from `from` to `to`, for link
-  /// measurement and topology classification. A non-materialized
-  /// (below-floor) pair is answered by querying the propagation model
-  /// directly — the same value the reference path computes.
+  /// measurement and topology classification. A pair outside the source's
+  /// row (below the cull floor) is answered by querying the propagation
+  /// model directly.
   double mean_rx_power_dbm(NodeId from, NodeId to) const;
 
   /// Attach (or detach, with nullptr) the run's Tracer. The medium is the
@@ -166,10 +159,17 @@ class Medium {
   const std::vector<Radio*>& radios() const { return radios_; }
   Radio* radio(NodeId id) const;
 
-  /// Number of receivers transmit() would consider for `source` — the
-  /// sparse-row size, or every other radio under kDenseReference.
-  /// Observability for tests and benchmarks.
-  std::size_t fanout_candidates(NodeId source) const;
+  /// One entry of a source's link row: a receiver whose mean gain clears
+  /// the cull floor, with the gain and delay transmit() delivers with.
+  struct RowLink {
+    std::uint32_t dst = 0;  // receiver's attach index: radios()[dst]
+    double gain_dbm = 0.0;  // mean (unfaded) received power
+    sim::Time delay = 0;    // propagation delay, ns
+  };
+  /// `source`'s link row, sorted by destination index: exactly the
+  /// receivers transmit() fans out to (tests/oracles/link_oracle.h checks
+  /// it against the propagation model).
+  std::span<const RowLink> row(NodeId source) const;
 
   /// Observability: the grid-derived candidate radius (m) and the total
   /// below-floor links currently on watch lists.
@@ -177,16 +177,7 @@ class Medium {
   std::size_t watch_entries() const;
 
  private:
-  struct Link {
-    double gain_dbm = 0.0;
-    sim::Time delay = 0;  // propagation delay, ns
-  };
-  // Per-source entries, both kept sorted by destination index so
-  // transmit() visits receivers in exactly the reference path's order.
-  struct SparseLink {
-    std::uint32_t dst = 0;
-    Link link;
-  };
+  // Below-floor candidates, kept sorted by destination index like rows.
   struct WatchEntry {
     std::uint32_t dst = 0;
     double gain_dbm = 0.0;            // at the last evaluation
@@ -194,19 +185,18 @@ class Medium {
   };
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
 
-  Link compute_link(const Radio& src, const Radio& dst) const;
-  void deliver_one(Radio& target, const Link& link,
+  RowLink compute_link(std::uint32_t src, std::uint32_t dst) const;
+  void deliver_one(Radio& target, const RowLink& link,
                    const std::shared_ptr<const Frame>& frame, sim::Time now);
   std::uint32_t index_of(NodeId id) const;
   double cull_floor_dbm() const;
-  bool cached() const { return config_.link_state == LinkStateMode::kSparse; }
 
   void ensure_candidate_radius(double tx_power_dbm);
   /// Compute both directions between radio `idx` and every grid candidate
   /// around its position, filing each into its source's row or watch list.
   void link_neighborhood(std::uint32_t idx);
-  /// File the (src -> dst) link into src's active row or watch list.
-  void sparse_classify(std::uint32_t src, std::uint32_t dst, const Link& link);
+  /// File the (src -> link.dst) link into src's row or watch list.
+  void sparse_classify(std::uint32_t src, const RowLink& link);
   /// Drop dst from src's active row or watch list (no-op when absent).
   void sparse_erase(std::uint32_t src, std::uint32_t dst);
 
@@ -219,9 +209,8 @@ class Medium {
   sim::Rng rng_;  // seed material for per-(frame, receiver) fading draws
   std::vector<Radio*> radios_;
   std::vector<std::uint32_t> index_by_id_;       // NodeId -> attach index
-  // kSparse state.
   std::unique_ptr<SpatialGrid> grid_;
-  std::vector<std::vector<SparseLink>> sparse_rows_;
+  std::vector<std::vector<RowLink>> sparse_rows_;
   std::vector<std::vector<WatchEntry>> watch_rows_;
   std::vector<std::uint32_t> scratch_;  // candidate-query reuse buffer
   double max_tx_power_dbm_ = 0.0;       // valid once any radio attached

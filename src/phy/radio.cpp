@@ -72,6 +72,7 @@ void Radio::transmit(Frame frame) {
   auto shared = std::make_shared<const Frame>(std::move(frame));
   state_ = State::kTx;
   tx_frame_ = shared;
+  prev_tx_end_ = tx_end_;
   tx_start_ = sim_.now();
   tx_end_ = sim_.now() + shared->duration;
   ++counters_.frames_sent;
@@ -332,9 +333,13 @@ void Radio::on_signal_end(std::uint64_t frame_id) {
 
 void Radio::maybe_salvage(const Signal& sig) {
   if (sig.power_mw < sensitivity_mw_) return;
-  // A half-duplex radio hears nothing of a frame it talked over.
+  // A half-duplex radio hears nothing of a frame it talked over. Only the
+  // latest transmission can start as late as sig.end (now); an earlier one
+  // overlaps iff it ran past sig.start, and if any did, the one just
+  // before the latest did.
   const bool tx_overlap =
-      tx_start_ >= 0 && tx_start_ < sig.end && tx_end_ > sig.start;
+      (tx_start_ >= 0 && tx_start_ < sig.end && tx_end_ > sig.start) ||
+      prev_tx_end_ > sig.start;
   if (tx_overlap) return;
 
   RxResult result;

@@ -26,8 +26,10 @@
 // tracker). The tracker keeps signals in (start, frame id) order, the order
 // arrival events run in at one receiver, so the early add lands where the
 // event would have put it (phy/interference.h). A salvaging radio is exempt
-// from the transmitting rule: maybe_salvage checks only its latest
-// transmission, so the signal's end event may still draw from its rng.
+// from the transmitting rule. maybe_salvage would skip such a signal at its
+// end, since the radio talked over its start, but request_cca_notifications
+// relies on a salvaging radio having scheduled an end event for every
+// signal at or above sensitivity.
 #pragma once
 
 #include <cstdint>
@@ -210,10 +212,12 @@ class Radio {
   std::vector<std::optional<bool>> segment_results_;
   double lock_min_sinr_db_ = 1e9;
 
-  // Current / most recent transmission (for salvage overlap checks).
+  // Current / most recent transmission, and the end of the one before it
+  // (for salvage overlap checks).
   std::shared_ptr<const Frame> tx_frame_;
   sim::Time tx_start_ = -1;
   sim::Time tx_end_ = -1;
+  sim::Time prev_tx_end_ = -1;
   std::uint64_t tx_seq_ = 0;  // per-radio counter behind make_frame_id
 
   trace::TraceHook trace_;

@@ -573,9 +573,9 @@ Scenario make_flows_family(int flows) {
 //
 // The dense-grid workload on ten thousand nodes at the paper's floor
 // density: 10^8 directed pairs, a world no O(n^2) store could hold, and
-// the scale the sparse Medium (LinkStateMode::kSparse) and the Testbed's
-// CSR pair store exist for. The building raises the delivery floor and
-// narrows both guard bands so candidate neighborhoods stay
+// the scale the sparse Medium rows and the Testbed's CSR pair store exist
+// for. The building raises the delivery floor and narrows both guard
+// bands so candidate neighborhoods stay
 // metropolitan-sparse (~a thousand candidates, a few dozen connected
 // neighbors per node); with a static channel the sparse medium then holds
 // active links only. The shared draw walks stored CSR rows
@@ -602,8 +602,7 @@ Scenario make_metro(int nodes, int sender_pct) {
   cfg.medium.delivery_floor_dbm = -94.0;
   // A 3-sigma guard keeps the candidate radius (and with it the
   // measurement pass and the spatial index's cell occupancy) metropolitan
-  // -sparse. There is no dense reference at this scale to stay
-  // byte-identical to; the golden-gated scenarios keep the default 6.
+  // -sparse; every other scenario keeps the default 6.
   cfg.medium.cull_guard_sigmas = 3.0;
   cfg.measurement.sparse_guard_sigmas = 3.0;
   s.testbed = cfg;

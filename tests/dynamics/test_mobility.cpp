@@ -22,9 +22,9 @@ constexpr double kHeight = 40.0;
 // A bare phy world: N radios scattered on the floor, no MACs, no traffic —
 // mobility only needs positions and the medium's cache maintenance.
 struct MiniWorld {
-  explicit MiniWorld(int n, phy::MediumConfig mcfg = {})
+  explicit MiniWorld(int n)
       : propagation(std::make_shared<phy::FriisPropagation>()),
-        medium(sim, propagation, mcfg, sim::Rng(11)) {
+        medium(sim, propagation, phy::MediumConfig{}, sim::Rng(11)) {
     auto error = std::make_shared<phy::NistErrorModel>();
     sim::Rng place(42);
     for (int i = 0; i < n; ++i) {
@@ -167,20 +167,6 @@ TEST(Mobility, ChurnDwellsBetweenTeleports) {
   const std::uint64_t ticks = 20u * 10u * 6u;  // 20 s, 10 Hz, 6 nodes
   EXPECT_GT(model.moves(), 0u);
   EXPECT_LT(model.moves(), ticks / 5);
-}
-
-TEST(Mobility, NoGainCacheMediumIsSupported) {
-  // The reference (uncached) medium must tolerate motion: positions move,
-  // queries answer from the propagation model directly.
-  phy::MediumConfig mcfg;
-  mcfg.link_state = phy::LinkStateMode::kDenseReference;
-  MiniWorld w(6, mcfg);
-  MobilityModel model(w.sim, w.medium,
-                      mobility_config(MobilityPattern::kDrift), sim::Rng(3));
-  model.start();
-  w.sim.run_until(sim::seconds(5));
-  EXPECT_GT(model.moves(), 0u);
-  expect_in_bounds(w);
 }
 
 }  // namespace

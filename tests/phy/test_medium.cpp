@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "dynamics/channel.h"
+#include "oracles/link_oracle.h"
 #include "phy_test_util.h"
 #include "sim/time.h"
 
@@ -121,8 +122,8 @@ TEST(Medium, CullingSkipsRadiosBelowTheDeliveryFloor) {
   Radio& a = w.add_radio(1, {0, 0});
   w.add_radio(2, {100, 0});      // well inside the floor
   w.add_radio(3, {500'000, 0});  // hopeless: far below the delivery floor
-  EXPECT_EQ(w.medium().fanout_candidates(1), 1u);
-  EXPECT_EQ(w.medium().fanout_candidates(3), 0u);
+  EXPECT_EQ(w.medium().row(1).size(), 1u);
+  EXPECT_EQ(w.medium().row(3).size(), 0u);
   w.simulator().at(0, [&] { a.transmit(World::whole_frame(100)); });
   w.simulator().run();
   EXPECT_EQ(w.listener(1).rx_starts.size(), 1u);  // radio 2 locked
@@ -134,23 +135,24 @@ TEST(Medium, ReachabilityFollowsPositionChanges) {
   World w(nist());
   w.add_radio(1, {0, 0});
   Radio& b = w.add_radio(2, {500'000, 0});
-  EXPECT_EQ(w.medium().fanout_candidates(1), 0u);
+  EXPECT_EQ(w.medium().row(1).size(), 0u);
   b.set_position({50, 0});
-  EXPECT_EQ(w.medium().fanout_candidates(1), 1u);
+  EXPECT_EQ(w.medium().row(1).size(), 1u);
   b.set_position({500'000, 0});
-  EXPECT_EQ(w.medium().fanout_candidates(1), 0u);
+  EXPECT_EQ(w.medium().row(1).size(), 0u);
 }
 
-// Per-receiver outcomes of 80 frames from radio 1 under fading. Per-(frame,
-// receiver) fading substreams make culling invisible to every surviving
-// delivery, so the cached, culled fan-out must reproduce the brute-force
-// reference frame for frame.
-auto delivery_outcomes(const MediumConfig& mcfg) {
+// Per-receiver outcomes of 80 frames from radio 1 under fading, and the
+// size of radio 1's row. Per-(frame, receiver) fading substreams make
+// culling invisible to every surviving delivery, so the culled fan-out
+// must reproduce the unculled one frame for frame.
+auto delivery_outcomes(const MediumConfig& mcfg, std::size_t* fanout) {
   World w(nist(), mcfg);
   Radio& a = w.add_radio(1, {0, 0});
   w.add_radio(2, {320, 0});      // marginal link, fading decides
   w.add_radio(3, {150, 40});     // solid link
-  w.add_radio(4, {900'000, 0});  // culled under the cached path
+  w.add_radio(4, {900'000, 0});  // culled unless the guard is huge
+  *fanout = w.medium().row(1).size();
   for (int i = 0; i < 80; ++i) {
     w.simulator().at(i * sim::milliseconds(2),
                      [&] { a.transmit(World::whole_frame(1400)); });
@@ -161,38 +163,33 @@ auto delivery_outcomes(const MediumConfig& mcfg) {
                     w.listener(3).rx_starts.size()};
 }
 
+// A guard band this wide puts the cull floor some 2,000 dB under the
+// delivery floor: every other radio is in every row, so the delivery floor
+// alone decides who hears a frame — the same code path with nothing culled.
+MediumConfig unculled(MediumConfig mcfg) {
+  mcfg.cull_guard_sigmas = 1000.0;
+  return mcfg;
+}
+
 TEST(Medium, FastAndReferencePathsProduceIdenticalOutcomes) {
-  // The default medium (fading ON, default sigma 2 dB) against the oracle.
-  MediumConfig ref;
-  ref.link_state = LinkStateMode::kDenseReference;
-  EXPECT_EQ(delivery_outcomes(MediumConfig{}), delivery_outcomes(ref));
+  // The default medium (fading ON, default sigma 2 dB) against itself with
+  // nothing culled.
+  std::size_t culled = 0;
+  std::size_t full = 0;
+  EXPECT_EQ(delivery_outcomes(MediumConfig{}, &culled),
+            delivery_outcomes(unculled(MediumConfig{}), &full));
+  EXPECT_EQ(full, 3u);  // n - 1
+  EXPECT_EQ(culled, 2u);
 }
 
 // ---- Link maintenance under moves and channel changes ----
 
-MediumConfig ReferenceNoFadingConfig() {
-  MediumConfig m = World::NoFadingConfig();
-  m.link_state = LinkStateMode::kDenseReference;
-  return m;
-}
-
-// Brute-force membership oracle for a cached row: the other radios whose
-// mean gain, asked of the propagation model directly, clears the cull
-// floor (delivery floor minus the fading guard band).
-std::size_t brute_fanout(const Medium& m, NodeId source) {
-  const MediumConfig& c = m.config();
-  const double floor =
-      c.delivery_floor_dbm - c.cull_guard_sigmas * c.fading_sigma_db;
-  const Radio& src = *m.radio(source);
-  std::size_t count = 0;
-  for (const Radio* dst : m.radios()) {
-    if (dst == &src) continue;
-    const double gain = m.propagation().rx_power_dbm(
-        src.config().tx_power_dbm, src.id(), dst->id(), src.position(),
-        dst->position());
-    if (gain >= floor) ++count;
-  }
-  return count;
+// The propagation model's answer for from -> to, asked directly.
+double direct_gain(const Medium& m, NodeId from, NodeId to) {
+  const Radio& a = *m.radio(from);
+  const Radio& b = *m.radio(to);
+  return m.propagation().rx_power_dbm(a.config().tx_power_dbm, from, to,
+                                      a.position(), b.position());
 }
 
 // Friis with call counting — the observable cost of link maintenance.
@@ -260,30 +257,23 @@ TEST(MediumInvalidate, IncrementalMoveRecomputesOnlyTheMoversRowsAndColumns) {
   EXPECT_EQ(w.propagation->calls, 2u * (kNodes - 1));
 }
 
-// Same build + move sequence against the cached medium and the
-// kDenseReference oracle: after every move each cached gain must equal
-// the oracle's, and each row must hold exactly the receivers that clear
-// the cull floor.
-void check_interleaved_moves_against_reference(bool bounded) {
+// A move sequence against the link oracle: after every move each row must
+// equal the brute-force row, and every mean gain the model's own answer.
+void check_interleaved_moves_against_oracle(bool bounded) {
   constexpr int kNodes = 12;
-  CountingWorld cached(kNodes, World::NoFadingConfig(), bounded);
-  CountingWorld ref(kNodes, ReferenceNoFadingConfig(), bounded);
+  CountingWorld w(kNodes, World::NoFadingConfig(), bounded);
   sim::Rng moves(99);
   for (int m = 0; m < 40; ++m) {
     const auto who = static_cast<std::size_t>(moves.uniform_int(0, kNodes - 1));
-    const Position p = random_hop(moves);
-    cached.radios[who]->set_position(p);
-    ref.radios[who]->set_position(p);
+    w.radios[who]->set_position(random_hop(moves));
+    ASSERT_EQ(oracles::audit_all_rows(w.medium), "") << "after move " << m;
     for (int a = 0; a < kNodes; ++a) {
-      const auto src = static_cast<NodeId>(a);
-      ASSERT_EQ(cached.medium.fanout_candidates(src),
-                brute_fanout(cached.medium, src))
-          << "after move " << m << " source " << a;
       for (int b = 0; b < kNodes; ++b) {
         if (a == b) continue;
+        const auto src = static_cast<NodeId>(a);
         const auto dst = static_cast<NodeId>(b);
-        ASSERT_EQ(cached.medium.mean_rx_power_dbm(src, dst),
-                  ref.medium.mean_rx_power_dbm(src, dst))
+        ASSERT_EQ(w.medium.mean_rx_power_dbm(src, dst),
+                  direct_gain(w.medium, src, dst))
             << "after move " << m << " link " << a << "->" << b;
       }
     }
@@ -292,14 +282,14 @@ void check_interleaved_moves_against_reference(bool bounded) {
 
 TEST(MediumInvalidate, InterleavedMovesMatchTheFullRebuildReference) {
   // Unbounded model: every move rescans all radios as candidates (the
-  // degenerate full scan), against an oracle that recomputes every pair.
-  check_interleaved_moves_against_reference(/*bounded=*/false);
+  // degenerate full scan).
+  check_interleaved_moves_against_oracle(/*bounded=*/false);
 }
 
 TEST(MediumSparse, SparseAndDenseAgreeAfterInterleavedMoves) {
   // Range-bounded model: the spatial index prunes far candidates, and the
   // rows must still match the brute-force count move for move.
-  check_interleaved_moves_against_reference(/*bounded=*/true);
+  check_interleaved_moves_against_oracle(/*bounded=*/true);
 }
 
 // A medium that absorbed a move sequence must hold exactly the state a
@@ -319,8 +309,8 @@ void check_moved_matches_fresh_build(bool bounded) {
   for (const Position& p : final_pos) fresh.add(p);
   for (int a = 0; a < kNodes; ++a) {
     const auto src = static_cast<NodeId>(a);
-    EXPECT_EQ(moved.medium.fanout_candidates(src),
-              fresh.medium.fanout_candidates(src))
+    EXPECT_EQ(moved.medium.row(src).size(),
+              fresh.medium.row(src).size())
         << "source " << a;
     for (int b = 0; b < kNodes; ++b) {
       if (a == b) continue;
@@ -384,7 +374,7 @@ TEST(MediumSparse, BoundedModelNeverComputesCrossClusterGains) {
   // 2 clusters x 6*5 directed within-cluster pairs; nothing else.
   EXPECT_EQ(w.propagation->calls, 2u * 30u);
   for (int a = 0; a < 12; ++a) {
-    EXPECT_EQ(w.medium.fanout_candidates(static_cast<NodeId>(a)), 5u) << a;
+    EXPECT_EQ(w.medium.row(static_cast<NodeId>(a)).size(), 5u) << a;
   }
   // Off-grid queries still answer (computed directly, not cached).
   EXPECT_LT(w.medium.mean_rx_power_dbm(0, 11), -150.0);
@@ -393,46 +383,37 @@ TEST(MediumSparse, BoundedModelNeverComputesCrossClusterGains) {
 TEST(MediumSparse, EpochRefreshTracksDynamicShadowingViaWatchLists) {
   // A time-varying channel: below-floor links sit on watch lists and are
   // only re-evaluated once the AR(1) epoch-delta bound says they could
-  // have crossed the cull floor. Over many epochs every cached gain must
-  // equal the kDenseReference oracle's and every row must hold exactly
-  // the receivers that clear the floor, including links that cross it in
-  // either direction.
+  // have crossed the cull floor. Over many epochs every row must equal
+  // the link oracle's brute-force row, including links that cross the
+  // floor in either direction, and every mean gain the model's answer.
   constexpr int kNodes = 14;
   dynamics::ChannelConfig cc;
   cc.sigma_db = 4.0;
   cc.correlation = 0.7;
   cc.seed = 42;
-  auto make_world = [&](MediumConfig mcfg) {
-    auto base = std::make_shared<LogDistanceShadowing>();
-    auto model = std::make_shared<dynamics::DynamicShadowing>(base, cc);
-    auto w = std::make_unique<World>(nist(), mcfg, model);
-    sim::Rng place(11);
-    for (int i = 0; i < kNodes; ++i) {
-      // Spread so plenty of pair gains straddle the delivery floor.
-      w->add_radio(static_cast<NodeId>(i),
-                   {place.uniform(0.0, 260.0), place.uniform(0.0, 260.0)});
-    }
-    return std::pair{std::move(w), std::move(model)};
-  };
-  auto [sparse_w, sparse_ch] = make_world(World::NoFadingConfig());
-  auto [ref_w, ref_ch] = make_world(ReferenceNoFadingConfig());
-  const Medium& sparse = sparse_w->medium();
-  const Medium& ref = ref_w->medium();
+  auto base = std::make_shared<LogDistanceShadowing>();
+  auto channel = std::make_shared<dynamics::DynamicShadowing>(base, cc);
+  World w(nist(), World::NoFadingConfig(), channel);
+  sim::Rng place(11);
+  for (int i = 0; i < kNodes; ++i) {
+    // Spread so plenty of pair gains straddle the delivery floor.
+    w.add_radio(static_cast<NodeId>(i),
+                {place.uniform(0.0, 260.0), place.uniform(0.0, 260.0)});
+  }
+  const Medium& medium = w.medium();
   bool saw_watch = false;
   for (int epoch = 0; epoch < 12; ++epoch) {
-    sparse_ch->advance_epoch();
-    ref_ch->advance_epoch();
-    sparse_w->medium().refresh_all();
-    saw_watch |= sparse.watch_entries() > 0;
+    channel->advance_epoch();
+    w.medium().refresh_all();
+    saw_watch |= medium.watch_entries() > 0;
+    ASSERT_EQ(oracles::audit_all_rows(medium), "") << "epoch " << epoch;
     for (int a = 0; a < kNodes; ++a) {
-      const auto src = static_cast<NodeId>(a);
-      ASSERT_EQ(sparse.fanout_candidates(src), brute_fanout(sparse, src))
-          << "epoch " << epoch << " source " << a;
       for (int b = 0; b < kNodes; ++b) {
         if (a == b) continue;
+        const auto src = static_cast<NodeId>(a);
         const auto dst = static_cast<NodeId>(b);
-        ASSERT_DOUBLE_EQ(sparse.mean_rx_power_dbm(src, dst),
-                         ref.mean_rx_power_dbm(src, dst))
+        ASSERT_EQ(medium.mean_rx_power_dbm(src, dst),
+                  direct_gain(medium, src, dst))
             << "epoch " << epoch << " link " << a << "->" << b;
       }
     }
@@ -453,14 +434,16 @@ TEST(MediumSparse, StaticModelKeepsNoWatchLists) {
 }
 
 TEST(MediumSparse, SparseAndReferenceDeliveriesAreIdenticalWithFading) {
-  // Wider fading (6 dB) widens the cull guard band; an explicit kSparse
-  // medium must still match the reference delivery for delivery.
-  MediumConfig sparse;
-  sparse.link_state = LinkStateMode::kSparse;
-  sparse.fading_sigma_db = 6.0;
-  MediumConfig ref = sparse;
-  ref.link_state = LinkStateMode::kDenseReference;
-  EXPECT_EQ(delivery_outcomes(sparse), delivery_outcomes(ref));
+  // Wider fading (6 dB) widens the cull guard band; the culled medium
+  // must still match the unculled one delivery for delivery.
+  MediumConfig wide;
+  wide.fading_sigma_db = 6.0;
+  std::size_t culled = 0;
+  std::size_t full = 0;
+  EXPECT_EQ(delivery_outcomes(wide, &culled),
+            delivery_outcomes(unculled(wide), &full));
+  EXPECT_EQ(full, 3u);  // n - 1
+  EXPECT_LT(culled, full);
 }
 
 // ---- Config validation ----

@@ -364,11 +364,10 @@ TEST(Radio, ArrivalAtATransmittingRadioIsEventlessOnlyIfItStartsBeforeTxEnd) {
 
 TEST(Radio, SalvagingTransmitterKeepsTheEndEventOfAFrameItTalksOver) {
   // a's frame reaches b while b is still transmitting, and b starts its
-  // next frame at exactly the instant a's frame ends. maybe_salvage then
-  // checks only that newest transmission, finds no overlap and decodes:
-  // the signal-end event matters even though b talked over the frame's
-  // start, so an unwatched salvaging radio must behave as a watched one.
-  std::vector<RecordingListener::RxEvent> salvages[2];
+  // next frame at exactly the instant a's frame ends. The frame's end
+  // event still runs there, watched or not (a salvaging radio keeps it),
+  // and maybe_salvage finds that b's earlier transmission talked over the
+  // frame's start: neither run salvages anything.
   for (const Cca cca : {Cca::kWatched, Cca::kUnwatched}) {
     World w(nist());
     RadioConfig cfg;
@@ -384,15 +383,41 @@ TEST(Radio, SalvagingTransmitterKeepsTheEndEventOfAFrameItTalksOver) {
     w.simulator().at(end, [&] { b.transmit(World::whole_frame(100)); });
     w.simulator().at(0, [&] { b.transmit(World::whole_frame(1400)); });
     w.simulator().at(sent, [&] { a.transmit(frame); });
+    w.simulator().run_until(end - 1);
+    const std::uint64_t before = w.simulator().events_executed();
+    w.simulator().run_until(end);
+    // b's second transmit, and the end of a's frame at b.
+    EXPECT_EQ(w.simulator().events_executed() - before, 2u);
     w.simulator().run();
     EXPECT_EQ(b.counters().frames_sent, 2u);
-    salvages[cca == Cca::kUnwatched] = w.listener(1).salvages;
+    EXPECT_EQ(b.counters().salvages, 0u);
+    EXPECT_TRUE(w.listener(1).salvages.empty());
   }
-  ASSERT_EQ(salvages[0].size(), 1u);  // not vacuous: the end event decoded
-  ASSERT_EQ(salvages[1].size(), salvages[0].size());
-  EXPECT_EQ(salvages[1][0].frame.id, salvages[0][0].frame.id);
-  EXPECT_EQ(salvages[1][0].result.segment_ok,
-            salvages[0][0].result.segment_ok);
+}
+
+TEST(Radio, SalvageSkipsAFrameAnEarlierTransmissionTalkedOver) {
+  // b starts a transmission at exactly the instant a's frame ends, so only
+  // b's transmission before that one can have talked over the frame: when
+  // it ran past the frame's start, b heard nothing to salvage.
+  for (const bool talked_over : {true, false}) {
+    World w(nist());
+    RadioConfig cfg;
+    cfg.salvage_enabled = true;
+    Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
+    Radio& b = w.add_radio(2, {50, 0}, cfg, Cca::kUnwatched);
+    // b airs 0 .. 1892 us.
+    const sim::Time sent = sim::microseconds(talked_over ? 1800 : 2000);
+    const Frame frame = World::hbt_frame(24, 1400, 24);
+    const sim::Time end = sent + propagation_delay_ns(50.0) +
+                          frame_airtime(frame.rate, frame.size_bytes());
+    w.simulator().at(end, [&] { b.transmit(World::whole_frame(100)); });
+    w.simulator().at(0, [&] { b.transmit(World::whole_frame(1400)); });
+    w.simulator().at(sent, [&] { a.transmit(frame); });
+    w.simulator().run();
+    EXPECT_EQ(b.counters().frames_sent, 2u);
+    EXPECT_EQ(b.counters().salvages, talked_over ? 0u : 1u)
+        << "talked over " << talked_over;
+  }
 }
 
 TEST(Radio, OptInBeforeAnInertArrivalReplaysItsArrivalEdge) {

@@ -51,6 +51,12 @@ many --pr files are given:
       rides as info: the CI container is effectively single-core, so
       wall-clock parallel speedup is not meaningful there.
 
+Every non-timing row of the baseline (today the four dense_grid_25
+throughput rows bench_dense_grid emits) must reappear in the PR reports
+exactly, field for field. Those runs are deterministic at the CI recipe's
+knobs, so any difference means the simulator's output moved; refresh the
+baseline only together with a change that means to move it.
+
 Wall-clock comparisons (metrics ending in "_ms") are normalized by each
 row's own calibration_ms (a fixed CPU-bound workload timed on the same
 machine), so a slower or faster CI runner does not masquerade as a code
@@ -129,19 +135,25 @@ INFO_KEYS = {"max_abs_delta_prr", "table_entries", "decide_oracle_cpu_ms",
 MIN_GATED_MS = 1000.0
 
 
+def load_runs(paths):
+    """Every run row of every report file, in order."""
+    runs = []
+    for path in paths:
+        with open(path) as f:
+            runs += json.load(f).get("runs", [])
+    return runs
+
+
 def load_timing_rows(paths):
     """scenario -> metrics, merged across report files."""
     rows = {}
-    for path in paths:
-        with open(path) as f:
-            report = json.load(f)
-        for run in report.get("runs", []):
-            if run.get("scheme") != "timing":
-                continue
-            scenario = run.get("scenario", "?")
-            if scenario in rows:
-                sys.exit(f"error: duplicate timing row for '{scenario}'")
-            rows[scenario] = run.get("metrics", {})
+    for run in load_runs(paths):
+        if run.get("scheme") != "timing":
+            continue
+        scenario = run.get("scenario", "?")
+        if scenario in rows:
+            sys.exit(f"error: duplicate timing row for '{scenario}'")
+        rows[scenario] = run.get("metrics", {})
     if not rows:
         sys.exit(f"error: no timing rows found in {', '.join(paths)}")
     return rows
@@ -225,6 +237,40 @@ def check_timings(pr_paths, baseline_path, threshold, minimums):
     return failures
 
 
+def row_key(run):
+    return tuple(run.get(k) for k in ("scenario", "scheme", "variant",
+                                      "topology_index", "replicate"))
+
+
+def check_result_rows(pr_paths, baseline_path):
+    """Every non-timing baseline row must reappear in the PR reports
+    exactly: the runs are deterministic, so a difference is a change in
+    what the simulator outputs, not noise."""
+    pr_rows = {row_key(run): run for run in load_runs(pr_paths)
+               if run.get("scheme") != "timing"}
+    failures = []
+    for base in load_runs([baseline_path]):
+        if base.get("scheme") == "timing":
+            continue
+        label = "/".join(str(k) for k in row_key(base))
+        pr = pr_rows.get(row_key(base))
+        if pr is None:
+            failures.append(f"{label}: result row missing from PR reports")
+            continue
+        if pr == base:
+            print(f"[ok] {label}: identical to baseline "
+                  f"({base.get('aggregate_mbps', 0.0):.2f} Mbit/s)")
+            continue
+        fields = sorted(k for k in set(base) | set(pr)
+                        if base.get(k) != pr.get(k))
+        print(f"[FAIL] {label}: differs in {', '.join(fields)} "
+              f"({pr.get('aggregate_mbps')} Mbit/s, baseline "
+              f"{base.get('aggregate_mbps')})")
+        failures.append(f"{label}: result row differs from baseline in "
+                        f"{', '.join(fields)}")
+    return failures
+
+
 def micro_times(path):
     with open(path) as f:
         data = json.load(f)
@@ -281,6 +327,7 @@ def main():
                 "min_mac_decide_speedup": args.min_mac_decide_speedup,
                 "min_mobility_speedup": args.min_mobility_speedup}
     failures = check_timings(args.pr, args.baseline, args.threshold, minimums)
+    failures += check_result_rows(args.pr, args.baseline)
     if args.micro:
         failures += check_micro(args.micro, args.min_speedup)
     if failures:
