@@ -22,9 +22,9 @@ int main() {
   sweep.topologies = std::min(s.configs, 12);
   sweep.variants = {
       {"per-dest OFF",
-       [](testbed::RunConfig& rc) { rc.per_dest_queues = false; }},
+       [](testbed::RunConfig& rc) { rc.cmap.per_dest_queues = false; }},
       {"per-dest ON",
-       [](testbed::RunConfig& rc) { rc.per_dest_queues = true; }}};
+       [](testbed::RunConfig& rc) { rc.cmap.per_dest_queues = true; }}};
   const auto report = make_runner(s).run(sweep, tb);
   maybe_write_json(report);
 

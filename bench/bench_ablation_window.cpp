@@ -30,7 +30,7 @@ int main() {
   for (int win : {1, 2, 4, 8, 16}) {
     sweep.variants.push_back(
         {"win=" + std::to_string(win),
-         [win](testbed::RunConfig& rc) { rc.with_nwindow(win); }});
+         [win](testbed::RunConfig& rc) { rc.cmap.nwindow_vps = win; }});
   }
   const auto report = runner.run(sweep, tb);
   maybe_write_json(report);

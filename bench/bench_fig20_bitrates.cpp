@@ -20,9 +20,12 @@ int main() {
                           {testbed::Scheme::kCsma, testbed::Scheme::kCmap});
   for (phy::WifiRate rate : {phy::WifiRate::k6Mbps, phy::WifiRate::k12Mbps,
                              phy::WifiRate::k18Mbps}) {
-    sweep.variants.push_back(
-        {phy::rate_name(rate),
-         [rate](testbed::RunConfig& rc) { rc.data_rate = rate; }});
+    // Each scheme's MAC reads its own config, so the rate goes on both.
+    sweep.variants.push_back({phy::rate_name(rate),
+                              [rate](testbed::RunConfig& rc) {
+                                rc.cmap.data_rate = rate;
+                                rc.dcf.data_rate = rate;
+                              }});
   }
   const auto report = make_runner(s).run(sweep, tb);
   std::printf("exposed-terminal configurations: %zu\n",

@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   sweep.topologies = 1;
   sweep.base_seed = seed;
   sweep.duration = sim::seconds(seconds);
+  // The executor measures each phase over its own window; the warmup only
+  // has to be valid.
+  sweep.warmup = sim::seconds(seconds) * 2 / 5;
 
   const auto topos = scenario::SweepRunner::draw_topologies(sweep, tb);
   if (topos.empty()) {

@@ -81,6 +81,17 @@ double CmapMac::PerSenderRx::window_loss_rate() const {
   return 1.0 - got / expected;
 }
 
+void validate(const CmapConfig& config) {
+  // ACK bitmaps carry 64 packets per VP (finalize_vp, SendWindow::on_ack);
+  // an empty window never admits a packet.
+  sim::require_valid(config.nvpkt >= 1 && config.nvpkt <= 64, "CmapConfig",
+                     "nvpkt", config.nvpkt);
+  sim::require_valid(config.nwindow_vps >= 1, "CmapConfig", "nwindow_vps",
+                     config.nwindow_vps);
+  CMAP_ASSERT(config.mode != PhyMode::kIntegrated || config.nvpkt == 1,
+              "integrated mode carries one packet per frame");
+}
+
 CmapMac::CmapMac(sim::Simulator& simulator, phy::Radio& radio,
                  CmapConfig config, sim::Rng rng)
     : sim_(simulator),
@@ -93,14 +104,7 @@ CmapMac::CmapMac(sim::Simulator& simulator, phy::Radio& radio,
       defer_table_(config.defer_entry_ttl, config.annotate_rates),
       tracker_(config.l_interf, config.min_interf_samples,
                config.interferer_halflife) {
-  // ACK bitmaps carry 64 packets per VP (finalize_vp, SendWindow::on_ack);
-  // an empty window never admits a packet.
-  sim::require_valid(config_.nvpkt >= 1 && config_.nvpkt <= 64, "CmapConfig",
-                     "nvpkt", config_.nvpkt);
-  sim::require_valid(config_.nwindow_vps >= 1, "CmapConfig", "nwindow_vps",
-                     config_.nwindow_vps);
-  CMAP_ASSERT(config_.mode != PhyMode::kIntegrated || config_.nvpkt == 1,
-              "integrated mode carries one packet per frame");
+  validate(config_);
   trace_.bind(radio_.medium().tracer_for(radio_.id()), radio_.id());
   defer_table_.set_tracer(trace_.tracer, radio_.id());
   ongoing_.set_tracer(trace_.tracer, radio_.id());

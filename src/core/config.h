@@ -20,8 +20,8 @@ enum class PhyMode {
 struct CmapConfig {
   PhyMode mode = PhyMode::kShim;
 
-  // Virtual packet / window geometry (§4.2). CmapMac aborts unless nvpkt
-  // is in [1, 64] (the per-VP ACK bitmap is 64 bits) and nwindow_vps >= 1.
+  // Virtual packet / window geometry (§4.2). validate() wants nvpkt in
+  // [1, 64] (the per-VP ACK bitmap is 64 bits) and nwindow_vps >= 1.
   int nvpkt = 32;       // data packets per virtual packet
   int nwindow_vps = 8;  // send window in virtual packets
 
@@ -92,6 +92,11 @@ struct CmapConfig {
     c.cw_max = sim::milliseconds(10);
     return c;
   }
+
+  bool operator==(const CmapConfig&) const = default;
 };
+
+/// Abort naming the first invalid field (CmapMac and World both run it).
+void validate(const CmapConfig& config);
 
 }  // namespace cmap::core

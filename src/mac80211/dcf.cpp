@@ -7,6 +7,23 @@
 
 namespace cmap::mac80211 {
 
+void validate(const DcfConfig& config) {
+  // Backoff draws from [0, cw]: a negative or inverted window has no
+  // slots to draw; a zero slot or SIFS collapses every interframe gap.
+  constexpr const char* kConfig = "DcfConfig";
+  sim::require_valid(config.cw_min >= 0, kConfig, "cw_min", config.cw_min);
+  sim::require_valid(config.cw_max >= config.cw_min, kConfig, "cw_max",
+                     config.cw_max);
+  sim::require_valid(config.retry_limit >= 0, kConfig, "retry_limit",
+                     config.retry_limit);
+  sim::require_valid(config.queue_limit >= 1, kConfig, "queue_limit",
+                     static_cast<double>(config.queue_limit));
+  sim::require_valid(config.slot > 0, kConfig, "slot",
+                     static_cast<double>(config.slot));
+  sim::require_valid(config.sifs > 0, kConfig, "sifs",
+                     static_cast<double>(config.sifs));
+}
+
 DcfMac::DcfMac(sim::Simulator& simulator, phy::Radio& radio, DcfConfig config,
                sim::Rng rng)
     : sim_(simulator),
@@ -14,20 +31,7 @@ DcfMac::DcfMac(sim::Simulator& simulator, phy::Radio& radio, DcfConfig config,
       config_(config),
       rng_(rng),
       cw_(config.cw_min) {
-  // Backoff draws from [0, cw]: a negative or inverted window has no
-  // slots to draw; a zero slot or SIFS collapses every interframe gap.
-  constexpr const char* kConfig = "DcfConfig";
-  sim::require_valid(config_.cw_min >= 0, kConfig, "cw_min", config_.cw_min);
-  sim::require_valid(config_.cw_max >= config_.cw_min, kConfig, "cw_max",
-                     config_.cw_max);
-  sim::require_valid(config_.retry_limit >= 0, kConfig, "retry_limit",
-                     config_.retry_limit);
-  sim::require_valid(config_.queue_limit >= 1, kConfig, "queue_limit",
-                     static_cast<double>(config_.queue_limit));
-  sim::require_valid(config_.slot > 0, kConfig, "slot",
-                     static_cast<double>(config_.slot));
-  sim::require_valid(config_.sifs > 0, kConfig, "sifs",
-                     static_cast<double>(config_.sifs));
+  validate(config_);
   radio_.set_listener(this);
   // Only carrier sense reads CCA edges (on_cca); without it the radio
   // skips their bookkeeping.

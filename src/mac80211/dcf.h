@@ -35,7 +35,12 @@ struct DcfConfig {
     return sifs + slot + phy::frame_airtime(control_rate, mac::kAckBytes) +
            10 * sim::kNsPerUs;
   }
+
+  bool operator==(const DcfConfig&) const = default;
 };
+
+/// Abort naming the first invalid field (DcfMac and World both run it).
+void validate(const DcfConfig& config);
 
 class DcfMac final : public mac::Mac, public phy::RadioListener {
  public:

@@ -63,7 +63,8 @@ struct RadioConfig {
   // divides SINR before the error model.
   double implementation_loss_db = 5.0;
   // Integrated-PHY (PPR) mode: salvage kHeader/kTrailer segments of frames
-  // the radio never locked onto.
+  // the radio never locked onto. testbed::World sets it from the run's
+  // scheme and aborts if a TestbedConfig sets it.
   bool salvage_enabled = false;
 
   bool operator==(const RadioConfig&) const = default;

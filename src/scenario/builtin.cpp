@@ -288,7 +288,7 @@ Scenario make_dest_queue_ablation() {
   s.name = "dest_queue_ablation";
   s.description = "conflicting in-range pair where sender 1 also has "
                   "traffic to a clean alternative destination (§3.2 "
-                  "optimization); toggle config.per_dest_queues";
+                  "optimization); toggle config.cmap.per_dest_queues";
   s.topology = [](const testbed::Testbed& tb, int count, sim::Rng& rng) {
     testbed::TopologyPicker picker(tb);
     const auto pairs = picker.in_range_pairs(count, rng);
@@ -608,8 +608,8 @@ Scenario make_metro(int nodes, int sender_pct) {
   s.testbed = cfg;
   // Event-dense at hundreds of concurrent flows: default to a short
   // window (sweeps override as usual).
-  s.defaults.with_duration(sim::seconds(2)).with_warmup(
-      sim::milliseconds(500));
+  s.defaults.duration = sim::seconds(2);
+  s.defaults.warmup = sim::milliseconds(500);
   return s;
 }
 
@@ -645,8 +645,8 @@ void apply_mobile_defaults(Scenario& s, dynamics::MobilityPattern pattern,
   // expire within the default run; long enough to be useful while fresh.
   // Interferer lists re-broadcast at twice the default cadence so the new
   // geometry is re-taught promptly after old entries age out.
-  s.defaults.with_defer_ttl(sim::seconds(5))
-      .with_ilist_period(sim::milliseconds(500));
+  s.defaults.cmap.defer_entry_ttl = sim::seconds(5);
+  s.defaults.cmap.ilist_period = sim::milliseconds(500);
   s.defaults.duration = sim::seconds(20);
   s.defaults.warmup = sim::seconds(5);
   s.testbed = testbed::TestbedConfig{};  // canonical 50-node building
@@ -655,13 +655,10 @@ void apply_mobile_defaults(Scenario& s, dynamics::MobilityPattern pattern,
 Scenario make_mobile_floor(int sender_pct) {
   Scenario s =
       make_dense_grid("mobile_floor_" + std::to_string(sender_pct), sender_pct);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "%d%%-sender dense floor where half the participating nodes "
-                "random-waypoint at pedestrian speed under an evolving "
-                "channel (defer TTL 5 s)",
-                sender_pct);
-  s.description = desc;
+  s.description = std::to_string(sender_pct) +
+                  "%-sender dense floor where half the participating nodes "
+                  "random-waypoint at pedestrian speed under an evolving "
+                  "channel (defer TTL 5 s)";
   apply_mobile_defaults(s, dynamics::MobilityPattern::kWaypoint, 0.5);
   return s;
 }
@@ -678,13 +675,10 @@ Scenario make_mobile_chain() {
 
 Scenario make_churn(int churn_pct) {
   Scenario s = make_dense_grid("churn_" + std::to_string(churn_pct), 25);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "25%%-sender dense floor where %d%% of participating nodes "
-                "teleport after exponential dwell times (arrival/departure "
-                "churn; defer TTL 5 s)",
-                churn_pct);
-  s.description = desc;
+  s.description = "25%-sender dense floor where " +
+                  std::to_string(churn_pct) +
+                  "% of participating nodes teleport after exponential "
+                  "dwell times (arrival/departure churn; defer TTL 5 s)";
   apply_mobile_defaults(s, dynamics::MobilityPattern::kChurn,
                         churn_pct / 100.0);
   return s;

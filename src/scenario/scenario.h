@@ -31,8 +31,8 @@ struct TopologyInstance {
 };
 
 /// Everything one run needs: the (shared, read-only) testbed, the drawn
-/// topology, and a fully resolved RunConfig (scheme, duration, and the
-/// per-run mixed seed already applied).
+/// topology, and the cell's RunConfig (scheme, variant, duration and the
+/// per-run mixed seed applied; the World resolves the scheme).
 struct RunContext {
   const testbed::Testbed& tb;
   const TopologyInstance& topology;
@@ -69,8 +69,8 @@ struct Scenario {
   TopologyFn topology;
   /// Executor; empty means run_saturated_flows().
   RunFn run;
-  /// Per-scenario defaults (duration, warmup, packet size). The sweep's
-  /// scheme/seed/overrides are applied on top.
+  /// Per-scenario defaults (duration, warmup, MAC knobs). The sweep sets
+  /// the scheme, seed and its duration/warmup/variant on top.
   testbed::RunConfig defaults;
   /// Canonical testbed for scenarios that prescribe their own building
   /// (e.g. the testbed_100/200/400 scaling family). Unset means the driver

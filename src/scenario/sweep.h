@@ -38,7 +38,7 @@ struct Sweep {
   int topologies = 16;   // topology draws (shared across schemes/variants)
   int replicates = 1;    // independent seeds per (scheme, variant, topology)
   std::uint64_t base_seed = 1;
-  /// Override the scenario's default run length / measurement warmup.
+  /// Replace the scenario's default run length / measurement warmup.
   std::optional<sim::Time> duration;
   std::optional<sim::Time> warmup;
   /// When set, every run emits a binary event trace. `trace->path` names a

@@ -18,11 +18,13 @@
 namespace cmap::sim {
 
 /// Config validation: when `ok` is false, abort naming the offending
-/// field, e.g. "invalid CmapConfig::nvpkt = 65".
+/// field, e.g. "invalid CmapConfig::nvpkt = 65", followed by `why` when
+/// given.
 inline void require_valid(bool ok, const char* config, const char* field,
-                          double value) {
+                          double value, const char* why = nullptr) {
   if (ok) return;
-  std::fprintf(stderr, "invalid %s::%s = %g\n", config, field, value);
+  std::fprintf(stderr, "invalid %s::%s = %g%s%s\n", config, field, value,
+               why != nullptr ? ": " : "", why != nullptr ? why : "");
   std::abort();
 }
 

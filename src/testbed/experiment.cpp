@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 #include "sim/assert.h"
 
@@ -18,6 +19,64 @@ std::shared_ptr<dynamics::DynamicShadowing> make_channel(
   dynamics::ChannelConfig cc = *config.dynamics->channel;
   cc.seed = sim::mix64(cc.seed ^ sim::mix64(config.seed));
   return std::make_shared<dynamics::DynamicShadowing>(tb.propagation(), cc);
+}
+
+// Validate `config`, then overlay the fields each scheme fixes (listed here
+// and nowhere else) onto its MAC config and `radio`. A fixed field the
+// caller moved off its struct default aborts naming it: a row labelled
+// "CMAP,win=1" must run a window of one. Returns every node's radio config.
+phy::RadioConfig resolve(RunConfig& config, phy::RadioConfig radio) {
+  using core::CmapConfig;
+  using mac80211::DcfConfig;
+  sim::require_valid(config.duration > 0, "RunConfig", "duration",
+                     static_cast<double>(config.duration));
+  sim::require_valid(config.warmup >= 0 && config.warmup <= config.duration,
+                     "RunConfig", "warmup", static_cast<double>(config.warmup));
+  sim::require_valid(config.packet_bytes >= 1, "RunConfig", "packet_bytes",
+                     static_cast<double>(config.packet_bytes));
+  sim::require_valid(config.pdes.partitions >= 1, "PdesOptions", "partitions",
+                     config.pdes.partitions);
+  sim::require_valid(config.pdes.threads >= 1, "PdesOptions", "threads",
+                     config.pdes.threads);
+  const Scheme s = config.scheme;
+  const std::string why = std::string("fixed by scheme ") + scheme_name(s);
+  const auto fix = [&why](auto& into, auto field, auto value,
+                          const char* name) {
+    using Config = std::remove_reference_t<decltype(into)>;
+    const auto set = into.*field;
+    sim::require_valid(
+        set == Config{}.*field,
+        std::is_same_v<Config, phy::RadioConfig> ? "RadioConfig" : "RunConfig",
+        name, static_cast<double>(static_cast<long long>(set)), why.c_str());
+    into.*field = value;
+  };
+  // Integrated salvage (PPR) is a radio capability of that scheme.
+  fix(radio, &phy::RadioConfig::salvage_enabled, s == Scheme::kCmapIntegrated,
+      "salvage_enabled");
+  if (!scheme_is_cmap(s)) {
+    fix(config.dcf, &DcfConfig::carrier_sense, s == Scheme::kCsma,
+        "dcf.carrier_sense");
+    fix(config.dcf, &DcfConfig::acks, s != Scheme::kCsmaOffNoAcks, "dcf.acks");
+    mac80211::validate(config.dcf);
+    return radio;
+  }
+  CmapConfig& c = config.cmap;
+  const CmapConfig ppr = CmapConfig::integrated_defaults();
+  if (s == Scheme::kCmapIntegrated) {
+    fix(c, &CmapConfig::nvpkt, ppr.nvpkt, "cmap.nvpkt");
+    fix(c, &CmapConfig::t_ackwait, ppr.t_ackwait, "cmap.t_ackwait");
+    fix(c, &CmapConfig::t_deferwait, ppr.t_deferwait, "cmap.t_deferwait");
+    fix(c, &CmapConfig::cw_start, ppr.cw_start, "cmap.cw_start");
+    fix(c, &CmapConfig::cw_max, ppr.cw_max, "cmap.cw_max");
+  }
+  if (s == Scheme::kCmapWin1) {
+    fix(c, &CmapConfig::nwindow_vps, 1, "cmap.nwindow_vps");
+  }
+  fix(c, &CmapConfig::mode,
+      s == Scheme::kCmapIntegrated ? ppr.mode : core::PhyMode::kShim,
+      "cmap.mode");
+  core::validate(c);
+  return radio;
 }
 
 }  // namespace
@@ -54,10 +113,7 @@ World::World(const Testbed& tb, const RunConfig& config)
                                    channel_)
                              : tb.propagation(),
               tb.config().medium, sim::Rng(config.seed).substream(0xbead, 0)) {
-  sim::require_valid(config_.pdes.partitions >= 1, "PdesOptions", "partitions",
-                     config_.pdes.partitions);
-  sim::require_valid(config_.pdes.threads >= 1, "PdesOptions", "threads",
-                     config_.pdes.threads);
+  radio_config_ = resolve(config_, tb_.config().radio);
   // The tracer must be bound into the medium before any radio, MAC, or
   // dynamics hook binds (each caches the tracer pointer at construction).
   if (config_.trace && !config_.trace->path.empty()) {
@@ -148,35 +204,15 @@ void World::run(sim::Time until) {
 void World::add_node(phy::NodeId id) {
   if (nodes_.count(id)) return;
   NodeState st;
-  phy::RadioConfig rc = tb_.config().radio;
-  // Integrated salvage (PPR) is a radio capability of that scheme.
-  rc.salvage_enabled = config_.scheme == Scheme::kCmapIntegrated;
   sim::Simulator& nsim = node_simulator(id);
   st.radio = std::make_unique<phy::Radio>(nsim, medium_, id, tb_.position(id),
-                                          rc, tb_.error_model(),
+                                          radio_config_, tb_.error_model(),
                                           rng_.substream(0x4ad10, id));
-
   if (scheme_is_cmap(config_.scheme)) {
-    core::CmapConfig cc;
-    if (config_.scheme == Scheme::kCmapIntegrated) {
-      cc = core::CmapConfig::integrated_defaults();
-    }
-    if (config_.scheme == Scheme::kCmapWin1) cc.nwindow_vps = 1;
-    if (config_.cmap.nvpkt) cc.nvpkt = *config_.cmap.nvpkt;
-    if (config_.cmap.nwindow) cc.nwindow_vps = *config_.cmap.nwindow;
-    if (config_.cmap.defer_ttl) cc.defer_entry_ttl = *config_.cmap.defer_ttl;
-    if (config_.cmap.ilist_period) cc.ilist_period = *config_.cmap.ilist_period;
-    cc.data_rate = config_.data_rate;
-    cc.per_dest_queues = config_.per_dest_queues;
-    cc.annotate_rates = config_.annotate_rates;
-    st.mac = std::make_unique<core::CmapMac>(nsim, *st.radio, cc,
+    st.mac = std::make_unique<core::CmapMac>(nsim, *st.radio, config_.cmap,
                                              rng_.substream(0x3ac, id));
   } else {
-    mac80211::DcfConfig dc;
-    dc.carrier_sense = config_.scheme == Scheme::kCsma;
-    dc.acks = config_.scheme != Scheme::kCsmaOffNoAcks;
-    dc.data_rate = config_.data_rate;
-    st.mac = std::make_unique<mac80211::DcfMac>(nsim, *st.radio, dc,
+    st.mac = std::make_unique<mac80211::DcfMac>(nsim, *st.radio, config_.dcf,
                                                 rng_.substream(0x3ac, id));
   }
   st.sink = std::make_unique<net::PacketSink>(*st.mac, nsim);
@@ -188,19 +224,9 @@ void World::add_saturated_flow(phy::NodeId src, phy::NodeId dst) {
   add_node(src);
   if (dst != phy::kBroadcastId) add_node(dst);
   NodeState& st = nodes_.at(src);
-  CMAP_ASSERT(!st.source && !st.batch, "node already has a source");
+  CMAP_ASSERT(!st.source, "node already has a source");
   st.source = std::make_unique<net::SaturatedSource>(
       *st.mac, src, dst, config_.packet_bytes);
-}
-
-void World::add_batch_flow(phy::NodeId src, phy::NodeId dst,
-                           std::uint64_t count) {
-  add_node(src);
-  if (dst != phy::kBroadcastId) add_node(dst);
-  NodeState& st = nodes_.at(src);
-  CMAP_ASSERT(!st.source && !st.batch, "node already has a source");
-  st.batch = std::make_unique<net::BatchSource>(*st.mac, src, dst, count,
-                                                config_.packet_bytes);
 }
 
 void World::set_measurement_window(sim::Time begin, sim::Time end) {

@@ -43,28 +43,22 @@ struct Flow {
   bool operator==(const Flow&) const = default;
 };
 
-/// CMAP-specific run overrides, grouped (ignored by the DCF schemes).
-struct CmapOverrides {
-  std::optional<int> nvpkt;    // override Nvpkt
-  std::optional<int> nwindow;  // override Nwindow (in VPs)
-  // Override the CMAP defer-entry TTL (§3.4) and the interferer-list
-  // broadcast period (§3.1). Mobile scenarios shorten both so stale
-  // conflicts age out and fresh ones are re-broadcast within the run —
-  // the periodic re-learning loop the paper's TTLs exist for.
-  std::optional<sim::Time> defer_ttl;
-  std::optional<sim::Time> ilist_period;
-};
-
+/// One run's configuration: set fields directly. The scheme wins: World's
+/// constructor overlays the fields `scheme` fixes (listed once, in resolve()
+/// in experiment.cpp) onto its MAC config and the radio, and config() then
+/// reports what every node runs. Setting a scheme-fixed field, or an
+/// invalid duration, warmup or packet size, aborts at World construction
+/// naming the field.
 struct RunConfig {
   Scheme scheme = Scheme::kCmap;
-  sim::Time duration = sim::seconds(100);
-  sim::Time warmup = sim::seconds(40);  // measure over the last 60 s
+  sim::Time duration = sim::seconds(100);  // > 0
+  sim::Time warmup = sim::seconds(40);  // in [0, duration]; measure the rest
   std::uint64_t seed = 1;
-  phy::WifiRate data_rate = phy::WifiRate::k6Mbps;
-  std::size_t packet_bytes = 1400;
-  bool per_dest_queues = false;  // §3.2 optimization (CMAP only)
-  bool annotate_rates = false;   // §3.5 extension (CMAP only)
-  CmapOverrides cmap;            // CMAP-only knobs, grouped
+  std::size_t packet_bytes = 1400;  // >= 1
+  // Only the scheme's own MAC reads its config; a knob both have (e.g.
+  // data_rate) goes on both for a cross-scheme sweep.
+  core::CmapConfig cmap;
+  mac80211::DcfConfig dcf;
   // Time-varying environment (mobility and/or channel evolution); the
   // World instantiates the dynamics subsystem when set. Mobility bounds
   // default to the testbed's floor; the channel model wraps the testbed's
@@ -91,43 +85,12 @@ struct RunConfig {
   // Results never depend on partitions or threads.
   sim::PdesOptions pdes;
 
-  // ---- Fluent builders ----
-  // Each returns *this, so configurations read as one expression:
-  //   RunConfig{}.with_scheme(Scheme::kCsma).with_seed(7)
-  // They work on temporaries and named objects alike (the temporary case
-  // copies on assignment, which these little structs don't mind).
-  RunConfig& with_scheme(Scheme v) { scheme = v; return *this; }
-  RunConfig& with_duration(sim::Time v) { duration = v; return *this; }
-  RunConfig& with_warmup(sim::Time v) { warmup = v; return *this; }
-  RunConfig& with_seed(std::uint64_t v) { seed = v; return *this; }
-  RunConfig& with_data_rate(phy::WifiRate v) { data_rate = v; return *this; }
-  RunConfig& with_packet_bytes(std::size_t v) {
-    packet_bytes = v;
-    return *this;
-  }
-  RunConfig& with_per_dest_queues(bool v) { per_dest_queues = v; return *this; }
-  RunConfig& with_annotate_rates(bool v) { annotate_rates = v; return *this; }
-  RunConfig& with_cmap(CmapOverrides v) { cmap = v; return *this; }
-  RunConfig& with_nvpkt(int v) { cmap.nvpkt = v; return *this; }
-  RunConfig& with_nwindow(int v) { cmap.nwindow = v; return *this; }
-  RunConfig& with_defer_ttl(sim::Time v) { cmap.defer_ttl = v; return *this; }
-  RunConfig& with_ilist_period(sim::Time v) {
-    cmap.ilist_period = v;
-    return *this;
-  }
-  RunConfig& with_dynamics(dynamics::DynamicsConfig v) {
-    dynamics = std::move(v);
-    return *this;
-  }
-  RunConfig& with_trace(trace::TraceConfig v) {
-    trace = std::move(v);
-    return *this;
-  }
+  // Kept only for bench/e2e/e2e_driver.cpp, the benchmark's pinned driver;
+  // delete them when it next changes.
   RunConfig& with_metrics(metrics::MetricsConfig v) {
     metrics = std::move(v);
     return *this;
   }
-  RunConfig& with_pdes(sim::PdesOptions v) { pdes = v; return *this; }
   RunConfig& with_partitions(int v) { pdes.partitions = v; return *this; }
   RunConfig& with_pdes_threads(int v) { pdes.threads = v; return *this; }
 };
@@ -145,9 +108,6 @@ class World {
   /// Saturate `src` toward `dst` (kBroadcastId allowed for CMAP §3.6).
   void add_saturated_flow(phy::NodeId src, phy::NodeId dst);
 
-  /// Enqueue a fixed batch instead (mesh dissemination phases).
-  void add_batch_flow(phy::NodeId src, phy::NodeId dst, std::uint64_t count);
-
   /// Set every sink's measurement window.
   void set_measurement_window(sim::Time begin, sim::Time end);
 
@@ -159,8 +119,6 @@ class World {
   /// live on partition simulators instead — drive partial runs through
   /// run(), not this.
   sim::Simulator& simulator() { return sim_; }
-  /// The engine, when this run is partitioned (else nullptr).
-  sim::PdesEngine* pdes() { return engine_.get(); }
   mac::Mac& mac(phy::NodeId id);
   net::PacketSink& sink(phy::NodeId id);
   core::CmapMac* cmap(phy::NodeId id);          // nullptr for DCF schemes
@@ -186,7 +144,6 @@ class World {
     std::unique_ptr<mac::Mac> mac;
     std::unique_ptr<net::PacketSink> sink;
     std::unique_ptr<net::SaturatedSource> source;
-    std::unique_ptr<net::BatchSource> batch;
   };
 
   /// The simulator `id`'s components schedule on: its partition's under
@@ -197,7 +154,8 @@ class World {
   void refresh_pdes_delays();
 
   const Testbed& tb_;
-  RunConfig config_;
+  RunConfig config_;  // resolved against its scheme at construction
+  phy::RadioConfig radio_config_;  // every node's: the scheme's salvage
   sim::Simulator sim_;
   sim::Rng rng_;
   // Owns the trace stream; bound into medium_ before any node or dynamics

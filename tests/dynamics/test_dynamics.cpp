@@ -34,6 +34,7 @@ DynamicsConfig full_dynamics() {
 TEST(WorldDynamics, StaticRunHasNoDynamics) {
   testbed::RunConfig config;
   config.duration = sim::seconds(1);
+  config.warmup = sim::milliseconds(250);
   testbed::World world(shared_testbed(), config);
   EXPECT_EQ(world.dynamics(), nullptr);
 }
@@ -61,6 +62,7 @@ TEST(WorldDynamics, NodesMoveAndEpochsAdvanceDuringARun) {
 TEST(WorldDynamics, MobilityBoundsDefaultToTheTestbedFloor) {
   testbed::RunConfig config;
   config.duration = sim::seconds(5);
+  config.warmup = sim::seconds(1);
   config.dynamics = full_dynamics();
   testbed::World world(shared_testbed(), config);
   // config() reports the resolved bounds, not the 0x0 "fill me in" input.
@@ -83,6 +85,7 @@ TEST(WorldDynamics, ReplicatesSeeDifferentChannelRealizations) {
   auto offset_after = [](std::uint64_t seed) {
     testbed::RunConfig config;
     config.duration = sim::seconds(1);
+    config.warmup = sim::milliseconds(250);
     config.seed = seed;
     config.dynamics = full_dynamics();
     testbed::World world(shared_testbed(), config);
@@ -97,8 +100,9 @@ TEST(WorldDynamics, RelearningOverridesReachTheMac) {
   testbed::RunConfig config;
   config.scheme = testbed::Scheme::kCmap;
   config.duration = sim::seconds(1);
-  config.with_defer_ttl(sim::seconds(5))
-      .with_ilist_period(sim::milliseconds(500));
+  config.warmup = sim::milliseconds(250);
+  config.cmap.defer_entry_ttl = sim::seconds(5);
+  config.cmap.ilist_period = sim::milliseconds(500);
   testbed::World world(shared_testbed(), config);
   world.add_saturated_flow(0, 1);
   ASSERT_NE(world.cmap(0), nullptr);
@@ -121,8 +125,8 @@ TEST(WorldDynamics, MobileRunExercisesRelearningEndToEnd) {
   config.scheme = testbed::Scheme::kCmap;
   config.duration = sim::seconds(10);
   config.warmup = sim::seconds(2);
-  config.with_defer_ttl(sim::seconds(4))
-      .with_ilist_period(sim::milliseconds(500));
+  config.cmap.defer_entry_ttl = sim::seconds(4);
+  config.cmap.ilist_period = sim::milliseconds(500);
   DynamicsConfig dc = full_dynamics();
   // Gentle drift: the geometry evolves without dissolving the conflict
   // before the receivers have accumulated the evidence to report it.

@@ -190,6 +190,7 @@ TEST(WorldMetrics, UnmeteredRunHasNoProfile) {
   testbed::RunConfig config = sc.defaults;
   config.scheme = testbed::Scheme::kCmap;
   config.duration = sim::milliseconds(300);
+  config.warmup = sim::milliseconds(100);
   config.seed = 5;
   const auto result =
       testbed::run_flows(*tb, topologies.front().flows, config);

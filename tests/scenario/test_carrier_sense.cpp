@@ -84,7 +84,7 @@ Outcome run(const Case& c, bool watch_cca, const std::string& trace_path) {
   config.seed = SweepRunner::expand(sweep, 1).front().seed;
   config.pdes.partitions = c.partitions;
   config.pdes.threads = c.threads;
-  config.with_metrics(metrics::MetricsConfig{});
+  config.metrics = metrics::MetricsConfig{};
   config.trace = trace::TraceConfig{};
   config.trace->path = trace_path;
 

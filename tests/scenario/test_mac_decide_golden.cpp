@@ -56,7 +56,7 @@ Sweep make_sweep(const char* scenario, std::vector<testbed::Scheme> schemes,
   sweep.variants = {{"", [knob, counts](testbed::RunConfig& c) {
                        if (knob) knob(c);
                        ++counts->runs;
-                       if (c.annotate_rates) ++counts->annotated;
+                       if (c.cmap.annotate_rates) ++counts->annotated;
                      }}};
   sweep.topologies = topologies;
   sweep.duration = duration;
@@ -183,7 +183,7 @@ TEST(MacDecideGoldenFlows, HighConcurrencySweepReportIsByteIdentical) {
   check_sweep(make_sweep("flows_50", {testbed::Scheme::kCmap}, 2,
                          sim::seconds(1),
                          [](testbed::RunConfig& c) {
-                           c.per_dest_queues = true;
+                           c.cmap.per_dest_queues = true;
                          },
                          &counts),
               *tb, "flows_50", &tally);

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+
+#include "testbed/experiment.h"
 
 namespace cmap::scenario {
 namespace {
@@ -131,6 +134,37 @@ TEST(Registry, DenseGridScalesWithDensityAndAvoidsSelfFlows) {
     EXPECT_GT(draws[0].flows.size(), prev_flows);
     prev_flows = draws[0].flows.size();
   }
+}
+
+TEST(Registry, MobileDescriptionsKeepTheirTtlTail) {
+  const auto& reg = ScenarioRegistry::global();
+  int checked = 0;
+  for (const std::string& name : reg.names()) {
+    if (!name.starts_with("mobile_floor_") && !name.starts_with("churn_")) {
+      continue;
+    }
+    ++checked;
+    const std::string& description = reg.at(name).description;
+    EXPECT_TRUE(description.ends_with("defer TTL 5 s)"))
+        << name << ": " << description;
+  }
+  EXPECT_GE(checked, 3);
+}
+
+TEST(Registry, MobileRelearningDefaultsSurviveTheIntegratedScheme) {
+  // The integrated scheme fixes its own timings, not the TTL or period.
+  testbed::RunConfig config =
+      ScenarioRegistry::global().at("mobile_floor_50").defaults;
+  config.scheme = testbed::Scheme::kCmapIntegrated;
+  testbed::World world(shared_testbed(), config);
+  world.add_node(0);
+  ASSERT_NE(world.cmap(0), nullptr);
+  const core::CmapConfig& mac = world.cmap(0)->config();
+  EXPECT_EQ(mac.defer_entry_ttl, sim::seconds(5));
+  EXPECT_EQ(mac.ilist_period, sim::milliseconds(500));
+  EXPECT_EQ(mac.mode, core::PhyMode::kIntegrated);
+  EXPECT_EQ(mac.nvpkt, 1);
+  EXPECT_TRUE(world.config().cmap == mac);
 }
 
 }  // namespace

@@ -35,10 +35,9 @@ ScenarioRegistry synthetic_registry() {
   s.run = [](const RunContext& ctx) {
     RunOutcome out;
     out.aggregate_mbps = static_cast<double>(ctx.config.seed % 1000);
-    out.metrics = {{"seed_lo", static_cast<double>(ctx.config.seed & 0xff)},
-                   {"nwindow", ctx.config.cmap.nwindow
-                                   ? static_cast<double>(*ctx.config.cmap.nwindow)
-                                   : -1.0}};
+    out.metrics = {
+        {"seed_lo", static_cast<double>(ctx.config.seed & 0xff)},
+        {"nwindow", static_cast<double>(ctx.config.cmap.nwindow_vps)}};
     return out;
   };
   reg.add(s);
@@ -109,8 +108,9 @@ TEST(SweepRunnerTest, RowsFollowExpansionOrderRegardlessOfThreads) {
   Sweep sweep;
   sweep.scenario = "synthetic";
   sweep.schemes = {testbed::Scheme::kCsma, testbed::Scheme::kCmap};
-  sweep.variants = {{"w1", [](testbed::RunConfig& rc) { rc.with_nwindow(1); }},
-                    {"w8", [](testbed::RunConfig& rc) { rc.with_nwindow(8); }}};
+  sweep.variants = {
+      {"w1", [](testbed::RunConfig& rc) { rc.cmap.nwindow_vps = 1; }},
+      {"w8", [](testbed::RunConfig& rc) { rc.cmap.nwindow_vps = 8; }}};
   sweep.topologies = 6;
   sweep.replicates = 2;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "testbed/topology_picker.h"
 
 namespace cmap::testbed {
@@ -49,6 +52,61 @@ TEST_P(SingleFlowAllSchemes, DeliversOnCleanLink) {
 INSTANTIATE_TEST_SUITE_P(Schemes, SingleFlowAllSchemes,
                          ::testing::Range(0, 6));
 
+// What each scheme gives every node: its MAC (one of the two configs is
+// set), that MAC's full config and the radio's salvage switch.
+struct SchemeRow {
+  Scheme scheme;
+  std::optional<core::CmapConfig> cmap;
+  std::optional<mac80211::DcfConfig> dcf;
+  bool salvage = false;
+};
+
+std::vector<SchemeRow> scheme_table() {
+  core::CmapConfig win1;
+  win1.nwindow_vps = 1;
+  mac80211::DcfConfig cs_off;
+  cs_off.carrier_sense = false;
+  mac80211::DcfConfig cs_off_no_acks = cs_off;
+  cs_off_no_acks.acks = false;
+  return {
+      {Scheme::kCsma, std::nullopt, mac80211::DcfConfig{}, false},
+      {Scheme::kCsmaOffAcks, std::nullopt, cs_off, false},
+      {Scheme::kCsmaOffNoAcks, std::nullopt, cs_off_no_acks, false},
+      {Scheme::kCmap, core::CmapConfig{}, std::nullopt, false},
+      {Scheme::kCmapWin1, win1, std::nullopt, false},
+      {Scheme::kCmapIntegrated, core::CmapConfig::integrated_defaults(),
+       std::nullopt, true},
+  };
+}
+
+TEST(SchemeResolution, EverySchemeGivesEachNodeItsMacConfigAndSalvage) {
+  const auto table = scheme_table();
+  ASSERT_EQ(table.size(), 6u);
+  const Flow f = first_potential_flow();
+  for (const SchemeRow& row : table) {
+    SCOPED_TRACE(scheme_name(row.scheme));
+    World world(shared_testbed(), quick(row.scheme));
+    if (row.cmap) {
+      EXPECT_TRUE(world.config().cmap == *row.cmap);
+    } else {
+      EXPECT_TRUE(world.config().dcf == *row.dcf);
+    }
+    for (const phy::NodeId id : {f.src, f.dst}) {
+      world.add_node(id);
+      if (row.cmap) {
+        ASSERT_NE(world.cmap(id), nullptr);
+        EXPECT_EQ(world.dcf(id), nullptr);
+        EXPECT_TRUE(world.cmap(id)->config() == *row.cmap);
+      } else {
+        ASSERT_NE(world.dcf(id), nullptr);
+        EXPECT_EQ(world.cmap(id), nullptr);
+        EXPECT_TRUE(world.dcf(id)->config() == *row.dcf);
+      }
+      EXPECT_EQ(world.radio(id).config().salvage_enabled, row.salvage);
+    }
+  }
+}
+
 TEST(Experiment, CmapCountersArePopulated) {
   const auto result = run_flows(shared_testbed(), {first_potential_flow()},
                                 quick(Scheme::kCmap));
@@ -85,46 +143,115 @@ TEST(Experiment, MeasurementWindowExcludesWarmup) {
   EXPECT_DOUBLE_EQ(result.flows[0].mbps, 0.0);
 }
 
-TEST(Experiment, FluentBuilderConfiguresEveryGroupedKnob) {
-  const RunConfig rc = RunConfig{}
-                           .with_scheme(Scheme::kCsmaOffAcks)
-                           .with_duration(sim::seconds(3))
-                           .with_warmup(sim::seconds(1))
-                           .with_seed(17)
-                           .with_packet_bytes(500)
-                           .with_per_dest_queues(true)
-                           .with_nvpkt(4)
-                           .with_nwindow(2)
-                           .with_defer_ttl(sim::seconds(6))
-                           .with_ilist_period(sim::milliseconds(250));
-  EXPECT_EQ(rc.scheme, Scheme::kCsmaOffAcks);
-  EXPECT_EQ(rc.duration, sim::seconds(3));
-  EXPECT_EQ(rc.warmup, sim::seconds(1));
-  EXPECT_EQ(rc.seed, 17u);
-  EXPECT_EQ(rc.packet_bytes, 500u);
-  EXPECT_TRUE(rc.per_dest_queues);
-  EXPECT_EQ(rc.cmap.nvpkt, 4);
-  EXPECT_EQ(rc.cmap.nwindow, 2);
-  EXPECT_EQ(rc.cmap.defer_ttl, sim::seconds(6));
-  EXPECT_EQ(rc.cmap.ilist_period, sim::milliseconds(250));
-  // Overrides reach the MAC through the grouped struct.
-  World world(shared_testbed(),
-              RunConfig{}.with_nvpkt(3).with_defer_ttl(sim::seconds(9)));
+TEST(Experiment, ResolvedConfigReachesTheMac) {
+  // Knobs the scheme leaves free reach every node's MAC as set, next to
+  // the fields the scheme fixes, and config() reports the same config.
   const Flow f = first_potential_flow();
+  RunConfig rc = quick(Scheme::kCmapWin1);
+  rc.cmap.nvpkt = 4;
+  rc.cmap.per_dest_queues = true;
+  rc.cmap.defer_entry_ttl = sim::seconds(6);
+  rc.cmap.ilist_period = sim::milliseconds(250);
+  World world(shared_testbed(), rc);
   world.add_node(f.src);
+  core::CmapConfig expected = rc.cmap;
+  expected.nwindow_vps = 1;
   ASSERT_NE(world.cmap(f.src), nullptr);
-  EXPECT_EQ(world.cmap(f.src)->config().nvpkt, 3);
-  EXPECT_EQ(world.cmap(f.src)->config().defer_entry_ttl, sim::seconds(9));
+  EXPECT_TRUE(world.cmap(f.src)->config() == expected);
+  EXPECT_TRUE(world.config().cmap == expected);
+
+  // A DCF scheme reads `dcf` instead, and ignores `cmap`.
+  RunConfig dcf_rc = quick(Scheme::kCsmaOffAcks);
+  dcf_rc.cmap.nvpkt = 0;
+  dcf_rc.dcf.cw_min = 31;
+  dcf_rc.dcf.data_rate = phy::WifiRate::k12Mbps;
+  World dcf_world(shared_testbed(), dcf_rc);
+  dcf_world.add_node(f.src);
+  mac80211::DcfConfig expected_dcf = dcf_rc.dcf;
+  expected_dcf.carrier_sense = false;
+  ASSERT_NE(dcf_world.dcf(f.src), nullptr);
+  EXPECT_TRUE(dcf_world.dcf(f.src)->config() == expected_dcf);
+  EXPECT_TRUE(dcf_world.config().dcf == expected_dcf);
 }
 
 TEST(CmapConfigDeathTest, RunConfigNvpktOverrideIsValidated) {
-  const Flow f = first_potential_flow();
   for (const int bad : {0, 65}) {
-    World world(shared_testbed(), RunConfig{}.with_nvpkt(bad));
-    EXPECT_DEATH(world.add_node(f.src), "CmapConfig::nvpkt") << bad;
+    RunConfig rc;
+    rc.cmap.nvpkt = bad;
+    EXPECT_DEATH(World(shared_testbed(), rc), "CmapConfig::nvpkt") << bad;
   }
-  World world(shared_testbed(), RunConfig{}.with_nwindow(0));
-  EXPECT_DEATH(world.add_node(f.src), "CmapConfig::nwindow_vps");
+  RunConfig rc;
+  rc.cmap.nwindow_vps = 0;
+  EXPECT_DEATH(World(shared_testbed(), rc), "CmapConfig::nwindow_vps");
+}
+
+TEST(RunConfigDeathTest, NonPositiveDurationAbortsNamingTheField) {
+  for (const sim::Time bad : {sim::Time{0}, -sim::seconds(1)}) {
+    RunConfig rc;
+    rc.duration = bad;
+    rc.warmup = 0;
+    EXPECT_DEATH(World(shared_testbed(), rc), "RunConfig::duration") << bad;
+  }
+}
+
+TEST(RunConfigDeathTest, WarmupOutsideTheRunAbortsNamingTheField) {
+  // warmup == duration stays legal (MeasurementWindowExcludesWarmup).
+  for (const sim::Time bad : {-sim::milliseconds(1), sim::seconds(4)}) {
+    RunConfig rc = quick(Scheme::kCmap);
+    rc.warmup = bad;
+    EXPECT_DEATH(World(shared_testbed(), rc), "RunConfig::warmup") << bad;
+  }
+}
+
+TEST(RunConfigDeathTest, EmptyPacketsAbortNamingTheField) {
+  RunConfig rc = quick(Scheme::kCmap);
+  rc.packet_bytes = 0;
+  EXPECT_DEATH(World(shared_testbed(), rc), "RunConfig::packet_bytes");
+}
+
+TEST(RunConfigDeathTest, SchemeFixedFieldsAbortNamingTheField) {
+  // A field the scheme fixes may not be set, even to the value the scheme
+  // would pick: a "CMAP,win=1" row must run a window of one.
+  struct Conflict {
+    Scheme scheme;
+    void (*set)(RunConfig&);
+    const char* message;
+  };
+  const Conflict conflicts[] = {
+      {Scheme::kCmap,
+       [](RunConfig& rc) { rc.cmap.mode = core::PhyMode::kIntegrated; },
+       "RunConfig::cmap.mode = 1: fixed by scheme CMAP"},
+      {Scheme::kCmapIntegrated,
+       [](RunConfig& rc) { rc.cmap.mode = core::PhyMode::kIntegrated; },
+       "RunConfig::cmap.mode = 1: fixed by scheme CMAP,integrated"},
+      {Scheme::kCmapWin1, [](RunConfig& rc) { rc.cmap.nwindow_vps = 4; },
+       "RunConfig::cmap.nwindow_vps = 4: fixed by scheme CMAP,win=1"},
+      {Scheme::kCmapIntegrated, [](RunConfig& rc) { rc.cmap.nvpkt = 2; },
+       "RunConfig::cmap.nvpkt = 2: fixed by scheme CMAP,integrated"},
+      {Scheme::kCmapIntegrated,
+       [](RunConfig& rc) { rc.cmap.cw_max = sim::milliseconds(20); },
+       "RunConfig::cmap.cw_max"},
+      {Scheme::kCsma, [](RunConfig& rc) { rc.dcf.carrier_sense = false; },
+       "RunConfig::dcf.carrier_sense = 0: fixed by scheme CS,acks"},
+      {Scheme::kCsmaOffAcks, [](RunConfig& rc) { rc.dcf.acks = false; },
+       "RunConfig::dcf.acks = 0: fixed by scheme CSoff,acks"},
+  };
+  for (const Conflict& c : conflicts) {
+    RunConfig rc = quick(c.scheme);
+    c.set(rc);
+    EXPECT_DEATH(World(shared_testbed(), rc), c.message) << c.message;
+  }
+}
+
+TEST(RunConfigDeathTest, TestbedSetSalvageAbortsNamingTheField) {
+  // Salvage is the scheme's decision, so a testbed may not set it.
+  TestbedConfig cfg;
+  cfg.radio.salvage_enabled = true;
+  const Testbed tb(cfg);
+  for (const Scheme scheme : {Scheme::kCsma, Scheme::kCmapIntegrated}) {
+    EXPECT_DEATH(World(tb, quick(scheme)), "RadioConfig::salvage_enabled")
+        << scheme_name(scheme);
+  }
 }
 
 TEST(PdesOptionsDeathTest, NonPositivePartitionsAbortsNamingTheField) {

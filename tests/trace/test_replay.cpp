@@ -73,8 +73,8 @@ TEST(DeferTableReplayTest, MatchesLiveTablesOnFlows50) {
   // interferer lists broadcast every 150 ms (default 1 s would fire once,
   // at the very end) and entries expire after 400 ms, so the replay must
   // agree through insert, refresh, AND expiry.
-  config.with_ilist_period(sim::milliseconds(150))
-      .with_defer_ttl(sim::milliseconds(400));
+  config.cmap.ilist_period = sim::milliseconds(150);
+  config.cmap.defer_entry_ttl = sim::milliseconds(400);
   config.trace = TraceConfig{};
   config.trace->path = path;
   config.trace->categories = bit(Category::kDeferTable);
