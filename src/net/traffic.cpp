@@ -11,16 +11,14 @@ constexpr std::size_t kBacklogTarget = 64;  // packets kept queued
 // the harness allows one source per node — and deterministic regardless of
 // how many worlds ran before or on which thread. A process-global counter
 // here would both race under the parallel sweep runner and make results
-// depend on execution order. `batch` keeps a BatchSource's ids disjoint
-// from a SaturatedSource's on the same node across experiment phases.
-std::uint64_t packet_id_base(phy::NodeId src, std::uint32_t flow, bool batch) {
-  // Non-overlapping fields: [63] batch | [62:52] flow | [51:32] src |
-  // [31:0] per-source counter. The asserts keep the uniqueness guarantee
-  // honest instead of silently bleeding fields together.
+// depend on execution order.
+std::uint64_t packet_id_base(phy::NodeId src, std::uint32_t flow) {
+  // Non-overlapping fields: [62:52] flow | [51:32] src | [31:0] per-source
+  // counter. The asserts keep the uniqueness guarantee honest instead of
+  // silently bleeding fields together.
   CMAP_ASSERT(src < (1u << 20), "NodeId too large for packet-id packing");
   CMAP_ASSERT(flow < (1u << 11), "flow tag too large for packet-id packing");
-  return (batch ? 1ull << 63 : 0ull) |
-         (static_cast<std::uint64_t>(flow) << 52) |
+  return (static_cast<std::uint64_t>(flow) << 52) |
          (static_cast<std::uint64_t>(src) << 32);
 }
 
@@ -34,7 +32,7 @@ SaturatedSource::SaturatedSource(mac::Mac& mac, phy::NodeId src,
       dst_(dst),
       bytes_(bytes),
       flow_(flow),
-      next_packet_id_(packet_id_base(src, flow, /*batch=*/false)) {
+      next_packet_id_(packet_id_base(src, flow)) {
   mac_.set_drain_handler([this] { fill(); });
   fill();
 }
@@ -49,33 +47,6 @@ void SaturatedSource::fill() {
     p.bytes = bytes_;
     if (!mac_.send(p)) break;
     ++offered_;
-  }
-}
-
-BatchSource::BatchSource(mac::Mac& mac, phy::NodeId src, phy::NodeId dst,
-                         std::uint64_t count, std::size_t bytes,
-                         std::uint32_t flow)
-    : mac_(mac),
-      src_(src),
-      dst_(dst),
-      bytes_(bytes),
-      flow_(flow),
-      remaining_(count),
-      next_packet_id_(packet_id_base(src, flow, /*batch=*/true)) {
-  mac_.set_drain_handler([this] { fill(); });
-  fill();
-}
-
-void BatchSource::fill() {
-  while (remaining_ > 0 && mac_.queue_depth() < kBacklogTarget) {
-    mac::Packet p;
-    p.src = src_;
-    p.dst = dst_;
-    p.id = ++next_packet_id_;
-    p.flow = flow_;
-    p.bytes = bytes_;
-    if (!mac_.send(p)) break;
-    --remaining_;
   }
 }
 

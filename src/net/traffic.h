@@ -1,7 +1,7 @@
 // Traffic generators and sinks. The paper's workloads are saturated
 // unicast flows ("senders transmit 1400-byte packets as fast as they can",
-// §5.1) and a fixed-batch broadcast for the mesh dissemination experiment
-// (§5.7).
+// §5.1). The mesh dissemination experiment (§5.7) saturates its sources
+// too: a broadcast phase from the mesh source, then unicast relays.
 #pragma once
 
 #include <cstdint>
@@ -31,28 +31,6 @@ class SaturatedSource {
   std::size_t bytes_;
   std::uint32_t flow_;
   std::uint64_t offered_ = 0;
-  std::uint64_t next_packet_id_;  // per-instance; see packet_id_base()
-};
-
-/// Enqueues a fixed batch of packets (the mesh source's dissemination
-/// batch), refilling the MAC queue until the batch is exhausted.
-class BatchSource {
- public:
-  BatchSource(mac::Mac& mac, phy::NodeId src, phy::NodeId dst,
-              std::uint64_t count, std::size_t bytes = 1400,
-              std::uint32_t flow = 0);
-
-  std::uint64_t remaining() const { return remaining_; }
-
- private:
-  void fill();
-
-  mac::Mac& mac_;
-  phy::NodeId src_;
-  phy::NodeId dst_;
-  std::size_t bytes_;
-  std::uint32_t flow_;
-  std::uint64_t remaining_;
   std::uint64_t next_packet_id_;  // per-instance; see packet_id_base()
 };
 

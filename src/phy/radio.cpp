@@ -106,7 +106,10 @@ void Radio::deliver(Signal signal) {
   const sim::Time end = signal.end;
   tracker_.prune(sim_.now());
   tracker_.add(std::move(signal));
-  if (watch_cca_ || config_.salvage_enabled) schedule_signal_end(fid, end);
+  if (config_.salvage_enabled) {
+    sim_.at(end, [this, fid] { on_signal_end(fid); });
+  }
+  note_strong(power_mw, end);
 
   if (power_mw >= sensitivity_mw_) {
     const bool idle_lock_candidate = state_ == State::kIdle;
@@ -124,8 +127,9 @@ bool Radio::inert_arrival(double power_mw, sim::Time start) const {
   if (watch_cca_) return false;
   if (power_mw < sensitivity_mw_) return true;
   // Still transmitting when the signal starts, so deliver() would find the
-  // radio in kTx: no lock, no capture, no CCA to update.
-  return !config_.salvage_enabled && state_ == State::kTx && tx_end_ > start;
+  // radio in kTx: no lock, no capture, no CCA to update, and nothing to
+  // salvage at its end.
+  return state_ == State::kTx && tx_end_ > start;
 }
 
 void Radio::add_interference(Signal signal) {
@@ -294,41 +298,31 @@ void Radio::abort_rx() {
 void Radio::request_cca_notifications() {
   if (watch_cca_) return;
   watch_cca_ = true;
-  last_cca_busy_ = carrier_busy();
   const sim::Time now = sim_.now();
   for (const Signal& sig : tracker_.signals()) {
-    const std::uint64_t fid = sig.frame->id;
-    if (sig.start > now) {
-      // An inert arrival still in flight: replay the deliver() event it
-      // skipped, at its rank, as far as a watching radio needs it.
-      const sim::Time end = sig.end;
-      sim_.at_ranked(sig.start, sim::delivery_rank(fid, id_),
-                     [this, fid, end] {
-                       schedule_signal_end(fid, end);
-                       update_cca();
-                     });
+    if (sig.start <= now) {
+      // Inert arrivals went around deliver(), which tracks strong_until_.
+      note_strong(sig.power_mw, sig.end);
       continue;
     }
-    // A salvaging radio already scheduled an end for every signal it did
-    // not take as inert, i.e. every signal at or above sensitivity.
-    const bool has_end =
-        config_.salvage_enabled && sig.power_mw >= sensitivity_mw_;
-    if (sig.end > now && !has_end) schedule_signal_end(fid, sig.end);
+    // An inert arrival still in flight: replay the deliver() event it
+    // skipped, at its rank, as far as a watching radio needs it.
+    const double power_mw = sig.power_mw;
+    const sim::Time end = sig.end;
+    sim_.at_ranked(sig.start, sim::delivery_rank(sig.frame->id, id_),
+                   [this, power_mw, end] {
+                     note_strong(power_mw, end);
+                     update_cca();
+                   });
   }
-}
-
-void Radio::schedule_signal_end(std::uint64_t frame_id, sim::Time end) {
-  sim_.at(end, [this, frame_id] { on_signal_end(frame_id); });
+  last_cca_busy_ = carrier_busy();
+  update_cca();  // no edge; arms the wake if the carrier is busy
 }
 
 void Radio::on_signal_end(std::uint64_t frame_id) {
   const Signal* sig = tracker_.find(frame_id);
   CMAP_ASSERT(sig != nullptr, "signal missing at its end");
-  if (config_.salvage_enabled &&
-      (state_ != State::kRx || lock_frame_id_ != frame_id)) {
-    maybe_salvage(*sig);
-  }
-  update_cca();
+  if (state_ != State::kRx || lock_frame_id_ != frame_id) maybe_salvage(*sig);
 }
 
 void Radio::maybe_salvage(const Signal& sig) {
@@ -371,9 +365,32 @@ bool Radio::carrier_busy() const {
 void Radio::update_cca() {
   if (!watch_cca_) return;
   const bool busy = carrier_busy();
+  if (busy && state_ == State::kIdle && !cca_wake_pending_) arm_cca_wake();
   if (busy == last_cca_busy_) return;
   last_cca_busy_ = busy;
   if (listener_) listener_->on_cca(busy);
+}
+
+void Radio::arm_cca_wake() {
+  // Idle and busy, so some delivered signal is on the air: the carrier can
+  // turn idle no earlier than the end of the last strong one, or, when
+  // energy detect alone holds it, than the first end (see the file
+  // comment in radio.h).
+  const sim::Time now = sim_.now();
+  sim::Time at = strong_until_;
+  if (at <= now) {
+    at = sim::kTimeForever;
+    for (const Signal& sig : tracker_.signals()) {
+      if (sig.start <= now && sig.end > now) at = std::min(at, sig.end);
+    }
+  }
+  CMAP_ASSERT(at != sim::kTimeForever, "busy idle carrier with no signal");
+  cca_wake_pending_ = true;
+  sim_.at(at, [this] {
+    cca_wake_pending_ = false;
+    ++counters_.cca_wakes;
+    update_cca();
+  });
 }
 
 }  // namespace cmap::phy

@@ -13,25 +13,50 @@
 // CCA edge callbacks (RadioListener::on_cca) reach only a radio whose MAC
 // called request_cca_notifications(): DCF with carrier sense on does, CMAP
 // and the carrier-sense-off DCF schemes do not. A radio that has not opted
-// in keeps no CCA state and, unless it salvages (integrated mode), schedules
-// no event at the end of each arriving signal — that event exists only to
-// re-evaluate CCA and to salvage.
+// in keeps no CCA state and schedules nothing for it.
+//
+// A watching radio takes no event per signal either. It keeps at most one
+// pending CCA wake, armed by update_cca() when the carrier is busy while
+// the radio is idle, and due at the earliest instant the carrier could
+// turn idle: strong_until_, the latest end of a delivered signal at or
+// above cs_signal_dbm, while that lies ahead; otherwise (energy detect
+// alone holds the carrier) the earliest end among the active signals. The
+// wake re-runs update_cca(), which re-arms it while the carrier stays
+// busy. Rx and tx need no wake: finish_rx, abort_rx and finish_tx each
+// call update_cca(). This reports every edge at the instant an end event
+// per signal would:
+//  - carrier_busy() is piecewise constant in time. While the radio stays
+//    idle it can only turn idle at a signal end, and no active signal ends
+//    before the wake: a strong signal holds the carrier until
+//    strong_until_, and the energy case wakes at the first end. An arrival
+//    only adds power, so it never brings the idle instant forward; a state
+//    change runs update_cca() itself.
+//  - The wake is a local event scheduled when it is armed, so within its
+//    instant it may run after other local events of the same node, where
+//    an end event scheduled at delivery would run before them. The only
+//    listener, DcfMac::on_cca, acts through resume_contention(), which
+//    reads the exact carrier_busy(), so an edge that comes later within
+//    its instant finds the MAC acting on the same truth. Same-instant
+//    order across nodes is already irrelevant: the PDES executive
+//    (docs/pdes.md) runs each partition's local events in its own order
+//    and reproduces the serial report byte for byte.
+// A salvaging radio (integrated mode) still schedules an end event for
+// every signal it tracks through deliver(): salvage runs there.
 //
 // Inert arrivals take no event at all. An arrival is inert when the radio
 // has not opted in to CCA and either its power is below sensitivity_dbm, or
-// the radio does not salvage and is transmitting past the arrival's start.
-// Its arrival event could only have added the signal to the interference
-// tracker, so the medium adds it there at transmit time instead (only when
-// sender and receiver share a partition: the sender's thread must own the
-// tracker). The tracker keeps signals in (start, frame id) order, the order
-// arrival events run in at one receiver, so the early add lands where the
-// event would have put it (phy/interference.h). A salvaging radio is exempt
-// from the transmitting rule. maybe_salvage would skip such a signal at its
-// end, since the radio talked over its start, but request_cca_notifications
-// relies on a salvaging radio having scheduled an end event for every
-// signal at or above sensitivity.
+// the radio is transmitting past the arrival's start. Its arrival event
+// could only have added the signal to the interference tracker (a
+// salvaging radio would skip it at its end too: maybe_salvage hears
+// nothing of a frame the radio talked over), so the medium adds it there
+// at transmit time instead (only when sender and receiver share a
+// partition: the sender's thread must own the tracker). The tracker keeps
+// signals in (start, frame id) order, the order arrival events run in at
+// one receiver, so the early add lands where the event would have put it
+// (phy/interference.h).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -97,7 +122,9 @@ class RadioListener {
     (void)result;
   }
   /// Carrier-sense (CCA) state changed. Only called on a radio that
-  /// requested it (Radio::request_cca_notifications).
+  /// requested it (Radio::request_cca_notifications). An edge comes at the
+  /// instant the carrier changed, but possibly after other local events of
+  /// that instant; Radio::carrier_busy() is the truth at any moment.
   virtual void on_cca(bool busy) { (void)busy; }
   /// Own transmission completed.
   virtual void on_tx_end(const Frame& frame) { (void)frame; }
@@ -114,6 +141,7 @@ class Radio {
     std::uint64_t aborted_by_tx = 0;
     std::uint64_t aborted_by_capture = 0;
     std::uint64_t salvages = 0;
+    std::uint64_t cca_wakes = 0;  // CCA wake events run (watched radios)
   };
 
   Radio(sim::Simulator& simulator, Medium& medium, NodeId id, Position pos,
@@ -128,8 +156,8 @@ class Radio {
 
   /// Opt in to on_cca edge callbacks from now on (idempotent). The first
   /// edge reported is a change from the carrier state at the time of the
-  /// call; signals already on the air get their end events here, and inert
-  /// arrivals still in flight get back the arrival event they skipped.
+  /// call; a busy carrier arms the CCA wake here, and inert arrivals still
+  /// in flight get back the arrival event they skipped.
   void request_cca_notifications();
 
   /// Transmit `frame` at the configured power. Aborts any reception in
@@ -176,7 +204,6 @@ class Radio {
  private:
   enum class State { kIdle, kRx, kTx };
 
-  void schedule_signal_end(std::uint64_t frame_id, sim::Time end);
   void on_signal_end(std::uint64_t frame_id);
   void evaluate_preamble(std::uint64_t frame_id);
   void lock(const Signal& sig);
@@ -184,6 +211,13 @@ class Radio {
   void abort_rx();
   void finish_tx();
   void update_cca();
+  void arm_cca_wake();
+  // Fold a signal that is on the air into strong_until_.
+  void note_strong(double power_mw, sim::Time end) {
+    if (power_mw >= cs_signal_mw_) {
+      strong_until_ = std::max(strong_until_, end);
+    }
+  }
   void maybe_salvage(const Signal& sig);
 
   // Payload window [begin, end) of segment `index` of `sig`'s frame,
@@ -225,6 +259,9 @@ class Radio {
   metrics::MetricsHook metrics_;
   bool watch_cca_ = false;  // set by request_cca_notifications()
   bool last_cca_busy_ = false;
+  bool cca_wake_pending_ = false;
+  // Latest end of a delivered signal at or above cs_signal_mw_.
+  sim::Time strong_until_ = -1;
   double sinr_scale_;  // linear implementation loss
   double cs_signal_mw_;
   double energy_detect_mw_;

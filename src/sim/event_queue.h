@@ -23,9 +23,9 @@ namespace cmap::sim {
 ///   0 (global)   — dynamics/sequencer events (mobility ticks, channel
 ///                  epochs). Under PDES these run alone at a barrier, so
 ///                  the serial queue must also sort them first.
-///   2 (local)    — MAC timers, signal ends, rx completions. Scheduled
-///                  and executed within one node's partition, where FIFO
-///                  insertion order is itself deterministic.
+///   2 (local)    — MAC timers, signal ends, CCA wakes, rx completions.
+///                  Scheduled and executed within one node's partition,
+///                  where FIFO insertion order is itself deterministic.
 ///   3 (delivery) — a frame arriving at a receiver; keyed (frame id,
 ///                  receiver id), both intrinsic to the delivery, so the
 ///                  order is identical whether the event was scheduled

@@ -151,8 +151,8 @@ TEST(Radio, CcaCallbacksFireOnEdges) {
 
 TEST(Radio, UnwatchedRadioGetsNoCcaCallbacksAndOneEventFewerPerDelivery) {
   // Three frames from a, each delivered to b and c: the same outcomes
-  // either way, and each delivery to an unwatched radio saves its
-  // signal-end event.
+  // either way. Each frame turns an idle watched receiver busy and so arms
+  // its CCA wake; an unwatched radio saves that event.
   const auto run = [](Cca cca, std::uint64_t* events) {
     auto w = std::make_unique<World>(nist());
     Radio& a = w->add_radio(1, {0, 0}, {}, cca);
@@ -205,7 +205,7 @@ TEST(Radio, OptInMidFrameReportsBusyToIdleAsFirstEdge) {
   World w(nist());
   Radio& a = w.add_radio(1, {0, 0});
   // Too deaf to lock: no reception ends the frame for it, so only the
-  // signal end scheduled at opt-in can report the idle edge.
+  // CCA wake armed at opt-in can report the idle edge.
   RadioConfig deaf;
   deaf.sensitivity_dbm = -60.0;
   Radio& b = w.add_radio(2, {50, 0}, deaf, Cca::kUnwatched);
@@ -215,7 +215,7 @@ TEST(Radio, OptInMidFrameReportsBusyToIdleAsFirstEdge) {
   w.simulator().at(sim::microseconds(900), [&] {
     ASSERT_TRUE(b.carrier_busy());
     b.request_cca_notifications();
-    b.request_cca_notifications();  // idempotent: no second end event
+    b.request_cca_notifications();  // idempotent: no second wake
   });
   // a's frame airs 0 .. 1892 us.
   w.simulator().at(sim::microseconds(1800),
@@ -225,8 +225,8 @@ TEST(Radio, OptInMidFrameReportsBusyToIdleAsFirstEdge) {
   EXPECT_EQ(edges_before_end, 0u);
   EXPECT_EQ(changes, std::vector<bool>{false});
   EXPECT_FALSE(b.carrier_busy());
-  // transmit, tx end, the opt-in, the probe and the one signal end the
-  // opt-in scheduled. The deaf radio's arrival is inert: no event.
+  // transmit, tx end, the opt-in, the probe and the one CCA wake the
+  // opt-in armed. The deaf radio's arrival is inert: no event.
   EXPECT_EQ(w.simulator().events_executed() - before, 5u);
 }
 
@@ -338,9 +338,11 @@ TEST(Radio, ArrivalAtATransmittingRadioIsEventlessOnlyIfItStartsBeforeTxEnd) {
     bool salvage;
     std::size_t arrival_events;
   };
+  // Salvage changes nothing: it would hear nothing of a frame b talks over.
   for (const Case c : {Case{airtime - sim::microseconds(1), false, 0},
                        Case{airtime, false, 1},
-                       Case{airtime - sim::microseconds(1), true, 1}}) {
+                       Case{airtime - sim::microseconds(1), true, 0},
+                       Case{airtime, true, 1}}) {
     World w(nist());
     RadioConfig cfg;
     cfg.salvage_enabled = c.salvage;
@@ -362,12 +364,13 @@ TEST(Radio, ArrivalAtATransmittingRadioIsEventlessOnlyIfItStartsBeforeTxEnd) {
   }
 }
 
-TEST(Radio, SalvagingTransmitterKeepsTheEndEventOfAFrameItTalksOver) {
+TEST(Radio, SalvagingTransmitterSalvagesNothingOfAFrameItTalksOver) {
   // a's frame reaches b while b is still transmitting, and b starts its
-  // next frame at exactly the instant a's frame ends. The frame's end
-  // event still runs there, watched or not (a salvaging radio keeps it),
-  // and maybe_salvage finds that b's earlier transmission talked over the
-  // frame's start: neither run salvages anything.
+  // next frame at exactly the instant a's frame ends. Unwatched, b takes
+  // the frame as an inert arrival: no event at its end. Watched, b keeps
+  // the frame's end event (a salvaging radio schedules one per delivery),
+  // where maybe_salvage finds that b's earlier transmission talked over
+  // the frame's start. Neither run salvages anything.
   for (const Cca cca : {Cca::kWatched, Cca::kUnwatched}) {
     World w(nist());
     RadioConfig cfg;
@@ -386,8 +389,12 @@ TEST(Radio, SalvagingTransmitterKeepsTheEndEventOfAFrameItTalksOver) {
     w.simulator().run_until(end - 1);
     const std::uint64_t before = w.simulator().events_executed();
     w.simulator().run_until(end);
-    // b's second transmit, and the end of a's frame at b.
-    EXPECT_EQ(w.simulator().events_executed() - before, 2u);
+    // b's second transmit; watched, also the end of a's frame at b and the
+    // CCA wake that b's first tx end armed (a's frame held the carrier).
+    const bool watched = cca == Cca::kWatched;
+    EXPECT_EQ(w.simulator().events_executed() - before, watched ? 3u : 1u)
+        << "watched " << watched;
+    EXPECT_EQ(b.counters().cca_wakes, watched ? 1u : 0u);
     w.simulator().run();
     EXPECT_EQ(b.counters().frames_sent, 2u);
     EXPECT_EQ(b.counters().salvages, 0u);
@@ -445,6 +452,213 @@ TEST(Radio, OptInBeforeAnInertArrivalReplaysItsArrivalEdge) {
       {delay, true}, {delay + frame_airtime(WifiRate::k6Mbps, 1400), false}};
   EXPECT_EQ(edges[0], expected);
   EXPECT_EQ(edges[1], expected);
+}
+
+// ---- CCA wakes: every edge at its instant, without per-signal events ----
+
+// Records CCA edges and lock starts with their instants.
+class CarrierLog : public RadioListener {
+ public:
+  explicit CarrierLog(const sim::Simulator& sim) : sim_(sim) {}
+  void on_cca(bool busy) override { edges.emplace_back(sim_.now(), busy); }
+  void on_rx_start(const Frame& frame, sim::Time end) override {
+    (void)frame;
+    locks.emplace_back(sim_.now(), end);
+  }
+  std::vector<std::pair<sim::Time, bool>> edges;
+  std::vector<std::pair<sim::Time, sim::Time>> locks;  // (start, frame end)
+
+ private:
+  const sim::Simulator& sim_;
+};
+
+struct Arrival {
+  sim::Time start;
+  sim::Time end;
+  double power_dbm;
+};
+
+// A seeded schedule of arrivals at one radio: powers below sensitivity
+// (two of which together can cross energy detect), between sensitivity and
+// preamble CS, above preamble CS, and strong enough to capture a lock.
+// Some end exactly when an earlier one does.
+std::vector<Arrival> random_arrivals(std::uint64_t seed, sim::Time span,
+                                     int count) {
+  sim::Rng rng(seed);
+  std::vector<Arrival> out;
+  for (int i = 0; i < count; ++i) {
+    Arrival a;
+    a.start = rng.uniform_int(0, span);
+    a.end = a.start + rng.uniform_int(sim::microseconds(100),
+                                      sim::milliseconds(2));
+    for (const Arrival& b : out) {
+      if (b.end > a.start + sim::microseconds(50) && rng.bernoulli(0.2)) {
+        a.end = b.end;
+        break;
+      }
+    }
+    const double band = rng.uniform();
+    a.power_dbm = band < 0.4    ? rng.uniform(-92.0, -85.5)
+                  : band < 0.6  ? rng.uniform(-84.0, -76.0)
+                  : band < 0.85 ? rng.uniform(-74.0, -60.0)
+                                : rng.uniform(-55.0, -45.0);
+    out.push_back(a);
+  }
+  return out;
+}
+
+TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
+  // Preamble CS above sensitivity, so a lock can hold the carrier alone.
+  RadioConfig base;
+  base.cs_signal_dbm = -75.0;
+  // Energy detect crossed by two arrivals of -86 dBm, below sensitivity.
+  RadioConfig low_ed = base;
+  low_ed.sensitivity_dbm = -85.0;
+  low_ed.energy_detect_dbm = -83.0;
+  // Energy detect above every lockable frame below CS: when a capture or
+  // an own transmission aborts such a lock, the radio reports an idle
+  // and a busy edge within one instant.
+  RadioConfig high_ed = base;
+  high_ed.energy_detect_dbm = -72.0;
+  const sim::Time span = sim::milliseconds(20);
+  const Frame own = World::whole_frame(200);
+  const sim::Time own_airtime = frame_airtime(own.rate, own.size_bytes());
+  std::uint64_t deliveries = 0, events = 0, wakes = 0;
+  // Coverage: the schedules must reach every corner of the carrier.
+  std::uint64_t locks = 0, captures = 0, energy_only_busy = 0,
+                shared_ends = 0, talked_over = 0, same_instant_edges = 0;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    const RadioConfig& cfg = seed % 2 == 0 ? low_ed : high_ed;
+    World w(nist());
+    Radio& r = w.add_radio(1, {0, 0}, cfg, Cca::kWatched);
+    CarrierLog log(w.simulator());
+    r.set_listener(&log);
+    const std::vector<Arrival> arrivals = random_arrivals(seed, span, 40);
+    std::uint64_t seq = 0;
+    for (const Arrival& a : arrivals) {
+      Frame f = World::whole_frame(500);
+      f.tx_node = 100;  // a foreign sender, never attached
+      f.id = make_frame_id(f.tx_node, ++seq);
+      f.duration = a.end - a.start;
+      Signal sig{std::make_shared<const Frame>(std::move(f)),
+                 dbm_to_mw(a.power_dbm), a.start, a.end};
+      const std::uint64_t fid = sig.frame->id;
+      w.simulator().at_ranked(a.start, sim::delivery_rank(fid, r.id()),
+                              [&r, sig = std::move(sig)]() mutable {
+                                r.deliver(std::move(sig));
+                              });
+    }
+    // Three transmissions of its own, over whatever is on the air.
+    std::vector<sim::Time> txs;
+    sim::Rng tx_rng(seed + 1000);
+    for (int i = 0; i < 3; ++i) {
+      txs.push_back(i * span / 3 + tx_rng.uniform_int(0, span / 6));
+      w.simulator().at(txs.back(), [&r, &own] { r.transmit(own); });
+    }
+    w.simulator().run();
+
+    // Brute force: the carrier after every event of an instant, from the
+    // arrival list, the radio's own transmissions and its locks. A lock
+    // ends at its frame's end, at a capture (the next lock) or at a
+    // transmission of its own.
+    std::vector<std::pair<sim::Time, sim::Time>> rx;
+    for (std::size_t i = 0; i < log.locks.size(); ++i) {
+      sim::Time until = log.locks[i].second;
+      if (i + 1 < log.locks.size()) {
+        until = std::min(until, log.locks[i + 1].first);
+      }
+      for (const sim::Time t : txs) {
+        if (t >= log.locks[i].first) until = std::min(until, t);
+      }
+      rx.emplace_back(log.locks[i].first, until);
+    }
+    std::vector<sim::Time> instants;
+    for (const Arrival& a : arrivals) {
+      instants.push_back(a.start);
+      instants.push_back(a.end);
+    }
+    for (const sim::Time t : txs) {
+      instants.push_back(t);
+      instants.push_back(t + own_airtime);
+    }
+    for (const auto& [begin, end] : rx) {
+      instants.push_back(begin);
+      instants.push_back(end);
+    }
+    std::sort(instants.begin(), instants.end());
+    instants.erase(std::unique(instants.begin(), instants.end()),
+                   instants.end());
+    const auto within = [](sim::Time t, sim::Time begin, sim::Time end) {
+      return begin <= t && t < end;
+    };
+    std::vector<std::pair<sim::Time, bool>> expected;
+    bool busy = false;
+    for (const sim::Time t : instants) {
+      bool state = false;
+      for (const sim::Time tx : txs) {
+        state = state || within(t, tx, tx + own_airtime);
+      }
+      for (const auto& [begin, end] : rx) {
+        state = state || within(t, begin, end);
+      }
+      double total_mw = 0.0, max_mw = 0.0;
+      for (const Arrival& a : arrivals) {
+        if (!within(t, a.start, a.end)) continue;
+        total_mw += dbm_to_mw(a.power_dbm);
+        max_mw = std::max(max_mw, dbm_to_mw(a.power_dbm));
+      }
+      const bool strong = max_mw >= dbm_to_mw(cfg.cs_signal_dbm);
+      const bool energy = total_mw >= dbm_to_mw(cfg.energy_detect_dbm);
+      if (!state && !strong && energy) ++energy_only_busy;
+      const bool now_busy = state || strong || energy;
+      if (now_busy != busy) expected.emplace_back(t, now_busy);
+      busy = now_busy;
+    }
+    EXPECT_FALSE(busy) << "seed " << seed;
+
+    // The edges as the radio reported them, keeping the last state of
+    // each instant: an edge may come after other events of its instant.
+    std::vector<std::pair<sim::Time, bool>> settled;
+    for (const auto& edge : log.edges) {
+      if (!settled.empty() && settled.back().first == edge.first) {
+        settled.back().second = edge.second;
+      } else {
+        settled.push_back(edge);
+      }
+    }
+    same_instant_edges += log.edges.size() - settled.size();
+    std::vector<std::pair<sim::Time, bool>> reported;
+    for (const auto& edge : settled) {
+      const bool before = !reported.empty() && reported.back().second;
+      if (edge.second != before) reported.push_back(edge);
+    }
+    EXPECT_EQ(reported, expected) << "seed " << seed;
+
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        shared_ends += arrivals[j].end == arrivals[i].end;
+      }
+      for (const sim::Time t : txs) {
+        talked_over += within(arrivals[i].start, t, t + own_airtime);
+      }
+    }
+    deliveries += arrivals.size();
+    events += w.simulator().events_executed();
+    locks += r.counters().locks;
+    captures += r.counters().aborted_by_capture;
+    wakes += r.counters().cca_wakes;
+  }
+  EXPECT_GT(locks, 0u);
+  EXPECT_GT(captures, 0u);
+  EXPECT_GT(energy_only_busy, 0u);
+  EXPECT_GT(shared_ends, 0u);
+  EXPECT_GT(talked_over, 0u);
+  EXPECT_GT(same_instant_edges, 0u);
+  // A wake comes per busy stretch of the idle radio (and per extension
+  // of one), not per signal: the radio runs fewer events than its
+  // arrivals plus one end event per arrival would have made.
+  EXPECT_LT(4 * wakes, deliveries);
+  EXPECT_LT(events, 2 * deliveries);
 }
 
 TEST(Radio, BelowDeliveryFloorNothingArrives) {

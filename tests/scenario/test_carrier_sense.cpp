@@ -1,29 +1,24 @@
 // Carrier sense on demand (phy/radio.h): a radio whose MAC never asked for
-// CCA edges schedules no event at the end of each arriving signal. Those
-// events only re-evaluated CCA, so dropping them must change nothing a run
-// reports. Each case runs a registry workload twice: once as built, and
-// once with every radio opted in to CCA notifications, which restores the
-// signal-end event per delivery. The per-flow results, the metrics counter
-// section and the trace streams must be identical, and the run as built
-// must execute fewer events.
+// CCA edges keeps no CCA state, and a radio that did keeps one pending CCA
+// wake instead of an event at the end of each arriving signal. Each case
+// runs a registry workload twice: once as built, and once with every flow
+// endpoint's radio opted in to CCA notifications. The per-flow results,
+// the metrics counter section and the trace streams must be identical,
+// and the run as built must execute fewer events.
 //
-// Watching also turns each inert arrival (phy/radio.h) at a watched radio
-// back into an arrival event, so the watched run has at most two events
-// per delivery more: the arrival and the signal end. Without salvage the
-// gap must exceed one event per delivery, more than the saved signal ends
-// alone can account for: that shows the inert path fired. A salvaging
-// radio keeps both events for every arrival at or above sensitivity, so
-// there only the upper bound holds; that case runs the salvage exemption
-// of the inert rule.
-//
-// The opted-in run also keeps the "signal missing at its end" assertion in
-// Radio::on_signal_end exercised under CMAP, whose radios otherwise never
-// reach it.
+// Watching costs the opted-in radios their CCA wakes, and turns each inert
+// arrival (phy/radio.h) at them back into an arrival event; a salvaging
+// radio also schedules that arrival's end. So the watched run has its
+// wakes plus at most one event per delivery more (two when salvaging), and
+// each radio's wakes run at distinct signal ends, fewer than the
+// deliveries. Any events beyond the wakes are replayed inert arrivals: they
+// show the inert path fired.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,6 +47,7 @@ struct Outcome {
   std::vector<std::string> streams;  // global stream, then one per partition
   std::uint64_t events = 0;
   std::uint64_t deliveries = 0;
+  std::uint64_t cca_wakes = 0;  // summed over the flow endpoints' radios
 };
 
 std::string slurp(const std::string& path) {
@@ -100,6 +96,11 @@ Outcome run(const Case& c, bool watch_cca, const std::string& trace_path) {
     }
     world.run(config.duration);
     out.result = testbed::collect_results(world, flows);
+    std::set<phy::NodeId> endpoints;
+    for (const auto& f : flows) endpoints.insert({f.src, f.dst});
+    for (const phy::NodeId id : endpoints) {
+      out.cca_wakes += world.radio(id).counters().cca_wakes;
+    }
   }  // the World closes its trace streams
   for (const auto& part : out.result.profile->parts) {
     out.events += part.executed;
@@ -140,9 +141,14 @@ TEST_P(CarrierSenseOnDemand, UnwatchedSignalEndsChangeNothing) {
   EXPECT_EQ(as_built.deliveries, watched.deliveries);
   EXPECT_LT(as_built.events, watched.events);
   const std::uint64_t saved = watched.events - as_built.events;
-  if (c.scheme != testbed::Scheme::kCmapIntegrated) {
-    EXPECT_LT(as_built.deliveries, saved);
-  }
+  const std::uint64_t wakes = watched.cca_wakes;
+  EXPECT_EQ(as_built.cca_wakes, 0u);
+  EXPECT_GT(wakes, 0u);
+  EXPECT_LT(wakes, as_built.deliveries);
+  EXPECT_LT(wakes, saved);
+  const std::uint64_t per_inert_arrival =
+      c.scheme == testbed::Scheme::kCmapIntegrated ? 2 : 1;
+  EXPECT_LE(saved - wakes, per_inert_arrival * as_built.deliveries);
   EXPECT_LE(saved, 2 * as_built.deliveries);
   std::filesystem::remove_all(dir);
 }

@@ -13,7 +13,9 @@
 // story); every other scenario — including the mobility family, whose
 // global mobility ticks exercise the barrier + lookahead-refresh path —
 // runs here. Worker threads are exercised in the 4-partition variant;
-// thread count never affects results.
+// thread count never affects results. Each sweep runs CMAP and 802.11
+// carrier sense: only the latter's radios watch CCA, so only it runs the
+// CCA wakes (phy/radio.h) under partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +39,7 @@ std::vector<std::string> golden_scenarios() {
 std::string run_report(const Scenario& s, int partitions, int threads) {
   Sweep sweep;
   sweep.scenario = s.name;
-  sweep.schemes = {testbed::Scheme::kCmap};
+  sweep.schemes = {testbed::Scheme::kCmap, testbed::Scheme::kCsma};
   sweep.topologies = 1;
   // Short sweeps keep the full-registry pass affordable; the mobility
   // family gets a longer window so mobility ticks actually fire and the
