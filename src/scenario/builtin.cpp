@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "dynamics/dynamics.h"
@@ -92,15 +93,12 @@ Scenario make_single_link() {
 
 // ---- §5.6 access-point cells ----
 
-Scenario make_ap_wlan(std::string name, int n_aps) {
+Scenario make_ap_wlan(int n_aps) {
   Scenario s;
-  s.name = std::move(name);
-  char desc[96];
-  std::snprintf(desc, sizeof(desc),
-                "%d APs in distinct regions, one random-direction flow per "
-                "cell (§5.6)",
-                n_aps);
-  s.description = desc;
+  s.name = "ap_wlan_" + std::to_string(n_aps);
+  s.description = std::to_string(n_aps) +
+                  " APs in distinct regions, one random-direction flow per "
+                  "cell (§5.6)";
   s.topology = [n_aps](const testbed::Testbed& tb, int count, sim::Rng& rng) {
     testbed::TopologyPicker picker(tb);
     std::vector<TopologyInstance> out;
@@ -245,13 +243,11 @@ Scenario make_interferer_triple() {
 
 // ---- Fig. 19 workload: k concurrent flows over disjoint node sets ----
 
-Scenario make_disjoint_flows(std::string name, int k) {
+Scenario make_disjoint_flows(int k) {
   Scenario s;
-  s.name = std::move(name);
-  char desc[80];
-  std::snprintf(desc, sizeof(desc),
-                "%d concurrent potential-link flows over disjoint nodes", k);
-  s.description = desc;
+  s.name = "disjoint_flows_" + std::to_string(k);
+  s.description = std::to_string(k) +
+                  " concurrent potential-link flows over disjoint nodes";
   s.topology = [k](const testbed::Testbed& tb, int count, sim::Rng& rng) {
     testbed::TopologyPicker picker(tb);
     const auto& links = picker.potential_links();
@@ -447,21 +443,40 @@ Scenario make_mixed_floor() {
 
 // ---- NEW (non-paper): dense grid — saturating fan-out at scale ----
 //
-// The PHY fast path's stress workload: a configurable fraction of the
-// testbed's nodes transmit concurrently, each to its best-PRR neighbor.
-// On a large testbed (hundreds of nodes) this keeps most radios busy most
-// of the time, which is exactly the regime where per-transmit propagation
-// recomputation and O(S^2) interference rescans used to dominate.
+// The PHY fast path's stress workload and the one dense family: a
+// fraction of the testbed's nodes transmit concurrently, each to its
+// best-PRR neighbor. On a large testbed (hundreds of nodes) this keeps
+// most radios busy most of the time, which is exactly the regime where
+// per-transmit propagation recomputation and O(S^2) interference rescans
+// used to dominate, and where the CMAP send decision runs on every
+// transmit attempt. A member that prescribes its building
+// (Scenario::testbed) is resolved through the global TestbedCache by
+// SweepRunner's run(sweep) overload: one measurement pass per building,
+// however many sweeps run.
 
-Scenario make_dense_grid(std::string name, int sender_pct) {
+/// The paper's 50-node, 70x40 m office floor density on `nodes` nodes.
+testbed::TestbedConfig canonical_building(int nodes) {
+  testbed::TestbedConfig cfg;
+  cfg.num_nodes = nodes;
+  const double scale = std::sqrt(nodes / 50.0);
+  cfg.width_m = 70.0 * scale;
+  cfg.height_m = 40.0 * scale;
+  return cfg;
+}
+
+Scenario make_dense_grid(
+    std::string name, int sender_pct,
+    std::optional<testbed::TestbedConfig> building = std::nullopt) {
   Scenario s;
   s.name = std::move(name);
-  char desc[112];
-  std::snprintf(desc, sizeof(desc),
-                "%d%% of all nodes transmit concurrently, each saturating a "
-                "flow to its best-PRR neighbor (PHY fast-path stress)",
-                sender_pct);
-  s.description = desc;
+  s.description = std::to_string(sender_pct) +
+                  "% of all nodes transmit concurrently, each saturating a "
+                  "flow to its best-PRR neighbor (PHY fast-path stress)";
+  if (building) {
+    s.description += " on a " + std::to_string(building->num_nodes) +
+                     "-node building at the paper's floor density";
+  }
+  s.testbed = std::move(building);
   s.topology = [sender_pct](const testbed::Testbed& tb, int count,
                             sim::Rng& rng) {
     const int n = tb.size();
@@ -497,10 +512,8 @@ Scenario make_dense_grid(std::string name, int sender_pct) {
         inst.flows.push_back({src, best});
       }
       if (inst.flows.empty()) continue;
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%zu flows / %d nodes",
-                    inst.flows.size(), n);
-      inst.label = buf;
+      inst.label = std::to_string(inst.flows.size()) + " flows / " +
+                   std::to_string(n) + " nodes";
       out.push_back(std::move(inst));
     }
     return out;
@@ -512,90 +525,20 @@ Scenario make_dense_grid(std::string name, int sender_pct) {
   return s;
 }
 
-// ---- NEW: testbed_100/200/400 — large-building scaling family ----
-//
-// The dense-grid workload bound to a canonical large testbed: each member
-// prescribes its own building via Scenario::testbed, so SweepRunner's
-// run(sweep) overload instantiates it through the global TestbedCache
-// (one measurement pass per size, however many sweeps run). This is the
-// scenario family the tabulated measurement pass exists for — the
-// exposed-terminal concurrency gains the paper reports need large-n
-// evidence, and cheap testbed instantiation is what unlocks it.
-
-Scenario make_testbed_family(int nodes) {
-  Scenario s = make_dense_grid("testbed_" + std::to_string(nodes), 25);
-  char desc[112];
-  std::snprintf(desc, sizeof(desc),
-                "dense-grid workload on a canonical %d-node building "
-                "(resolved via TestbedCache; scaling family)",
-                nodes);
-  s.description = desc;
-  testbed::TestbedConfig cfg;
-  cfg.num_nodes = nodes;
-  // Same floor density as the paper's 50-node / 70x40 m office.
-  const double scale = std::sqrt(nodes / 50.0);
-  cfg.width_m = 70.0 * scale;
-  cfg.height_m = 40.0 * scale;
-  s.testbed = cfg;
-  return s;
-}
-
-// ---- NEW: flows_50/100/200 — MAC-decision high-concurrency family ----
-//
-// Exactly N concurrent flows on a canonical 2N-node building: half the
-// floor transmits at once, each sender saturating a flow to its best-PRR
-// neighbor. This is the regime where the CMAP send decision — conflict-map
-// consultation on every transmit attempt — dominates the simulation loop;
-// the decision-fastpath golden test and bench_mac_decide run on it. Like
-// the testbed_* family, the building is prescribed via Scenario::testbed
-// and resolved through the global TestbedCache.
-
-Scenario make_flows_family(int flows) {
-  // make_dense_grid with 50% senders on a 2N-node floor draws exactly N
-  // distinct senders per topology instance.
-  Scenario s = make_dense_grid("flows_" + std::to_string(flows), 50);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "%d concurrent best-PRR flows on a canonical %d-node "
-                "building (MAC decision stress; TestbedCache-resolved)",
-                flows, 2 * flows);
-  s.description = desc;
-  testbed::TestbedConfig cfg;
-  cfg.num_nodes = 2 * flows;
-  const double scale = std::sqrt(2.0 * flows / 50.0);
-  cfg.width_m = 70.0 * scale;
-  cfg.height_m = 40.0 * scale;
-  s.testbed = cfg;
-  return s;
-}
-
 // ---- NEW: metro_10k — sparse link-state at metropolitan scale ----
 //
 // The dense-grid workload on ten thousand nodes at the paper's floor
 // density: 10^8 directed pairs, a world no O(n^2) store could hold, and
 // the scale the sparse Medium rows and the Testbed's CSR pair store exist
 // for. The building raises the delivery floor and narrows both guard
-// bands so candidate neighborhoods stay
-// metropolitan-sparse (~a thousand candidates, a few dozen connected
-// neighbors per node); with a static channel the sparse medium then holds
-// active links only. The shared draw walks stored CSR rows
-// (connected_neighbors), so a topology draw never touches the pair space
-// either.
+// bands so candidate neighborhoods stay metropolitan-sparse (~a thousand
+// candidates, a few dozen connected neighbors per node); with a static
+// channel the sparse medium then holds active links only. The shared draw
+// walks stored CSR rows (connected_neighbors), so a topology draw never
+// touches the pair space either.
 
-Scenario make_metro(int nodes, int sender_pct) {
-  Scenario s = make_dense_grid(
-      "metro_" + std::to_string(nodes / 1000) + "k", sender_pct);
-  char desc[128];
-  std::snprintf(desc, sizeof(desc),
-                "%d%% of %d nodes saturate best-PRR neighbor flows over "
-                "sparse link state (10k-scale memory workload)",
-                sender_pct, nodes);
-  s.description = desc;
-  testbed::TestbedConfig cfg;
-  cfg.num_nodes = nodes;
-  const double scale = std::sqrt(nodes / 50.0);
-  cfg.width_m = 70.0 * scale;
-  cfg.height_m = 40.0 * scale;
+Scenario make_metro() {
+  testbed::TestbedConfig cfg = canonical_building(10000);
   // Metro floor: hear dozens of peers, not thousands. The paper's broad
   // -110 dBm connectivity floor is an office-scale choice; at 10k nodes it
   // would make every delivery fan out to a whole district.
@@ -605,7 +548,8 @@ Scenario make_metro(int nodes, int sender_pct) {
   // -sparse; every other scenario keeps the default 6.
   cfg.medium.cull_guard_sigmas = 3.0;
   cfg.measurement.sparse_guard_sigmas = 3.0;
-  s.testbed = cfg;
+  Scenario s = make_dense_grid("metro_10k", 1, cfg);
+  s.description += ", over sparse link state (10k-scale memory workload)";
   // Event-dense at hundreds of concurrent flows: default to a short
   // window (sweeps override as usual).
   s.defaults.duration = sim::seconds(2);
@@ -700,31 +644,22 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       "hidden-terminal link pairs per Fig. 11(c) (§5.5)",
       &testbed::TopologyPicker::hidden_pairs));
   registry.add(make_single_link());
-  registry.add(make_ap_wlan("ap_wlan", 4));
-  for (int n = 3; n <= 6; ++n) {
-    registry.add(make_ap_wlan("ap_wlan_" + std::to_string(n), n));
-  }
+  for (int n = 3; n <= 6; ++n) registry.add(make_ap_wlan(n));
   registry.add(make_mesh_dissemination());
   registry.add(make_interferer_triple());
-  for (int k = 2; k <= 7; ++k) {
-    registry.add(make_disjoint_flows("disjoint_flows_" + std::to_string(k), k));
-  }
+  for (int k = 2; k <= 7; ++k) registry.add(make_disjoint_flows(k));
   registry.add(make_dest_queue_ablation());
   registry.add(make_chain());
   registry.add(make_mixed_floor());
-  for (int pct : {10, 25, 50}) {
-    registry.add(make_dense_grid("dense_grid_" + std::to_string(pct), pct));
+  registry.add(make_dense_grid("dense_grid_25", 25));
+  // 50 senders: the MAC-decision stress case.
+  registry.add(make_dense_grid("flows_50", 50, canonical_building(100)));
+  for (int nodes : {100, 400}) {
+    registry.add(make_dense_grid("testbed_" + std::to_string(nodes), 25,
+                                 canonical_building(nodes)));
   }
-  for (int nodes : {100, 200, 400}) {
-    registry.add(make_testbed_family(nodes));
-  }
-  for (int flows : {50, 100, 200}) {
-    registry.add(make_flows_family(flows));
-  }
-  registry.add(make_metro(10000, 1));
-  for (int pct : {25, 50}) {
-    registry.add(make_mobile_floor(pct));
-  }
+  registry.add(make_metro());
+  for (int pct : {25, 50}) registry.add(make_mobile_floor(pct));
   registry.add(make_mobile_chain());
   registry.add(make_churn(25));
 }

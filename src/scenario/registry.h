@@ -41,7 +41,7 @@ class ScenarioRegistry {
 ///   fig12_exposed, fig13_inrange, fig15_hidden  — the Fig. 11 two-pair
 ///       constraint classes (§5.2/5.3/5.5);
 ///   single_link          — §4.2 calibration links;
-///   ap_wlan, ap_wlan_3..ap_wlan_6 — §5.6 access-point cells;
+///   ap_wlan_3..ap_wlan_6 — §5.6 access-point cells;
 ///   mesh_dissemination   — §5.7 two-hop dissemination (custom two-phase
 ///       executor);
 ///   interferer_triple    — §5.4 (S, R, I) triples (custom executor
@@ -54,12 +54,16 @@ class ScenarioRegistry {
 ///       chain transmit concurrently;
 ///   mixed_floor          — NEW: one exposed and one hidden pair share the
 ///       floor, testing per-pair discrimination;
-///   dense_grid_10/25/50  — NEW: that percentage of all nodes transmit
+///   dense_grid_25        — NEW: a quarter of all nodes transmit
 ///       concurrently to their best-PRR neighbors (the PHY fast-path
-///       stress workload; pair with a large TestbedConfig::num_nodes);
-///   testbed_100/200/400  — NEW: the dense-grid workload bound to a
+///       stress workload) on the driver's building;
+///   flows_50             — NEW: 50 such flows on a canonical 100-node
+///       building (the MAC-decision stress workload);
+///   testbed_100/400      — NEW: the dense-grid workload bound to a
 ///       canonical building of that size (Scenario::testbed +
 ///       TestbedCache; the measurement fast path's scaling family);
+///   metro_10k            — NEW: 1% senders on 10,000 nodes over sparse
+///       link state (the metropolitan-scale memory workload);
 ///   mobile_floor_25/50   — NEW: the dense-grid workload while half the
 ///       nodes random-waypoint under an evolving channel (src/dynamics/;
 ///       shortened defer TTL so conflict maps re-learn mid-run);

@@ -73,7 +73,7 @@ struct Scenario {
   /// the scheme, seed and its duration/warmup/variant on top.
   testbed::RunConfig defaults;
   /// Canonical testbed for scenarios that prescribe their own building
-  /// (e.g. the testbed_100/200/400 scaling family). Unset means the driver
+  /// (e.g. the testbed_100/400 scaling family). Unset means the driver
   /// supplies one. SweepRunner's run(sweep) overload resolves it through
   /// the global TestbedCache, so repeated sweeps share one measurement
   /// pass.

@@ -185,7 +185,7 @@ TEST(SweepRunnerTest, RealSweepIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// The testbed_100/200/400 family prescribes its own building; the
+// The testbed_100/400 family prescribes its own building; the
 // testbed-resolving overload must instantiate it through the global
 // TestbedCache so repeated sweeps share one measurement pass.
 TEST(SweepRunnerTest, ScenarioResolvedTestbedComesFromTheGlobalCache) {
