@@ -81,6 +81,11 @@ double CmapMac::PerSenderRx::window_loss_rate() const {
   return 1.0 - got / expected;
 }
 
+CmapMac::SenderRxCounts CmapMac::rx_counts_from(phy::NodeId src) const {
+  const auto it = per_sender_.find(src);
+  return it == per_sender_.end() ? SenderRxCounts{} : it->second.counts;
+}
+
 void validate(const CmapConfig& config) {
   // ACK bitmaps carry 64 packets per VP (finalize_vp, SendWindow::on_ack);
   // an empty window never admits a packet.
@@ -596,10 +601,14 @@ void CmapMac::handle_delimiter(const VpDescriptor& d, bool is_trailer,
   if (d.dst != radio_.id()) return;
   VpRxContext& ctx = context_for(d.src, d.vp_seq);
   if (ctx.finalized) return;
-  if (!ctx.have_bounds) ++counters_.vps_delim_received;
+  if (!ctx.have_bounds) {
+    ++counters_.vps_delim_received;
+    ++per_sender_[d.src].counts.vps_delim_received;
+  }
   if (!is_trailer && !ctx.have_header) {
     ctx.have_header = true;
     ++counters_.vps_header_received;
+    ++per_sender_[d.src].counts.vps_header_received;
   }
   ctx.npackets = d.npackets;
   ctx.vp_start = vp_start;

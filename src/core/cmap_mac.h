@@ -115,6 +115,14 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   };
   const Counters& counters() const { return counters_; }
 
+  /// vps_delim_received and vps_header_received from one sender alone;
+  /// summed over senders they give the node totals in counters().
+  struct SenderRxCounts {
+    std::uint64_t vps_delim_received = 0;
+    std::uint64_t vps_header_received = 0;
+  };
+  SenderRxCounts rx_counts_from(phy::NodeId src) const;
+
   // Introspection (examples dump these as the conflict map converges).
   const DeferTable& defer_table() const { return defer_table_; }
   const OngoingList& ongoing_list() const { return ongoing_; }
@@ -175,6 +183,7 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
 
   struct PerSenderRx {
     std::deque<CmapAckFrame::VpAck> recent_vps;  // last nwindow_vps
+    SenderRxCounts counts;
     double window_loss_rate() const;
   };
 

@@ -54,14 +54,40 @@ PacketSink::PacketSink(mac::Mac& mac, sim::Simulator& simulator)
     : sim_(simulator) {
   mac.set_rx_handler([this](const mac::Packet& p,
                             const mac::Mac::RxInfo& info) {
+    Tally& source = tally_for(p.src);
     if (info.duplicate) {
-      ++duplicates_;
+      ++total_.duplicate_packets;
+      ++source.duplicate_packets;
       return;
     }
-    ++unique_;
-    meter_.on_packet(p.bytes, sim_.now());
+    ++total_.unique_packets;
+    ++source.unique_packets;
+    total_.meter.on_packet(p.bytes, sim_.now());
+    source.meter.on_packet(p.bytes, sim_.now());
     if (forward_) forward_(p);
   });
+}
+
+void PacketSink::set_window(sim::Time begin, sim::Time end) {
+  begin_ = begin;
+  end_ = end;
+  total_.meter.set_window(begin, end);
+  for (auto& [src, tally] : sources_) tally.meter.set_window(begin, end);
+}
+
+PacketSink::Tally PacketSink::from(phy::NodeId src) const {
+  for (const auto& [id, tally] : sources_) {
+    if (id == src) return tally;
+  }
+  return Tally{stats::ThroughputMeter(begin_, end_)};
+}
+
+PacketSink::Tally& PacketSink::tally_for(phy::NodeId src) {
+  for (auto& [id, tally] : sources_) {
+    if (id == src) return tally;
+  }
+  return sources_.emplace_back(src, Tally{stats::ThroughputMeter(begin_, end_)})
+      .second;
 }
 
 }  // namespace cmap::net

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "mac/mac.h"
 #include "sim/simulator.h"
@@ -36,27 +38,47 @@ class SaturatedSource {
 
 /// Counts unique delivered packets (duplicates are already flagged by the
 /// MAC) into a windowed throughput meter, and optionally forwards them.
+/// Keeps the same counts per source node (mac::Packet::src), so each of
+/// several flows into one destination reads only its own goodput.
 class PacketSink {
  public:
   using ForwardHandler = std::function<void(const mac::Packet&)>;
 
+  /// What the sink counted from one source.
+  struct Tally {
+    stats::ThroughputMeter meter;
+    std::uint64_t unique_packets = 0;
+    std::uint64_t duplicate_packets = 0;
+  };
+
   explicit PacketSink(mac::Mac& mac, sim::Simulator& simulator);
 
-  void set_window(sim::Time begin, sim::Time end) {
-    meter_.set_window(begin, end);
-  }
+  void set_window(sim::Time begin, sim::Time end);
   void set_forward(ForwardHandler handler) { forward_ = handler; }
 
-  const stats::ThroughputMeter& meter() const { return meter_; }
-  std::uint64_t unique_packets() const { return unique_; }
-  std::uint64_t duplicate_packets() const { return duplicates_; }
+  /// Node totals, over every source.
+  const stats::ThroughputMeter& meter() const { return total_.meter; }
+  std::uint64_t unique_packets() const { return total_.unique_packets; }
+  std::uint64_t duplicate_packets() const {
+    return total_.duplicate_packets;
+  }
+
+  /// The counts from `src` alone; all zero (over this sink's window) for a
+  /// source never heard.
+  Tally from(phy::NodeId src) const;
 
  private:
+  Tally& tally_for(phy::NodeId src);
+
   sim::Simulator& sim_;
-  stats::ThroughputMeter meter_;
+  sim::Time begin_ = 0;
+  sim::Time end_ = 0;
+  Tally total_;
+  // One entry per source heard, in first-heard order. A sink hears a
+  // handful of sources, so a scan beats a map and allocates only when a
+  // new source appears.
+  std::vector<std::pair<phy::NodeId, Tally>> sources_;
   ForwardHandler forward_;
-  std::uint64_t unique_ = 0;
-  std::uint64_t duplicates_ = 0;
 };
 
 }  // namespace cmap::net

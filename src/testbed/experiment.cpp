@@ -308,9 +308,11 @@ RunResult collect_results(World& world, const std::vector<Flow>& flows) {
   for (const auto& f : flows) {
     FlowResult fr;
     fr.flow = f;
-    fr.mbps = world.sink(f.dst).meter().mbps();
-    fr.unique_packets = world.sink(f.dst).unique_packets();
-    fr.duplicates = world.sink(f.dst).duplicate_packets();
+    // The flow's own packets: other flows may share its destination.
+    const net::PacketSink::Tally got = world.sink(f.dst).from(f.src);
+    fr.mbps = got.meter.mbps();
+    fr.unique_packets = got.unique_packets;
+    fr.duplicates = got.duplicate_packets;
     fr.sender_stats = world.mac(f.src).stats();
     if (auto* sender = world.cmap(f.src)) {
       fr.vps_sent = sender->counters().vps_sent;
@@ -318,8 +320,9 @@ RunResult collect_results(World& world, const std::vector<Flow>& flows) {
       fr.retx_timeouts = sender->counters().retx_timeouts;
     }
     if (auto* receiver = world.cmap(f.dst)) {
-      fr.rx_vps_delim = receiver->counters().vps_delim_received;
-      fr.rx_vps_header = receiver->counters().vps_header_received;
+      const auto vps = receiver->rx_counts_from(f.src);
+      fr.rx_vps_delim = vps.vps_delim_received;
+      fr.rx_vps_header = vps.vps_header_received;
     }
     result.flows.push_back(fr);
     result.aggregate_mbps += fr.mbps;

@@ -188,8 +188,10 @@ struct FlowResult {
   mac::MacStats sender_stats;
   // CMAP-only observability (zero under DCF schemes).
   std::uint64_t vps_sent = 0;
-  std::uint64_t rx_vps_delim = 0;    // receiver saw header or trailer
-  std::uint64_t rx_vps_header = 0;   // receiver saw the header
+  // VPs of this flow's sender whose header or trailer (delim), or whose
+  // header, the receiver saw.
+  std::uint64_t rx_vps_delim = 0;
+  std::uint64_t rx_vps_header = 0;
   std::uint64_t defer_events = 0;
   std::uint64_t retx_timeouts = 0;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -288,6 +290,81 @@ TEST(Experiment, WorldExposesComponentsForBespokeScenarios) {
   world.add_saturated_flow(f.src, f.dst);
   world.run(sim::seconds(1));
   EXPECT_GT(world.sink(f.dst).unique_packets(), 100u);
+}
+
+// Three flows into one destination, the third from a sender that never
+// transmits: each flow is credited with its own source's packets and VPs
+// only, and the flows together account for the whole sink.
+TEST(Experiment, FlowsSharingADestinationCountOnlyTheirOwnTraffic) {
+  // A destination with three potential-link senders that all hear each
+  // other, so carrier sense shares the channel rather than starving one.
+  const Testbed& tb = shared_testbed();
+  TopologyPicker picker(tb);
+  std::map<phy::NodeId, std::vector<phy::NodeId>> senders_into;
+  for (const auto& [src, dst] : picker.potential_links()) {
+    auto& senders = senders_into[dst];
+    if (senders.size() == 3) continue;
+    const bool hears_all =
+        std::all_of(senders.begin(), senders.end(), [&](phy::NodeId other) {
+          return tb.in_range(src, other) && tb.in_range(other, src);
+        });
+    if (hears_all) senders.push_back(src);
+  }
+  const auto shared =
+      std::find_if(senders_into.begin(), senders_into.end(),
+                   [](const auto& entry) { return entry.second.size() == 3; });
+  ASSERT_NE(shared, senders_into.end());
+  const phy::NodeId dst = shared->first;
+  const std::vector<Flow> flows = {
+      {shared->second[0], dst}, {shared->second[1], dst},
+      {shared->second[2], dst}};
+
+  for (const Scheme scheme : {Scheme::kCsma, Scheme::kCmap}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const RunConfig config = quick(scheme);
+    World world(shared_testbed(), config);
+    world.add_saturated_flow(flows[0].src, dst);
+    world.add_saturated_flow(flows[1].src, dst);
+    world.add_node(flows[2].src);  // silent: no source attached
+    world.run(config.duration);
+    const RunResult result = collect_results(world, flows);
+    ASSERT_EQ(result.flows.size(), 3u);
+
+    const net::PacketSink& sink = world.sink(dst);
+    std::uint64_t packets = 0, duplicates = 0, delim = 0, header = 0;
+    double mbps = 0.0;
+    for (const FlowResult& fr : result.flows) {
+      packets += fr.unique_packets;
+      duplicates += fr.duplicates;
+      delim += fr.rx_vps_delim;
+      header += fr.rx_vps_header;
+      mbps += fr.mbps;
+    }
+    EXPECT_EQ(packets, sink.unique_packets());
+    EXPECT_EQ(duplicates, sink.duplicate_packets());
+    EXPECT_NEAR(mbps, sink.meter().mbps(), 1e-9);
+    EXPECT_GT(mbps, 0.0);
+    EXPECT_DOUBLE_EQ(result.aggregate_mbps, mbps);
+
+    const FlowResult& silent = result.flows[2];
+    EXPECT_EQ(silent.mbps, 0.0);
+    EXPECT_EQ(silent.unique_packets, 0u);
+    EXPECT_EQ(silent.duplicates, 0u);
+    EXPECT_EQ(silent.rx_vps_delim, 0u);
+    EXPECT_EQ(silent.rx_vps_header, 0u);
+
+    if (const auto* receiver = world.cmap(dst)) {
+      // CMAP may starve one of two senders into one receiver (see the
+      // ROADMAP's starvation item), so only the sum must be non-zero.
+      EXPECT_GT(header, 0u);
+      EXPECT_EQ(delim, receiver->counters().vps_delim_received);
+      EXPECT_EQ(header, receiver->counters().vps_header_received);
+    } else {
+      // Carrier sense shares the channel between the two active senders.
+      EXPECT_GT(result.flows[0].unique_packets, 0u);
+      EXPECT_GT(result.flows[1].unique_packets, 0u);
+    }
+  }
 }
 
 }  // namespace
