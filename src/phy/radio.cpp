@@ -291,8 +291,9 @@ void Radio::abort_rx() {
   header_event_.cancel();
   state_ = State::kIdle;
   // No listener notification: a receiver that loses lock never learns what
-  // the frame would have contained.
-  update_cca();
+  // the frame would have contained. No CCA update either: both callers
+  // set the next state (kTx, or a capturing lock) and update it then, so
+  // the carrier a lost lock held never reads idle for an instant.
 }
 
 void Radio::request_cca_notifications() {

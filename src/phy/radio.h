@@ -22,9 +22,11 @@
 // above cs_signal_dbm, while that lies ahead; otherwise (energy detect
 // alone holds the carrier) the earliest end among the active signals. The
 // wake re-runs update_cca(), which re-arms it while the carrier stays
-// busy. Rx and tx need no wake: finish_rx, abort_rx and finish_tx each
-// call update_cca(). This reports every edge at the instant an end event
-// per signal would:
+// busy. Rx and tx need no wake: finish_rx and finish_tx call update_cca(),
+// and so do transmit and lock, the only paths through abort_rx, once they
+// have set the next state (abort_rx itself does not, so an aborted lock
+// reports no idle edge between two busy states). This reports every edge
+// at the instant an end event per signal would:
 //  - carrier_busy() is piecewise constant in time. While the radio stays
 //    idle it can only turn idle at a signal end, and no active signal ends
 //    before the wake: a strong signal holds the carrier until
