@@ -116,10 +116,7 @@ Tracer::Tracer(const TraceConfig& config, std::unique_ptr<TraceSink> sink)
   if (!sink_) sink_ = std::make_unique<FileTraceSink>(config_.path);
   // Header: magic, version, category mask, per-category sampling — enough
   // for a reader to interpret the stream without the run config.
-  body_.clear();
-  const char magic[4] = {'C', 'M', 'T', 'R'};
-  body_.insert(body_.end(), magic, magic + 4);
-  body_.push_back(1);  // version
+  body_.assign({'C', 'M', 'T', 'R', 1});  // magic, then version 1
   wire::put_varint(body_, config_.categories);
   wire::put_varint(body_, kCategoryCount);
   for (std::uint32_t every : config_.sample_every) {
