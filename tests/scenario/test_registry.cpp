@@ -21,16 +21,16 @@ const testbed::Testbed& shared_testbed() {
 TEST(Registry, GlobalHasEveryBuiltin) {
   // The exact catalog: adding or dropping a builtin must name itself here.
   const std::vector<std::string> expected = {
-      "ap_wlan_3",        "ap_wlan_4",        "ap_wlan_5",
-      "ap_wlan_6",        "chain",            "churn_25",
-      "dense_grid_25",    "dest_queue_ablation", "disjoint_flows_2",
-      "disjoint_flows_3", "disjoint_flows_4", "disjoint_flows_5",
-      "disjoint_flows_6", "disjoint_flows_7", "fig12_exposed",
-      "fig13_inrange",    "fig15_hidden",     "flows_50",
-      "interferer_triple", "mesh_dissemination", "metro_10k",
-      "mixed_floor",      "mobile_chain",     "mobile_floor_25",
-      "mobile_floor_50",  "single_link",      "testbed_100",
-      "testbed_400"};
+      "ap_wlan_3",          "ap_wlan_4",        "ap_wlan_5",
+      "ap_wlan_6",          "chain",            "churn_25",
+      "dense_grid_25",      "dest_queue_ablation",
+      "disjoint_flows_2",   "disjoint_flows_3", "disjoint_flows_4",
+      "disjoint_flows_5",   "disjoint_flows_6", "disjoint_flows_7",
+      "fig12_exposed",      "fig13_inrange",    "fig15_hidden",
+      "flows_50",           "interferer_triple",
+      "mesh_dissemination", "metro_10k",        "mixed_floor",
+      "mobile_chain",       "mobile_floor_25",  "mobile_floor_50",
+      "single_link",        "testbed_100",      "testbed_400"};
   EXPECT_EQ(ScenarioRegistry::global().names(), expected);
 }
 
