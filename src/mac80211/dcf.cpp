@@ -64,29 +64,26 @@ void DcfMac::resume_contention() {
   if (state_ != State::kContend) return;
   cancel_contention_timers();
   if (medium_busy()) return;  // on_cca(false) will re-arm
-  difs_event_ = sim_.in(config_.difs(), [this] { on_difs_elapsed(); });
-}
-
-void DcfMac::on_difs_elapsed() {
-  if (state_ != State::kContend) return;
-  schedule_slot();
-}
-
-void DcfMac::schedule_slot() {
-  if (backoff_slots_ <= 0) {
-    attempt_tx();
-    return;
-  }
-  slot_event_ = sim_.in(config_.slot, [this] {
-    if (state_ != State::kContend) return;
-    --backoff_slots_;
-    schedule_slot();
-  });
+  difs_end_ = sim_.now() + config_.difs();
+  contention_event_ =
+      sim_.at(difs_end_ + backoff_slots_ * config_.slot, [this] {
+        backoff_slots_ = 0;
+        attempt_tx();
+      });
 }
 
 void DcfMac::cancel_contention_timers() {
-  difs_event_.cancel();
-  slot_event_.cancel();
+  if (!contention_event_.pending()) return;
+  contention_event_.cancel();
+  // Freeze the counter: every slot boundary at or before now has elapsed
+  // (see the tie rule in dcf.h). The ACK postponement leaves no slots to
+  // count, hence the clamp.
+  const sim::Time now = sim_.now();
+  if (now > difs_end_) {
+    const auto elapsed = static_cast<int>(
+        std::min<sim::Time>(backoff_slots_, (now - difs_end_) / config_.slot));
+    backoff_slots_ -= elapsed;
+  }
 }
 
 void DcfMac::attempt_tx() {
@@ -94,7 +91,7 @@ void DcfMac::attempt_tx() {
   // An ACK we owe (or are sending) outranks our data: postpone the attempt
   // until the ACK is off the air.
   if (ack_tx_event_.pending() || sending_ack_ || radio_.transmitting()) {
-    slot_event_ = sim_.in(
+    contention_event_ = sim_.in(
         config_.sifs + phy::frame_airtime(config_.control_rate,
                                           mac::kAckBytes),
         [this] {

@@ -5,6 +5,25 @@
 //   * carrier_sense=false, acks=false  — "CS off, no acks"
 // Implements DIFS + slotted contention-window backoff with freezing,
 // stop-and-wait ACK with retry limit and exponential CW growth.
+//
+// Contention runs on one timer. Once the medium is idle, resume_contention()
+// schedules a single event at difs_end + backoff_slots * slot, where
+// difs_end is now + DIFS; it fires only if the medium stays idle that long.
+// A freeze (busy carrier, or an ACK this node sends) cancels the event and
+// takes off the slots that fully elapsed, floor((now - difs_end) / slot),
+// none during DIFS. Tie rule: a slot boundary at the freeze instant counts
+// as elapsed. That is what a countdown with one event per slot did when an
+// arrival raised the carrier: deliveries sort after local events at one
+// instant (sim/event_queue.h), so the slot event ran first. While
+// cs_signal_dbm equals sensitivity_dbm (every registry scenario), an
+// arrival is the only thing that can raise the carrier while the radio is
+// idle. With cs_signal_dbm above sensitivity_dbm a lock (a local event)
+// can raise it too; at a slot boundary that edge now follows the tie rule
+// rather than the same-instant queue order. So does an ACK sent at a
+// boundary (only carrier-sense-off runs send one mid-countdown), which the
+// per-slot chain, having queued the ACK before the slot event, did not
+// count. If the count runs out while an ACK is owed, the attempt waits
+// until the ACK is off the air (attempt_tx).
 #pragma once
 
 #include <deque>
@@ -68,11 +87,9 @@ class DcfMac final : public mac::Mac, public phy::RadioListener {
   enum class State { kIdle, kContend, kTx, kWaitAck };
 
   void begin_service();          // draw backoff for the head packet
-  void resume_contention();      // (re)arm DIFS wait
-  void on_difs_elapsed();
-  void schedule_slot();
+  void resume_contention();      // (re)arm DIFS + remaining backoff
   void attempt_tx();
-  void cancel_contention_timers();
+  void cancel_contention_timers();  // freeze: count the elapsed slots
   void on_ack_timeout();
   void tx_success();
   void drop_head();
@@ -102,8 +119,10 @@ class DcfMac final : public mac::Mac, public phy::RadioListener {
   std::uint32_t head_seq_ = 0;
   bool head_is_retry_ = false;
 
-  sim::EventId difs_event_;
-  sim::EventId slot_event_;
+  // The contention timer (see the file comment), or the wait before a
+  // postponed attempt once an ACK is off the air.
+  sim::EventId contention_event_;
+  sim::Time difs_end_ = 0;
   sim::EventId ack_timeout_event_;
   sim::EventId ack_tx_event_;  // pending SIFS-delayed ACK transmission
   bool sending_ack_ = false;

@@ -99,9 +99,38 @@ double NistErrorModel::coded_ber(double sinr, WifiRate rate) const {
   return std::clamp(pe, 0.0, 0.5);
 }
 
+NistErrorModel::NistErrorModel(double bandwidth_hz)
+    : bandwidth_hz_(bandwidth_hz) {
+  // Bisect in dB between a bracket where every rate still errs (0 dB) and
+  // one where every rate's uncoded BER underflows to 0 (60 dB); 32 steps
+  // pin the cutoff to ~1e-8 dB. The cutoff only has to be safe, not
+  // tight: chunks just below it take the full formula and get 1.0 too.
+  for (int i = 0; i < kNumWifiRates; ++i) {
+    const auto rate = static_cast<WifiRate>(i);
+    double lo_db = 0.0;
+    double hi_db = 60.0;
+    double hi = db_to_linear(hi_db);
+    CMAP_ASSERT(coded_ber(db_to_linear(lo_db), rate) > kCertainBer &&
+                    coded_ber(hi, rate) <= kCertainBer,
+                "certain-SINR bracket");
+    for (int step = 0; step < 32; ++step) {
+      const double mid_db = 0.5 * (lo_db + hi_db);
+      const double mid = db_to_linear(mid_db);
+      if (coded_ber(mid, rate) <= kCertainBer) {
+        hi_db = mid_db;
+        hi = mid;
+      } else {
+        lo_db = mid_db;
+      }
+    }
+    certain_sinr_[i] = hi;
+  }
+}
+
 double NistErrorModel::chunk_success(double sinr, double bits,
                                      WifiRate rate) const {
   CMAP_ASSERT(bits >= 0.0, "negative bit count");
+  if (sinr >= certain_sinr_[static_cast<int>(rate)]) return 1.0;
   const double ber = coded_ber(sinr, rate);
   if (ber <= 0.0) return 1.0;
   if (ber >= 0.5) return std::pow(0.5, bits);

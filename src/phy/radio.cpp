@@ -359,6 +359,8 @@ void Radio::maybe_salvage(const Signal& sig) {
 
 bool Radio::carrier_busy() const {
   if (state_ != State::kIdle) return true;
+  // A strong signal is on the air until strong_until_ (see radio.h).
+  if (strong_until_ > sim_.now()) return true;
   const ActivePower p = tracker_.active_power(sim_.now());
   return p.max_mw >= cs_signal_mw_ || p.total_mw >= energy_detect_mw_;
 }

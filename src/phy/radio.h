@@ -174,6 +174,15 @@ class Radio {
   /// energy-detect threshold. An inert arrival starting at exactly now()
   /// counts, even where its skipped arrival event would have run later in
   /// the same tick.
+  ///
+  /// While strong_until_ lies ahead it answers busy without scanning the
+  /// tracked signals, and that answer is exact: only deliver() and the
+  /// opt-in folds raise strong_until_, each for a signal at or above
+  /// cs_signal_dbm whose start is at or before the instant of the fold, and
+  /// the tracker drops no signal before its end. So a signal ending at
+  /// strong_until_ is on the air and busies the carrier by itself. Inert
+  /// arrivals never raise it: strong_until_ is a lower bound on the busy
+  /// time, and below it the scan decides as before.
   bool carrier_busy() const;
 
   NodeId id() const { return id_; }

@@ -30,8 +30,8 @@ class MacWorld {
                    phy::RadioConfig rcfg = {}) {
     radios_.push_back(std::make_unique<phy::Radio>(
         sim_, medium_, id, pos, rcfg, model_, sim::Rng(500 + id)));
-    macs_.push_back(std::make_unique<DcfMac>(sim_, *radios_.back(), cfg,
-                                             sim::Rng(900 + id)));
+    macs_.push_back(
+        std::make_unique<DcfMac>(sim_, *radios_.back(), cfg, dcf_rng(id)));
     received_.emplace_back();
     auto& bucket = received_.back();
     macs_.back()->set_rx_handler(
@@ -40,6 +40,9 @@ class MacWorld {
         });
     return *macs_.back();
   }
+
+  /// The generator node `id`'s DCF draws its backoffs from.
+  static sim::Rng dcf_rng(phy::NodeId id) { return sim::Rng(900 + id); }
 
   /// Keep `m` backlogged with 1400-byte packets to `dst`.
   void saturate(DcfMac& m, phy::NodeId src, phy::NodeId dst,

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "mac_test_util.h"
+#include "phy/partition.h"
 #include "sim/time.h"
 
 namespace cmap::mac80211 {
@@ -229,6 +234,227 @@ TEST(Dcf, HiddenSendersCollideAtSharedReceiver) {
   // Both senders burned airtime regardless (no carrier deference).
   EXPECT_GT(a.stats().data_frames_sent, 100u);
   EXPECT_GT(b.stats().data_frames_sent, 100u);
+}
+
+// ---- The contention timer against a per-slot countdown ----
+
+// Stands between a radio and its DcfMac: forwards every callback the MAC
+// handles and records the start of each data frame the radio sent.
+class DataTxRecorder final : public phy::RadioListener {
+ public:
+  DataTxRecorder(DcfMac& mac, sim::Simulator& simulator)
+      : mac_(mac), sim_(simulator) {}
+
+  void on_rx_end(const phy::Frame& frame,
+                 const phy::RxResult& result) override {
+    mac_.on_rx_end(frame, result);
+  }
+  void on_cca(bool busy) override { mac_.on_cca(busy); }
+  void on_tx_end(const phy::Frame& frame) override {
+    if (dynamic_cast<const mac::DataFrame*>(frame.payload.get()) != nullptr) {
+      starts.push_back(sim_.now() - frame.duration);
+    }
+    mac_.on_tx_end(frame);
+  }
+
+  std::vector<sim::Time> starts;
+
+ private:
+  DcfMac& mac_;
+  sim::Simulator& sim_;
+};
+
+// One contention, counted down one slot at a time: it restarts at
+// `resume`, the medium must stay idle through DIFS, and then each slot
+// boundary reached no later than `freeze` takes one slot off `slots` (a
+// boundary at the freeze instant counts). Returns the instant the count
+// reaches zero, if that comes no later than `freeze`.
+std::optional<sim::Time> count_down(const DcfConfig& cfg, sim::Time resume,
+                                    int& slots, sim::Time freeze) {
+  sim::Time boundary = resume + cfg.difs();
+  if (freeze < boundary) return std::nullopt;
+  while (slots > 0) {
+    if (boundary + cfg.slot > freeze) return std::nullopt;
+    boundary += cfg.slot;
+    --slots;
+  }
+  return boundary;
+}
+
+phy::Frame bare_frame(phy::WifiRate rate, std::size_t bytes) {
+  phy::Frame frame;
+  frame.rate = rate;
+  frame.segments = {{phy::SegmentKind::kWhole, bytes}};
+  return frame;
+}
+
+constexpr std::size_t kSmallPacket = 100;  // bytes: short frames, many edges
+
+// Carrier sense on. A jammer's frames busy the subject's carrier; each
+// arrival is placed relative to the subject's current contention: inside
+// DIFS, exactly on a slot boundary (the last one is the attempt instant),
+// one ns either side of a boundary, or after the attempt.
+void check_carrier_timeline(std::uint64_t seed) {
+  SCOPED_TRACE(seed);
+  MacWorld w;
+  const DcfConfig cfg;
+  DcfMac& subject = w.add_node(1, {0, 0}, cfg);
+  w.add_node(2, {30, 0});  // the jammer: its radio is driven directly
+  DataTxRecorder recorder(subject, w.simulator());
+  w.radio(0).set_listener(&recorder);
+  const sim::Time flight = phy::propagation_delay_ns(30.0);
+  const sim::Time data_airtime = phy::frame_airtime(
+      cfg.data_rate, kSmallPacket + mac::kDataHeaderBytes);
+  sim::Rng backoffs = MacWorld::dcf_rng(1);
+  const auto draw = [&] {
+    return static_cast<int>(backoffs.uniform_int(0, cfg.cw_min));
+  };
+  sim::Rng pick(seed);
+
+  const sim::Time start = sim::milliseconds(1);
+  w.simulator().at(start, [&] {
+    w.saturate(subject, 1, phy::kBroadcastId, kSmallPacket);
+  });
+  std::deque<phy::Frame> jams;  // stable addresses for the events
+  std::vector<sim::Time> expected;
+  sim::Time resume = start;
+  int slots = draw();
+  for (int edge = 0; edge < 120; ++edge) {
+    const sim::Time difs_end = resume + cfg.difs();
+    const sim::Time boundary = difs_end + pick.uniform_int(0, slots) * cfg.slot;
+    sim::Time arrival = 0;
+    switch (pick.uniform_int(0, 3)) {
+      case 0:
+        arrival = resume + pick.uniform_int(1, cfg.difs() - 1);
+        break;
+      case 1:
+        arrival = boundary;
+        break;
+      case 2:
+        arrival = boundary + (pick.uniform_int(0, 1) == 0 ? -1 : 1);
+        break;
+      default:
+        arrival = difs_end + slots * cfg.slot +
+                  pick.uniform_int(1, 2 * data_airtime);
+        break;
+    }
+    const phy::Frame& jam = jams.emplace_back(bare_frame(
+        phy::WifiRate::k6Mbps,
+        static_cast<std::size_t>(pick.uniform_int(mac::kAckBytes, 300))));
+    const sim::Time length = phy::frame_airtime(jam.rate, jam.size_bytes());
+    w.simulator().at(arrival - flight,
+                     [&w, &jam] { w.radio(1).transmit(jam); });
+    // Run the countdown up to the arrival: the subject may send (and then
+    // contend for its next packet) before it; the arrival freezes whatever
+    // contention is left until the jammer's frame is off the air.
+    for (;;) {
+      const auto tx = count_down(cfg, resume, slots, arrival);
+      if (!tx) {
+        resume = arrival + length;
+        break;
+      }
+      expected.push_back(*tx);
+      resume = *tx + data_airtime;
+      slots = draw();
+      if (resume >= arrival) {
+        resume = std::max(resume, arrival + length);
+        break;
+      }
+    }
+  }
+  // Two more accesses with the jammer silent.
+  for (int i = 0; i < 2; ++i) {
+    expected.push_back(*count_down(cfg, resume, slots, sim::kTimeForever));
+    resume = expected.back() + data_airtime;
+    slots = draw();
+  }
+  w.simulator().run_until(expected.back() + data_airtime);
+  EXPECT_EQ(recorder.starts, expected);
+}
+
+// Carrier sense off, acks on: a peer's unicast frame makes the subject
+// send an ACK `ack_at` while its single packet contends, starting at
+// `start`. The ACK freezes the countdown; if the count ran out first
+// (after the peer's frame ended), the attempt waits for the ACK.
+void check_ack_freeze(sim::Time start, sim::Time ack_at) {
+  SCOPED_TRACE(ack_at - start);
+  MacWorld w;
+  DcfConfig cfg;
+  cfg.carrier_sense = false;
+  DcfMac& subject = w.add_node(1, {0, 0}, cfg);
+  w.add_node(2, {20, 0});  // the peer: its radio is driven directly
+  DataTxRecorder recorder(subject, w.simulator());
+  w.radio(0).set_listener(&recorder);
+  const sim::Time flight = phy::propagation_delay_ns(20.0);
+  const sim::Time ack_airtime =
+      phy::frame_airtime(cfg.control_rate, mac::kAckBytes);
+
+  auto data = std::make_shared<mac::DataFrame>();
+  data->src = 2;
+  data->dst = 1;
+  data->seq = 1;
+  data->packet = w.make_packet(2, 1, kSmallPacket);
+  phy::Frame frame = bare_frame(cfg.data_rate, data->wire_bytes());
+  frame.payload = data;
+  const sim::Time rx_end = ack_at - cfg.sifs;
+  const sim::Time arrival =
+      rx_end - phy::frame_airtime(frame.rate, frame.size_bytes());
+  w.simulator().at(arrival - flight,
+                   [&w, &frame] { w.radio(1).transmit(frame); });
+  w.simulator().at(start, [&] {
+    subject.send(w.make_packet(1, phy::kBroadcastId, kSmallPacket));
+  });
+
+  int slots = static_cast<int>(MacWorld::dcf_rng(1).uniform_int(0, cfg.cw_min));
+  sim::Time expected = 0;
+  if (const auto tx = count_down(cfg, start, slots, ack_at)) {
+    ASSERT_GT(*tx, rx_end) << "the subject would talk over the peer";
+    expected = ack_at + ack_airtime + cfg.difs();
+  } else {
+    expected = *count_down(cfg, ack_at + ack_airtime, slots,
+                           sim::kTimeForever);
+  }
+  w.simulator().run();
+  EXPECT_EQ(subject.stats().acks_sent, 1u);
+  EXPECT_EQ(recorder.starts, std::vector<sim::Time>{expected});
+}
+
+TEST(DcfMac, BackoffMatchesAPerSlotCountdown) {
+  const DcfConfig cfg;
+  const int n =
+      static_cast<int>(MacWorld::dcf_rng(1).uniform_int(0, cfg.cw_min));
+  ASSERT_GE(n, 3) << "node 1's first backoff is too short to test";
+
+  // Uninterrupted: one contention event carries the whole access, and the
+  // frame leaves DIFS + n slots after the packet arrived.
+  {
+    MacWorld w;
+    DcfMac& subject = w.add_node(1, {0, 0}, cfg);
+    DataTxRecorder recorder(subject, w.simulator());
+    w.radio(0).set_listener(&recorder);
+    subject.send(w.make_packet(1, phy::kBroadcastId, kSmallPacket));
+    w.simulator().run();
+    EXPECT_EQ(recorder.starts,
+              std::vector<sim::Time>{cfg.difs() + n * cfg.slot});
+    EXPECT_EQ(w.simulator().events_executed(), 2u);  // contention + tx end
+  }
+
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) check_carrier_timeline(seed);
+
+  const sim::Time start = sim::milliseconds(1);
+  const sim::Time difs_end = start + cfg.difs();
+  check_ack_freeze(start, start + cfg.difs() / 2);  // inside DIFS
+  for (int k = 0; k < n; ++k) {
+    const sim::Time boundary = difs_end + k * cfg.slot;
+    check_ack_freeze(start, boundary);
+    check_ack_freeze(start, boundary - 1);
+    check_ack_freeze(start, boundary + 1);
+  }
+  // The count runs out between the peer's frame end and the ACK, or at the
+  // ACK's own instant: the attempt is postponed until the ACK is sent.
+  const sim::Time last = difs_end + n * cfg.slot;
+  check_ack_freeze(start, last);
+  check_ack_freeze(start, last + cfg.sifs / 2);
 }
 
 TEST(DcfConfigDeathTest, InvalidFieldAbortsNamingTheField) {

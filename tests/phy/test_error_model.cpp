@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "phy/units.h"
 
 namespace cmap::phy {
@@ -98,6 +102,54 @@ TEST(NistErrorModel, AllRatesCoveredByCodeSpectra) {
     const double ber = m.coded_ber(db_to_linear(25.0), rate);
     EXPECT_GE(ber, 0.0);
     EXPECT_LT(ber, 1e-3) << rate_name(rate);
+  }
+}
+
+// chunk_success as written before the certain-SINR cutoff.
+double uncut_chunk_success(const NistErrorModel& m, double sinr, double bits,
+                           WifiRate rate) {
+  const double ber = m.coded_ber(sinr, rate);
+  if (ber <= 0.0) return 1.0;
+  if (ber >= 0.5) return std::pow(0.5, bits);
+  return std::pow(1.0 - ber, bits);
+}
+
+TEST(NistErrorModel, CertainSinrCutoffIsExact) {
+  NistErrorModel m;
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double bit_counts[] = {0.5, 1.0, 8.0, 1e3, 11200.0, 123456.75, 1e6,
+                               1e7};
+  for (int i = 0; i < kNumWifiRates; ++i) {
+    const auto rate = static_cast<WifiRate>(i);
+    const double cutoff = m.certain_sinr(rate);
+    SCOPED_TRACE(rate_name(rate));
+    ASSERT_GT(cutoff, 1.0);
+    // At and above the cutoff the uncut formula already gives exactly 1.0.
+    std::vector<double> above = {cutoff, std::nextafter(cutoff, kInf)};
+    for (double db = 0.01; db <= 40.0; db *= 1.25) {
+      const double sinr = cutoff * db_to_linear(db);
+      above.push_back(sinr);
+      above.push_back(std::nextafter(sinr, kInf));
+    }
+    for (double sinr : above) {
+      for (double bits : bit_counts) {
+        EXPECT_EQ(uncut_chunk_success(m, sinr, bits, rate), 1.0)
+            << "sinr " << sinr << " bits " << bits;
+      }
+    }
+    // Across the cutoff chunk_success is the uncut formula, bit for bit.
+    std::vector<double> across = {std::nextafter(cutoff, 0.0), cutoff,
+                                  std::nextafter(cutoff, kInf)};
+    for (double db = -6.0; db <= 6.0; db += 0.125) {
+      across.push_back(cutoff * db_to_linear(db));
+    }
+    for (double sinr : across) {
+      for (double bits : bit_counts) {
+        EXPECT_EQ(m.chunk_success(sinr, bits, rate),
+                  uncut_chunk_success(m, sinr, bits, rate))
+            << "sinr " << sinr << " bits " << bits;
+      }
+    }
   }
 }
 
