@@ -170,13 +170,13 @@ Scenario make_mesh_dissemination() {
     RunOutcome out;
     out.profile = testbed::publish_metrics(w2);
     for (const auto& f : ctx.topology.flows) {
-      const double hop1 = w1.sink(f.src).meter().mbps();
-      const double hop2 = w2.sink(f.dst).meter().mbps();
+      const double hop1 = w1.sink(f.src).from(source).meter.mbps();
+      const net::PacketSink::Tally hop2 = w2.sink(f.dst).from(f.src);
       testbed::FlowResult fr;
       fr.flow = f;
-      fr.mbps = std::min(hop1, hop2);
-      fr.unique_packets = w2.sink(f.dst).unique_packets();
-      fr.duplicates = w2.sink(f.dst).duplicate_packets();
+      fr.mbps = std::min(hop1, hop2.meter.mbps());
+      fr.unique_packets = hop2.unique_packets;
+      fr.duplicates = hop2.duplicate_packets;
       out.flows.push_back(fr);
       out.aggregate_mbps += fr.mbps;
     }
@@ -226,7 +226,8 @@ Scenario make_interferer_triple() {
     world.add_saturated_flow(interferer, phy::kBroadcastId);
     world.run(ctx.config.duration);
     out.profile = testbed::publish_metrics(world);
-    const double with_i = world.sink(flow.dst).meter().mbps();
+    // R also takes I's broadcasts when I reaches it: count S's alone.
+    const double with_i = world.sink(flow.dst).from(flow.src).meter.mbps();
     const double norm = std::min(1.0, with_i / alone);
     const double prr_r = ctx.tb.prr(interferer, flow.dst);
     const double prr_s = ctx.tb.prr(interferer, flow.src);

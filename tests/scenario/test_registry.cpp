@@ -173,5 +173,40 @@ TEST(Registry, MobileRelearningDefaultsSurviveTheIntegratedScheme) {
   EXPECT_TRUE(world.config().cmap == mac);
 }
 
+TEST(Registry, InterfererTripleCountsOnlyTheSendersPackets) {
+  // A triple whose interferer I reaches the receiver R: R's sink also takes
+  // I's broadcasts, and the triple's throughput must leave them out.
+  const testbed::Testbed& tb = shared_testbed();
+  const auto& scenario = ScenarioRegistry::global().at("interferer_triple");
+  sim::Rng rng(1);
+  const auto draws = scenario.topology(tb, 40, rng);
+  const auto heard = std::find_if(
+      draws.begin(), draws.end(), [&](const TopologyInstance& t) {
+        return tb.prr(t.extras[0], t.flows[0].dst) > 0.9;
+      });
+  ASSERT_NE(heard, draws.end());
+  const phy::NodeId s = heard->flows[0].src;
+  const phy::NodeId r = heard->flows[0].dst;
+  const phy::NodeId i = heard->extras[0];
+
+  testbed::RunConfig config = scenario.defaults;
+  config.scheme = testbed::Scheme::kCsma;
+  config.duration = sim::seconds(3);
+  config.warmup = sim::seconds(1);
+  const RunOutcome out = scenario.run(RunContext{tb, *heard, config});
+  ASSERT_TRUE(out.valid);
+
+  // The executor's interfered run again, read per source at R.
+  testbed::World world(tb, config);
+  world.add_saturated_flow(s, r);
+  world.add_saturated_flow(i, phy::kBroadcastId);
+  world.run(config.duration);
+  const net::PacketSink& sink = world.sink(r);
+  EXPECT_GT(sink.from(i).unique_packets, 0u) << "I never reached R";
+  EXPECT_GT(sink.from(s).unique_packets, 0u);
+  EXPECT_EQ(out.aggregate_mbps, sink.from(s).meter.mbps());
+  EXPECT_LT(out.aggregate_mbps, sink.meter().mbps());
+}
+
 }  // namespace
 }  // namespace cmap::scenario
