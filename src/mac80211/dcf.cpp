@@ -75,15 +75,11 @@ void DcfMac::resume_contention() {
 void DcfMac::cancel_contention_timers() {
   if (!contention_event_.pending()) return;
   contention_event_.cancel();
-  // Freeze the counter: every slot boundary at or before now has elapsed
-  // (see the tie rule in dcf.h). The ACK postponement leaves no slots to
-  // count, hence the clamp.
-  const sim::Time now = sim_.now();
-  if (now > difs_end_) {
-    const auto elapsed = static_cast<int>(
-        std::min<sim::Time>(backoff_slots_, (now - difs_end_) / config_.slot));
-    backoff_slots_ -= elapsed;
-  }
+  // Freeze the counter: take off every slot whose boundary is at or before
+  // now (the tie rule in dcf.h). None inside DIFS, and none once the count
+  // ran out (the event is then the ACK postponement).
+  backoff_slots_ -= static_cast<int>(std::clamp<sim::Time>(
+      (sim_.now() - difs_end_) / config_.slot, 0, backoff_slots_));
 }
 
 void DcfMac::attempt_tx() {

@@ -9,6 +9,10 @@
 namespace cmap::phy {
 namespace {
 
+// The certain-SINR cutoff's bound on the computed coded BER (see
+// error_model.h).
+constexpr double kCertainBer = 0x1p-80;
+
 // Uncoded bit error rates for Gray-coded constellations on AWGN, as a
 // function of Eb/N0 (linear).
 double bpsk_ber(double ebn0) { return 0.5 * std::erfc(std::sqrt(ebn0)); }

@@ -55,9 +55,6 @@ class NistErrorModel final : public ErrorModel {
     return certain_sinr_[static_cast<int>(rate)];
   }
 
-  /// The cutoff's bound on the computed coded BER.
-  static constexpr double kCertainBer = 0x1p-80;
-
  private:
   double bandwidth_hz_;
   std::array<double, kNumWifiRates> certain_sinr_{};
