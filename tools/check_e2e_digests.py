@@ -3,7 +3,7 @@
 
 Runs `bench/e2e/run.py --workload W --seed 1 --seconds 0.1 --trace 0` for
 every workload named in tests/golden/e2e_digests.txt (about 15 s in all,
-plus the driver's first build) and compares the `report_digest` each run
+plus the first build of e2e_driver) and compares the `report_digest` each run
 prints with the committed one. The digest folds every per-flow result of the
 workload's reference runs, so a change that must not alter results keeps all
 of them. Exits 1 naming each workload whose digest moved or whose run
