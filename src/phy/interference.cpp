@@ -47,15 +47,12 @@ const Signal* InterferenceTracker::find(std::uint64_t frame_id) const {
   return nullptr;
 }
 
-ChunkOutcome InterferenceTracker::evaluate(std::uint64_t target_frame_id,
-                                           sim::Time begin, sim::Time end,
-                                           double bits, WifiRate rate,
-                                           const ErrorModel& model,
-                                           double sinr_scale) const {
-  ChunkOutcome out;
+template <class OnChunk>
+void InterferenceTracker::sweep(std::uint64_t target_frame_id, sim::Time begin,
+                                sim::Time end, OnChunk&& on_chunk) const {
   const Signal* target = find(target_frame_id);
   CMAP_ASSERT(target != nullptr, "evaluating unknown frame");
-  if (end <= begin) return out;
+  if (end <= begin) return;
 
   // One +power/-power edge per overlapping foreign signal boundary, clipped
   // to the window; signals already active at `begin` fold into the base
@@ -78,7 +75,6 @@ ChunkOutcome InterferenceTracker::evaluate(std::uint64_t target_frame_id,
     return a.t != b.t ? a.t < b.t : a.delta < b.delta;
   });
 
-  const double window = static_cast<double>(end - begin);
   sim::Time t0 = begin;
   std::size_t i = 0;
   for (;;) {
@@ -86,29 +82,39 @@ ChunkOutcome InterferenceTracker::evaluate(std::uint64_t target_frame_id,
     if (t1 > t0) {
       // The +p/-p accumulation can leave a negative rounding residual the
       // per-interval rescan never produces; clamp before the division.
-      const double sinr =
-          target->power_mw / (noise_mw_ + std::max(interference, 0.0));
-      out.min_sinr = std::min(out.min_sinr, sinr);
-      const double chunk_bits = bits * static_cast<double>(t1 - t0) / window;
-      out.success_prob *=
-          model.chunk_success(sinr / sinr_scale, chunk_bits, rate);
+      on_chunk(target->power_mw / (noise_mw_ + std::max(interference, 0.0)),
+               t1 - t0);
       t0 = t1;
     }
     if (i >= edges_.size()) break;
     interference += edges_[i].delta;
     ++i;
   }
+}
+
+ChunkOutcome InterferenceTracker::evaluate(std::uint64_t target_frame_id,
+                                           sim::Time begin, sim::Time end,
+                                           double bits, WifiRate rate,
+                                           const ErrorModel& model,
+                                           double sinr_scale) const {
+  ChunkOutcome out;
+  const double window = static_cast<double>(end - begin);
+  sweep(target_frame_id, begin, end, [&](double sinr, sim::Time length) {
+    out.min_sinr = std::min(out.min_sinr, sinr);
+    const double chunk_bits = bits * static_cast<double>(length) / window;
+    out.success_prob *=
+        model.chunk_success(sinr / sinr_scale, chunk_bits, rate);
+  });
   return out;
 }
 
 double InterferenceTracker::min_sinr(std::uint64_t target_frame_id,
                                      sim::Time begin, sim::Time end) const {
-  // A threshold model with zero bits leaves success at 1; reuse evaluate's
-  // chunking for the SINR bookkeeping only.
-  static const ThresholdErrorModel dummy(0.0);
-  return evaluate(target_frame_id, begin, end, 0.0, WifiRate::k6Mbps, dummy,
-                  1.0)
-      .min_sinr;
+  double worst = ChunkOutcome{}.min_sinr;
+  sweep(target_frame_id, begin, end, [&worst](double sinr, sim::Time) {
+    worst = std::min(worst, sinr);
+  });
+  return worst;
 }
 
 ActivePower InterferenceTracker::active_power(sim::Time t) const {

@@ -101,10 +101,17 @@ class InterferenceTracker {
 
  private:
   std::vector<Signal> signals_;
+  // The chunking sweep behind evaluate() and min_sinr(): calls
+  // on_chunk(sinr, length) for each sub-interval of [begin, end) over
+  // which the interference is constant, in time order.
+  template <class OnChunk>
+  void sweep(std::uint64_t target_frame_id, sim::Time begin, sim::Time end,
+             OnChunk&& on_chunk) const;
+
   double noise_mw_;
   sim::Time longest_ = 0;  // longest end - start add() has seen
   std::size_t compact_at_ = 0;
-  // Sweep-edge scratch, reused across evaluate() calls to avoid a per-call
+  // Sweep-edge scratch, reused across sweep() calls to avoid a per-call
   // allocation. A tracker belongs to one radio in one (single-threaded)
   // simulation, so the mutable buffer is never contended.
   struct Edge {

@@ -124,12 +124,14 @@ void Radio::deliver(Signal signal) {
 }
 
 bool Radio::inert_arrival(double power_mw, sim::Time start) const {
-  if (watch_cca_) return false;
-  if (power_mw < sensitivity_mw_) return true;
   // Still transmitting when the signal starts, so deliver() would find the
-  // radio in kTx: no lock, no capture, no CCA to update, and nothing to
-  // salvage at its end.
-  return state_ == State::kTx && tx_end_ > start;
+  // radio in kTx: no lock, no capture, and nothing to salvage at its end.
+  const bool talked_over = state_ == State::kTx && tx_end_ > start;
+  if (power_mw >= sensitivity_mw_ && !talked_over) return false;
+  if (!watch_cca_) return true;
+  // No strong_until_ to raise, and a carrier busy across the start for a
+  // reason that outlasts it: update_cca() finds no edge and arms nothing.
+  return power_mw < cs_signal_mw_ && (talked_over || strong_until_ > start);
 }
 
 void Radio::add_interference(Signal signal) {

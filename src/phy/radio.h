@@ -45,17 +45,30 @@
 // A salvaging radio (integrated mode) still schedules an end event for
 // every signal it tracks through deliver(): salvage runs there.
 //
-// Inert arrivals take no event at all. An arrival is inert when the radio
-// has not opted in to CCA and either its power is below sensitivity_dbm, or
-// the radio is transmitting past the arrival's start. Its arrival event
-// could only have added the signal to the interference tracker (a
-// salvaging radio would skip it at its end too: maybe_salvage hears
-// nothing of a frame the radio talked over), so the medium adds it there
-// at transmit time instead (only when sender and receiver share a
-// partition: the sender's thread must own the tracker). The tracker keeps
-// signals in (start, frame id) order, the order arrival events run in at
-// one receiver, so the early add lands where the event would have put it
-// (phy/interference.h).
+// Inert arrivals take no event at all. An arrival event (deliver()) does
+// more than track the signal, and an arrival is inert when the medium can
+// rule out, at transmit time, everything else it could do:
+//  - lock or capture, and (salvaging) schedule an end event that tries to
+//    salvage the frame: ruled out when the power is below sensitivity_dbm,
+//    or when the radio is transmitting past the arrival's start (no lock
+//    in kTx, and maybe_salvage hears nothing of a frame it talked over);
+//  - raise strong_until_: carrier_busy() stays exact without it (below it
+//    the scan decides), and the opt-in folds skipped signals back in, so
+//    only a watched radio, which times its wake by it, needs the raise.
+//    There it is ruled out by a power below cs_signal_dbm;
+//  - report a CCA edge or arm the wake: nothing to do at an unwatched
+//    radio. At a watched one, ruled out when the carrier is busy across
+//    the start for a reason that outlasts it: strong_until_ > start, or
+//    transmitting past the start. update_cca() at the start then finds
+//    the carrier busy, as every update since the cover began did, and an
+//    idle radio under cover already has its wake pending. Both comparisons
+//    are strict: at start == strong_until_ or tx_end_, the wake or
+//    finish_tx runs first in that instant and must not see the signal.
+// The medium adds an inert arrival's signal to the tracker at transmit time
+// instead (only when sender and receiver share a partition: the sender's
+// thread must own the tracker). The tracker keeps signals in (start, frame
+// id) order, the order arrival events run in at one receiver, so the early
+// add lands where the event would have put it (phy/interference.h).
 #pragma once
 
 #include <algorithm>

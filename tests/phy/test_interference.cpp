@@ -338,6 +338,16 @@ TEST(Interference, SweptEvaluatorMatchesBruteForceOnRandomSignalSets) {
         << "trial " << trial;
     EXPECT_NEAR(swept.min_sinr, brute.min_sinr, 1e-9 * brute.min_sinr)
         << "trial " << trial;
+    // min_sinr() walks the same sweep without the error model: its minima
+    // are evaluate()'s, bit for bit, over the whole window and inside it.
+    EXPECT_EQ(t.min_sinr(1, 0, window_end), swept.min_sinr)
+        << "trial " << trial;
+    const sim::Time begin = rng.uniform_int(0, window_end - 1);
+    const sim::Time end = rng.uniform_int(begin + 1, window_end);
+    EXPECT_EQ(t.min_sinr(1, begin, end),
+              t.evaluate(1, begin, end, 800, WifiRate::k6Mbps, model, 1.0)
+                  .min_sinr)
+        << "trial " << trial;
   }
 }
 

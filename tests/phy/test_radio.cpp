@@ -277,7 +277,9 @@ RadioConfig deaf_config() {
   return deaf;
 }
 
-TEST(Radio, SubSensitivityArrivalIsEventlessOnlyAtAnUnwatchedRadio) {
+TEST(Radio, SubSensitivityArrivalAtAnIdleRadioIsEventlessOnlyIfUnwatched) {
+  // Nothing holds b's carrier when a's frame arrives, so a watching b
+  // needs the arrival event to report the busy edge.
   for (const Cca cca : {Cca::kUnwatched, Cca::kWatched}) {
     World w(nist());
     Radio& a = w.add_radio(1, {0, 0}, {}, Cca::kUnwatched);
@@ -296,6 +298,148 @@ TEST(Radio, SubSensitivityArrivalIsEventlessOnlyAtAnUnwatchedRadio) {
     EXPECT_EQ(tracked, watched ? 0u : 1u) << "watched " << watched;
     EXPECT_EQ(b.counters().locks, 0u);
     EXPECT_EQ(b.interference().signals().size(), 1u);
+    EXPECT_EQ(w.listener(1).cca_changes.size(), watched ? 2u : 0u);
+  }
+}
+
+// Levels for a watched b at the origin, with s 20 m east (-62.7 dBm at b)
+// and a 50 m west (-70.7 dBm): s's frames hold b's carrier by preamble CS
+// without locking it, a's are below both levels but above energy detect.
+RadioConfig cover_config() {
+  RadioConfig cfg = deaf_config();
+  cfg.cs_signal_dbm = -65.0;
+  cfg.energy_detect_dbm = -75.0;
+  return cfg;
+}
+
+TEST(Radio, WatchedRadioTakesNoEventForAnArrivalItsCarrierIsBusyAcross) {
+  // a's frame reaches b while a strong frame from s, or b's own
+  // transmission, holds b's carrier past the arrival's start. The arrival
+  // can move neither a lock nor the carrier, so it takes no event and is
+  // tracked before it starts. During b's own transmission a frame b could
+  // lock onto is covered too, as long as it stays below preamble CS.
+  struct Case {
+    const char* label;
+    bool own_tx;
+    double sensitivity_dbm;
+  };
+  const sim::Time airtime = frame_airtime(WifiRate::k6Mbps, 1400);
+  const sim::Time sent = sim::microseconds(500);  // a's transmit
+  const sim::Time a_end = sent + propagation_delay_ns(50.0) + airtime;
+  for (const Case c : {Case{"strong cover", false, -60.0},
+                       Case{"own tx", true, -60.0},
+                       Case{"own tx, lockable", true, -92.0}}) {
+    World w(nist());
+    Radio& s = w.add_radio(1, {20, 0}, deaf_config(), Cca::kUnwatched);
+    Radio& a = w.add_radio(2, {-50, 0}, deaf_config(), Cca::kUnwatched);
+    RadioConfig cfg = cover_config();
+    cfg.sensitivity_dbm = c.sensitivity_dbm;
+    Radio& b = w.add_radio(3, {0, 0}, cfg, Cca::kWatched);
+    CcaClock clock(w.simulator());
+    b.set_listener(&clock);
+    std::size_t scheduled = 0, tracked_before = 0, tracked_after = 0;
+    w.simulator().at(0, [&] {
+      (c.own_tx ? b : s).transmit(World::whole_frame(1400));
+    });
+    w.simulator().at(sent, [&] {
+      tracked_before = b.interference().signals().size();
+      scheduled = events_scheduled_by(
+          w, [&] { a.transmit(World::whole_frame(1400)); });
+      tracked_after = b.interference().signals().size();
+    });
+    w.simulator().run();
+    // a's tx end only.
+    EXPECT_EQ(scheduled, 1u) << c.label;
+    EXPECT_EQ(tracked_after, tracked_before + 1) << c.label;
+    EXPECT_EQ(b.counters().locks, 0u) << c.label;
+    // a's energy holds the carrier from the end of the cover to its own
+    // end: no idle edge in between.
+    const sim::Time busy_at = c.own_tx ? 0 : propagation_delay_ns(20.0);
+    const std::vector<std::pair<sim::Time, bool>> expected = {
+        {busy_at, true}, {a_end, false}};
+    EXPECT_EQ(clock.edges, expected) << c.label;
+  }
+}
+
+TEST(Radio, ArrivalAbovePreambleCsTakesItsEventAtAWatchedRadio) {
+  // Preamble CS below sensitivity: a's frame is too weak for b to lock,
+  // but strong enough to hold b's carrier beyond s's cover by itself. A
+  // watching b takes its arrival event, which extends strong_until_; an
+  // unwatched b has no carrier to move and takes none.
+  for (const Cca cca : {Cca::kWatched, Cca::kUnwatched}) {
+    World w(nist());
+    Radio& s = w.add_radio(1, {20, 0}, deaf_config(), Cca::kUnwatched);
+    Radio& a = w.add_radio(2, {-50, 0}, deaf_config(), Cca::kUnwatched);
+    RadioConfig cfg = deaf_config();
+    cfg.cs_signal_dbm = -75.0;
+    cfg.energy_detect_dbm = -50.0;  // preamble CS alone decides
+    Radio& b = w.add_radio(3, {0, 0}, cfg, cca);
+    ASSERT_LT(cfg.cs_signal_dbm, cfg.sensitivity_dbm);
+    CcaClock clock(w.simulator());
+    b.set_listener(&clock);
+    const sim::Time sent = sim::microseconds(500);
+    std::size_t scheduled = 0;
+    w.simulator().at(0, [&] { s.transmit(World::whole_frame(1400)); });
+    w.simulator().at(sent, [&] {
+      scheduled = events_scheduled_by(
+          w, [&] { a.transmit(World::whole_frame(1400)); });
+    });
+    w.simulator().run();
+    const bool watched = cca == Cca::kWatched;
+    EXPECT_EQ(scheduled, watched ? 2u : 1u) << "watched " << watched;
+    EXPECT_EQ(b.counters().locks, 0u);
+    std::vector<std::pair<sim::Time, bool>> expected;
+    if (watched) {
+      expected = {{propagation_delay_ns(20.0), true},
+                  {sent + propagation_delay_ns(50.0) +
+                       frame_airtime(WifiRate::k6Mbps, 1400),
+                   false}};
+    }
+    EXPECT_EQ(clock.edges, expected) << "watched " << watched;
+  }
+}
+
+TEST(Radio, ArrivalStartingAsItsCoverEndsTakesItsEvent) {
+  // The cover (s's strong frame at b, or b's own transmission) ends at T.
+  // An arrival of a's starting 1 ns before T is covered and takes no
+  // event. One starting at T is not: the CCA wake at strong_until_, or
+  // finish_tx at tx_end_, runs first in that instant and reports the idle
+  // edge, and the arrival's own event then reports a's energy as busy.
+  const sim::Time airtime = frame_airtime(WifiRate::k6Mbps, 1400);
+  const sim::Time d_a = propagation_delay_ns(50.0);
+  for (const bool own_tx : {false, true}) {
+    const sim::Time busy_at = own_tx ? 0 : propagation_delay_ns(20.0);
+    const sim::Time cover_end = busy_at + airtime;
+    for (const sim::Time early : {sim::Time{1}, sim::Time{0}}) {
+      World w(nist());
+      Radio& s = w.add_radio(1, {20, 0}, deaf_config(), Cca::kUnwatched);
+      Radio& a = w.add_radio(2, {-50, 0}, deaf_config(), Cca::kUnwatched);
+      Radio& b = w.add_radio(3, {0, 0}, cover_config(), Cca::kWatched);
+      CcaClock clock(w.simulator());
+      b.set_listener(&clock);
+      const sim::Time start = cover_end - early;  // of a's signal at b
+      std::size_t scheduled = 0;
+      w.simulator().at(0, [&] {
+        (own_tx ? b : s).transmit(World::whole_frame(1400));
+      });
+      w.simulator().at(start - d_a, [&] {
+        scheduled = events_scheduled_by(
+            w, [&] { a.transmit(World::whole_frame(1400)); });
+      });
+      w.simulator().run();
+      const bool covered = early > 0;
+      // a's tx end, plus the arrival event at b when it is not covered.
+      EXPECT_EQ(scheduled, covered ? 1u : 2u)
+          << "own tx " << own_tx << " early " << early;
+      std::vector<std::pair<sim::Time, bool>> expected = {{busy_at, true}};
+      if (!covered) {
+        expected.emplace_back(cover_end, false);
+        expected.emplace_back(cover_end, true);
+      }
+      expected.emplace_back(start + airtime, false);
+      EXPECT_EQ(clock.edges, expected)
+          << "own tx " << own_tx << " early " << early;
+    }
   }
 }
 
@@ -481,19 +625,29 @@ struct Arrival {
   sim::Time start;
   sim::Time end;
   double power_dbm;
+  sim::Time lead;  // routed this long before it starts, as at a transmit
 };
 
 // A seeded schedule of arrivals at one radio: powers below sensitivity
-// (two of which together can cross energy detect), between sensitivity and
-// preamble CS, above preamble CS, and strong enough to capture a lock.
-// Some end exactly when an earlier one does.
+// (two of which together can cross energy detect), around the energy
+// detect levels below sensitivity, between sensitivity and preamble CS,
+// above preamble CS, and strong enough to capture a lock. Some end exactly
+// when an earlier one does, and some start exactly when an earlier one or
+// one of `tx_ends` ends.
 std::vector<Arrival> random_arrivals(std::uint64_t seed, sim::Time span,
-                                     int count) {
+                                     int count,
+                                     const std::vector<sim::Time>& tx_ends) {
   sim::Rng rng(seed);
   std::vector<Arrival> out;
   for (int i = 0; i < count; ++i) {
     Arrival a;
     a.start = rng.uniform_int(0, span);
+    if (rng.bernoulli(0.25)) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(out.size() + tx_ends.size()) - 1));
+      a.start = pick < out.size() ? out[pick].end
+                                  : tx_ends[pick - out.size()];
+    }
     a.end = a.start + rng.uniform_int(sim::microseconds(100),
                                       sim::milliseconds(2));
     for (const Arrival& b : out) {
@@ -503,12 +657,89 @@ std::vector<Arrival> random_arrivals(std::uint64_t seed, sim::Time span,
       }
     }
     const double band = rng.uniform();
-    a.power_dbm = band < 0.4    ? rng.uniform(-92.0, -85.5)
+    a.power_dbm = band < 0.3    ? rng.uniform(-92.0, -85.5)
+                  : band < 0.45 ? rng.uniform(-86.0, -82.0)
                   : band < 0.6  ? rng.uniform(-84.0, -76.0)
                   : band < 0.85 ? rng.uniform(-74.0, -60.0)
                                 : rng.uniform(-55.0, -45.0);
+    a.lead = std::min(a.start, rng.uniform_int(1, sim::microseconds(50)));
     out.push_back(a);
   }
+  return out;
+}
+
+// What one radio reported over one schedule.
+struct CarrierRun {
+  std::vector<std::pair<sim::Time, bool>> edges;
+  std::vector<std::uint64_t> edge_events;
+  std::vector<std::pair<sim::Time, sim::Time>> locks;
+  Radio::Counters counters;
+  std::uint64_t events = 0;
+  std::uint64_t inert = 0;  // arrivals that went straight into the tracker
+  std::uint64_t inert_lockable = 0;  // of those, at or above sensitivity
+};
+
+// Routes one delivery the way Medium::transmit does: an inert arrival
+// (when `use_inert`) is tracked at once, any other gets its arrival event.
+struct Router {
+  sim::Simulator* sim;
+  Radio* radio;
+  bool use_inert;
+  std::uint64_t inert = 0;
+  std::uint64_t inert_lockable = 0;
+
+  void route(Signal sig) {
+    if (use_inert && radio->inert_arrival(sig.power_mw, sig.start)) {
+      ++inert;
+      inert_lockable +=
+          sig.power_mw >= dbm_to_mw(radio->config().sensitivity_dbm);
+      radio->add_interference(std::move(sig));
+      return;
+    }
+    const sim::Time start = sig.start;
+    const sim::EventRank rank = sim::delivery_rank(sig.frame->id, radio->id());
+    sim->at_ranked(start, rank, [r = radio, sig = std::move(sig)]() mutable {
+      r->deliver(std::move(sig));
+    });
+  }
+};
+
+// Runs `arrivals` and three transmissions of its own (at `txs`) at one
+// watched radio. Every arrival is routed `lead` before it starts.
+CarrierRun run_carrier(const RadioConfig& cfg,
+                       const std::vector<Arrival>& arrivals,
+                       const std::vector<sim::Time>& txs, const Frame& own,
+                       bool use_inert) {
+  World w(nist());
+  Radio& r = w.add_radio(1, {0, 0}, cfg, Cca::kWatched);
+  CarrierLog log(w.simulator());
+  r.set_listener(&log);
+  Router router{&w.simulator(), &r, use_inert};
+  std::uint64_t seq = 0;
+  for (const Arrival& a : arrivals) {
+    Frame f = World::whole_frame(500);
+    f.tx_node = 100;  // a foreign sender, never attached
+    f.id = make_frame_id(f.tx_node, ++seq);
+    f.duration = a.end - a.start;
+    Signal sig{std::make_shared<const Frame>(std::move(f)),
+               dbm_to_mw(a.power_dbm), a.start, a.end};
+    w.simulator().at(a.start - a.lead,
+                     [rt = &router, sig = std::move(sig)]() mutable {
+                       rt->route(std::move(sig));
+                     });
+  }
+  for (const sim::Time t : txs) {
+    w.simulator().at(t, [&r, &own] { r.transmit(own); });
+  }
+  w.simulator().run();
+  CarrierRun out;
+  out.edges = log.edges;
+  out.edge_events = log.edge_events;
+  out.locks = log.locks;
+  out.counters = r.counters();
+  out.events = w.simulator().events_executed();
+  out.inert = router.inert;
+  out.inert_lockable = router.inert_lockable;
   return out;
 }
 
@@ -526,6 +757,19 @@ TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
   // no edge, not an idle edge and a busy one.
   RadioConfig high_ed = base;
   high_ed.energy_detect_dbm = -72.0;
+  // Preamble CS at sensitivity, and energy detect below both: one arrival
+  // too weak to lock or to hold the carrier by preamble can busy it alone.
+  RadioConfig cs_at_sensitivity;
+  cs_at_sensitivity.sensitivity_dbm = -82.0;
+  cs_at_sensitivity.cs_signal_dbm = -82.0;
+  cs_at_sensitivity.energy_detect_dbm = -86.0;
+  // Preamble CS below sensitivity: an arrival between the two levels holds
+  // the carrier without a lock, and must raise strong_until_ even when the
+  // carrier is already busy.
+  RadioConfig cs_below = cs_at_sensitivity;
+  cs_below.sensitivity_dbm = -76.0;
+  const RadioConfig* configs[] = {&low_ed, &high_ed, &cs_at_sensitivity,
+                                  &cs_below};
   const sim::Time span = sim::milliseconds(20);
   const Frame own = World::whole_frame(200);
   const sim::Time own_airtime = frame_airtime(own.rate, own.size_bytes());
@@ -533,50 +777,50 @@ TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
   // Coverage: the schedules must reach every corner of the carrier.
   std::uint64_t locks = 0, captures = 0, energy_only_busy = 0,
                 shared_ends = 0, talked_over = 0, double_edges = 0;
-  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
-    const RadioConfig& cfg = seed % 2 == 0 ? low_ed : high_ed;
-    World w(nist());
-    Radio& r = w.add_radio(1, {0, 0}, cfg, Cca::kWatched);
-    CarrierLog log(w.simulator());
-    r.set_listener(&log);
-    const std::vector<Arrival> arrivals = random_arrivals(seed, span, 40);
-    std::uint64_t seq = 0;
-    for (const Arrival& a : arrivals) {
-      Frame f = World::whole_frame(500);
-      f.tx_node = 100;  // a foreign sender, never attached
-      f.id = make_frame_id(f.tx_node, ++seq);
-      f.duration = a.end - a.start;
-      Signal sig{std::make_shared<const Frame>(std::move(f)),
-                 dbm_to_mw(a.power_dbm), a.start, a.end};
-      const std::uint64_t fid = sig.frame->id;
-      w.simulator().at_ranked(a.start, sim::delivery_rank(fid, r.id()),
-                              [&r, sig = std::move(sig)]() mutable {
-                                r.deliver(std::move(sig));
-                              });
-    }
+  // ... and of the inert rule: covered arrivals per config, lockable ones
+  // talked over, and arrivals that start exactly as a strong signal or an
+  // own transmission ends, turning the carrier straight back to busy.
+  std::uint64_t covered[4] = {}, covered_lockable = 0,
+                tip_at_strong_end = 0, tip_at_tx_end = 0;
+  for (std::uint64_t seed = 1; seed <= 160; ++seed) {
+    const RadioConfig& cfg = *configs[seed % 4];
     // Three transmissions of its own, over whatever is on the air.
-    std::vector<sim::Time> txs;
+    std::vector<sim::Time> txs, tx_ends;
     sim::Rng tx_rng(seed + 1000);
     for (int i = 0; i < 3; ++i) {
       txs.push_back(i * span / 3 + tx_rng.uniform_int(0, span / 6));
-      w.simulator().at(txs.back(), [&r, &own] { r.transmit(own); });
+      tx_ends.push_back(txs.back() + own_airtime);
     }
-    w.simulator().run();
+    const std::vector<Arrival> arrivals =
+        random_arrivals(seed, span, 40, tx_ends);
+    // Every arrival with its event, and routed as the medium does: the
+    // inert ones must change nothing the radio reports, not even the
+    // order of two edges within one instant, nor its CCA wakes.
+    const CarrierRun all = run_carrier(cfg, arrivals, txs, own, false);
+    const CarrierRun run = run_carrier(cfg, arrivals, txs, own, true);
+    EXPECT_EQ(run.edges, all.edges) << "seed " << seed;
+    EXPECT_EQ(run.locks, all.locks) << "seed " << seed;
+    EXPECT_EQ(run.counters.cca_wakes, all.counters.cca_wakes)
+        << "seed " << seed;
+    EXPECT_EQ(run.counters.aborted_by_capture,
+              all.counters.aborted_by_capture)
+        << "seed " << seed;
+    EXPECT_EQ(all.events - run.events, run.inert) << "seed " << seed;
 
     // Brute force: the carrier after every event of an instant, from the
     // arrival list, the radio's own transmissions and its locks. A lock
     // ends at its frame's end, at a capture (the next lock) or at a
     // transmission of its own.
     std::vector<std::pair<sim::Time, sim::Time>> rx;
-    for (std::size_t i = 0; i < log.locks.size(); ++i) {
-      sim::Time until = log.locks[i].second;
-      if (i + 1 < log.locks.size()) {
-        until = std::min(until, log.locks[i + 1].first);
+    for (std::size_t i = 0; i < all.locks.size(); ++i) {
+      sim::Time until = all.locks[i].second;
+      if (i + 1 < all.locks.size()) {
+        until = std::min(until, all.locks[i + 1].first);
       }
       for (const sim::Time t : txs) {
-        if (t >= log.locks[i].first) until = std::min(until, t);
+        if (t >= all.locks[i].first) until = std::min(until, t);
       }
-      rx.emplace_back(log.locks[i].first, until);
+      rx.emplace_back(all.locks[i].first, until);
     }
     std::vector<sim::Time> instants;
     for (const Arrival& a : arrivals) {
@@ -625,7 +869,7 @@ TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
     // The edges as the radio reported them, keeping the last state of
     // each instant: an edge may come after other events of its instant.
     std::vector<std::pair<sim::Time, bool>> settled;
-    for (const auto& edge : log.edges) {
+    for (const auto& edge : all.edges) {
       if (!settled.empty() && settled.back().first == edge.first) {
         settled.back().second = edge.second;
       } else {
@@ -633,8 +877,8 @@ TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
       }
     }
     // Each event reports at most one edge.
-    for (std::size_t i = 1; i < log.edge_events.size(); ++i) {
-      double_edges += log.edge_events[i] == log.edge_events[i - 1];
+    for (std::size_t i = 1; i < all.edge_events.size(); ++i) {
+      double_edges += all.edge_events[i] == all.edge_events[i - 1];
     }
     std::vector<std::pair<sim::Time, bool>> reported;
     for (const auto& edge : settled) {
@@ -651,11 +895,26 @@ TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
         talked_over += within(arrivals[i].start, t, t + own_airtime);
       }
     }
+    // An idle edge and a busy one at the same instant: the carrier turned
+    // idle as a cover ended, then an arrival starting there busied it.
+    for (std::size_t i = 1; i < all.edges.size(); ++i) {
+      const auto& [t, now_busy] = all.edges[i];
+      if (!now_busy || all.edges[i - 1] != std::pair{t, false}) continue;
+      const bool strong_end = std::any_of(
+          arrivals.begin(), arrivals.end(), [&](const Arrival& a) {
+            return a.end == t && a.power_dbm >= cfg.cs_signal_dbm;
+          });
+      tip_at_strong_end += strong_end;
+      tip_at_tx_end += std::count(tx_ends.begin(), tx_ends.end(), t);
+    }
+    covered[seed % 4] += run.inert;
+    covered_lockable += run.inert_lockable;
     deliveries += arrivals.size();
-    events += w.simulator().events_executed();
-    locks += r.counters().locks;
-    captures += r.counters().aborted_by_capture;
-    wakes += r.counters().cca_wakes;
+    // The routing events are the medium's, not the radio's.
+    events += all.events - arrivals.size();
+    locks += all.counters.locks;
+    captures += all.counters.aborted_by_capture;
+    wakes += all.counters.cca_wakes;
   }
   EXPECT_GT(locks, 0u);
   EXPECT_GT(captures, 0u);
@@ -663,6 +922,10 @@ TEST(Radio, CcaEdgesMatchABruteForceCarrierTimeline) {
   EXPECT_GT(shared_ends, 0u);
   EXPECT_GT(talked_over, 0u);
   EXPECT_EQ(double_edges, 0u);
+  for (const std::uint64_t n : covered) EXPECT_GT(n, 0u);
+  EXPECT_GT(covered_lockable, 0u);
+  EXPECT_GT(tip_at_strong_end, 0u);
+  EXPECT_GT(tip_at_tx_end, 0u);
   // A wake comes per busy stretch of the idle radio (and per extension
   // of one), not per signal: the radio runs fewer events than its
   // arrivals plus one end event per arrival would have made.
