@@ -68,22 +68,16 @@ BENCHMARK(BM_NistErrorModel);
 // network shape the swept evaluator is built for).
 phy::InterferenceTracker make_loaded_tracker(int n_interferers) {
   phy::InterferenceTracker t(phy::dbm_to_mw(-94.0));
-  auto mk = [](std::uint64_t id, std::size_t bytes) {
-    phy::Frame f;
-    f.id = id;
-    f.segments = {{phy::SegmentKind::kWhole, bytes}};
-    return std::make_shared<const phy::Frame>(std::move(f));
-  };
   constexpr sim::Time kWindow = 1'892'000;
   phy::Signal target;
-  target.frame = mk(1, 1400);
+  target.frame_id = 1;
   target.power_mw = phy::dbm_to_mw(-70.0);
   target.start = 0;
   target.end = kWindow;
   t.add(target);
   for (int i = 0; i < n_interferers; ++i) {
     phy::Signal s;
-    s.frame = mk(2 + static_cast<std::uint64_t>(i), 1400);
+    s.frame_id = 2 + static_cast<std::uint64_t>(i);
     s.power_mw = phy::dbm_to_mw(-85.0);
     s.start = kWindow * i / (n_interferers + 1);
     s.end = s.start + 900'000;

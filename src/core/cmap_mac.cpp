@@ -236,9 +236,12 @@ void CmapMac::start_vp(phy::NodeId dst) {
     return;
   }
   const std::size_t nvpkt = static_cast<std::size_t>(config_.nvpkt);
-  std::vector<std::uint32_t> seqs;
-  std::vector<const mac::Packet*> packets;
-  std::vector<bool> is_retx;
+  std::vector<std::uint32_t>& seqs = vp_seqs_;
+  std::vector<const mac::Packet*>& packets = vp_packets_;
+  std::vector<bool>& is_retx = vp_is_retx_;
+  seqs.clear();
+  packets.clear();
+  is_retx.clear();
 
   // Retransmissions first (§3.3: unacked packets resent in sequence).
   while (seqs.size() < nvpkt && !retx_queue_.empty()) {
@@ -311,7 +314,9 @@ void CmapMac::start_vp(phy::NodeId dst) {
     const sim::Time hdr_air =
         phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
     sim::Time data_air = 0;
-    std::vector<CmapDataFrame> data_frames(seqs.size());
+    std::vector<CmapDataFrame>& data_frames = vp_data_frames_;
+    data_frames.clear();
+    data_frames.resize(seqs.size());
     for (std::size_t i = 0; i < seqs.size(); ++i) {
       auto& df = data_frames[i];
       df.src = d.src;
@@ -686,8 +691,8 @@ void CmapMac::attribute_losses(const VpRxContext& ctx) {
   const double slot = static_cast<double>(region_end - region_begin) /
                       static_cast<double>(ctx.npackets);
 
-  std::vector<phy::NodeId> concurrent;
-  std::vector<phy::WifiRate> rates;
+  std::vector<phy::NodeId>& concurrent = loss_concurrent_;
+  std::vector<phy::WifiRate>& rates = loss_rates_;
   for (std::uint16_t i = 0; i < ctx.npackets; ++i) {
     const auto w0 =
         region_begin + static_cast<sim::Time>(slot * static_cast<double>(i));

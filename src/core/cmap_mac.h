@@ -255,6 +255,12 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   sim::EventId retx_event_;
   sim::EventId ack_tx_event_;
   std::size_t last_skip_offset_ = 0;  // per-destination queue rotation
+  // start_vp's per-VP lists, kept across VPs so that building one
+  // allocates only the frames it sends.
+  std::vector<std::uint32_t> vp_seqs_;
+  std::vector<const mac::Packet*> vp_packets_;
+  std::vector<bool> vp_is_retx_;
+  std::vector<CmapDataFrame> vp_data_frames_;
 
   // Shared conflict-map state.
   OngoingList ongoing_;
@@ -265,6 +271,9 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   // Receiver state.
   std::unordered_map<std::uint64_t, VpRxContext> rx_contexts_;
   std::unordered_map<phy::NodeId, PerSenderRx> per_sender_;
+  // attribute_losses' per-packet interferer lists, kept across calls.
+  std::vector<phy::NodeId> loss_concurrent_;
+  std::vector<phy::WifiRate> loss_rates_;
 };
 
 }  // namespace cmap::core

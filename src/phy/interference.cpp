@@ -13,21 +13,19 @@ constexpr std::size_t kMinCompactSize = 16;
 // True when `a` sorts before `b` in the tracker's (start, frame id) order.
 bool arrives_before(const Signal& a, const Signal& b) {
   if (a.start != b.start) return a.start < b.start;
-  const std::uint64_t fa = a.frame ? a.frame->id : 0;
-  const std::uint64_t fb = b.frame ? b.frame->id : 0;
-  return fa < fb;
+  return a.frame_id < b.frame_id;
 }
 }  // namespace
 
-void InterferenceTracker::add(Signal signal) {
+void InterferenceTracker::add(const Signal& signal) {
   longest_ = std::max(longest_, signal.end - signal.start);
   if (signals_.empty() || !arrives_before(signal, signals_.back())) {
-    signals_.push_back(std::move(signal));
+    signals_.push_back(signal);
     return;
   }
   const auto at = std::upper_bound(signals_.begin(), signals_.end(), signal,
                                    arrives_before);
-  signals_.insert(at, std::move(signal));
+  signals_.insert(at, signal);
 }
 
 void InterferenceTracker::prune(sim::Time now) {
@@ -41,10 +39,19 @@ void InterferenceTracker::prune(sim::Time now) {
 }
 
 const Signal* InterferenceTracker::find(std::uint64_t frame_id) const {
-  for (const auto& s : signals_) {
-    if (s.frame && s.frame->id == frame_id) return &s;
+  if (frame_id == 0) return nullptr;
+  for (auto it = signals_.rbegin(); it != signals_.rend(); ++it) {
+    if (it->frame_id == frame_id) return &*it;
   }
   return nullptr;
+}
+
+std::vector<Signal>::const_iterator InterferenceTracker::first_overlap(
+    sim::Time t) const {
+  const sim::Time horizon = t - longest_;
+  return std::partition_point(
+      signals_.begin(), signals_.end(),
+      [horizon](const Signal& s) { return s.start <= horizon; });
 }
 
 template <class OnChunk>
@@ -56,12 +63,13 @@ void InterferenceTracker::sweep(std::uint64_t target_frame_id, sim::Time begin,
 
   // One +power/-power edge per overlapping foreign signal boundary, clipped
   // to the window; signals already active at `begin` fold into the base
-  // sum. Frameless signals (raw energy) count as interference.
+  // sum. Raw energy (frame id 0) counts as interference.
   edges_.clear();
   double interference = 0.0;
-  for (const auto& s : signals_) {
-    if (s.frame && s.frame->id == target_frame_id) continue;
-    if (s.end <= begin || s.start >= end) continue;
+  for (auto it = first_overlap(begin);
+       it != signals_.end() && it->start < end; ++it) {
+    const Signal& s = *it;
+    if (s.frame_id == target_frame_id || s.end <= begin) continue;
     if (s.start <= begin) {
       interference += s.power_mw;
     } else {
@@ -119,10 +127,11 @@ double InterferenceTracker::min_sinr(std::uint64_t target_frame_id,
 
 ActivePower InterferenceTracker::active_power(sim::Time t) const {
   ActivePower p;
-  for (const auto& s : signals_) {
-    if (s.start <= t && s.end > t) {
-      p.total_mw += s.power_mw;
-      p.max_mw = std::max(p.max_mw, s.power_mw);
+  for (auto it = first_overlap(t); it != signals_.end() && it->start <= t;
+       ++it) {
+    if (it->end > t) {
+      p.total_mw += it->power_mw;
+      p.max_mw = std::max(p.max_mw, it->power_mw);
     }
   }
   return p;

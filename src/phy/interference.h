@@ -16,27 +16,38 @@
 // sum runs over the same signals in the same order either way. Queries
 // already ignore signals that have not started yet: active_power(t) counts
 // only start <= t, and evaluate() skips a signal with start >= end.
+//
+// The order also bounds every query to a slice of the vector. A signal
+// that overlaps the window [t, end), or is active at the instant t, starts
+// after t - longest, where longest is the longest duration add() has seen,
+// and before end (at or before t). So sweep() and active_power() binary-
+// search the first start past t - longest and stop at the first start
+// beyond the query: the signals they skip could not have counted, and the
+// ones they keep are summed in the same order as a scan of the whole
+// vector.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "phy/error_model.h"
-#include "phy/frame.h"
 #include "sim/time.h"
 
 namespace cmap::phy {
 
-/// One signal as seen at one receiver. `frame` may be null for raw energy
-/// (e.g. injected noise); such signals interfere but can never be a
-/// decoding target.
+/// One signal as seen at one receiver: plain data, so the tracker copies
+/// and compacts it without touching a reference count. Frame id 0 marks
+/// raw energy (e.g. injected noise), which interferes but can never be a
+/// decoding target. The frame itself stays with whoever needs its contents
+/// (the radio keeps the frames it can still lock to or salvage).
 struct Signal {
-  std::shared_ptr<const Frame> frame;
+  std::uint64_t frame_id = 0;
   double power_mw = 0.0;  // received power (after fading) at this radio
   sim::Time start = 0;
   sim::Time end = 0;
 };
+static_assert(std::is_trivially_copyable_v<Signal>);
 
 struct ChunkOutcome {
   double success_prob = 1.0;
@@ -56,10 +67,9 @@ class InterferenceTracker {
       : noise_mw_(noise_floor_mw) {}
 
   /// Track `signal`, and record its duration if it is the longest seen.
-  /// Inserts in (start, frame id) order, a frameless signal counting as
-  /// frame id 0 and equal keys keeping add order. Adds that arrive in that
-  /// order, as delivery events do, are appends.
-  void add(Signal signal);
+  /// Inserts in (start, frame id) order, equal keys keeping add order.
+  /// Adds that arrive in that order, as delivery events do, are appends.
+  void add(const Signal& signal);
 
   /// Drop the signals that no query from `now` on can see: those with
   /// end < now - longest, where longest is the longest duration add() has
@@ -77,7 +87,9 @@ class InterferenceTracker {
   /// pruning: results are bit-identical.
   void prune(sim::Time now);
 
-  /// The tracked signal carrying frame `frame_id`, or null.
+  /// The tracked signal carrying frame `frame_id`, or null (always for
+  /// id 0, raw energy). Scans from the newest signal: the frames a radio
+  /// asks about are on the air, near the back.
   const Signal* find(std::uint64_t frame_id) const;
 
   /// Success probability and worst SINR for decoding `bits` of frame
@@ -100,6 +112,10 @@ class InterferenceTracker {
   double noise_mw() const { return noise_mw_; }
 
  private:
+  // The first signal that can overlap an instant or window beginning at
+  // `t`: the first with start > t - longest_.
+  std::vector<Signal>::const_iterator first_overlap(sim::Time t) const;
+
   std::vector<Signal> signals_;
   // The chunking sweep behind evaluate() and min_sinr(): calls
   // on_chunk(sinr, length) for each sub-interval of [begin, end) over

@@ -283,10 +283,17 @@ void Medium::deliver_one(Radio& target, const RowLink& link,
   if (config_.fading_sigma_db > 0.0) {
     // Keyed on (frame, receiver) so the draw is independent of how many
     // other receivers were considered — the property that lets culling
-    // leave every surviving delivery bit-identical.
-    power_dbm +=
-        rng_.substream(frame->id, target.id()).normal(0.0,
-                                                      config_.fading_sigma_db);
+    // leave every surviving delivery bit-identical. The fade is the first
+    // normal() of that substream; a below-floor link is often dropped on
+    // its uniforms alone (docs/link_state.md, "Early floor drops").
+    const sim::NormalDraw fade =
+        rng_.substream(frame->id, target.id()).normal_draw();
+    if (fade.certainly_below(link.gain_dbm, config_.fading_sigma_db,
+                             config_.delivery_floor_dbm)) {
+      metrics_.inc(metrics::Counter::kPhyFloorDrops);
+      return;
+    }
+    power_dbm += config_.fading_sigma_db * fade.value();
   }
   if (power_dbm < config_.delivery_floor_dbm) {
     metrics_.inc(metrics::Counter::kPhyFloorDrops);
@@ -294,27 +301,23 @@ void Medium::deliver_one(Radio& target, const RowLink& link,
   }
   metrics_.inc(metrics::Counter::kPhyDeliveries);
 
-  Signal sig;
-  sig.frame = frame;
-  sig.power_mw = dbm_to_mw(power_dbm);
-  sig.start = now + link.delay;
-  sig.end = sig.start + frame->duration;
+  const double power_mw = dbm_to_mw(power_dbm);
+  const sim::Time start = now + link.delay;
   const int src_part = partition_of(frame->tx_node);
   const int dst_part = partition_of(target.id());
   // An inert arrival (phy/radio.h) goes straight into the receiver's
   // tracker. Only within one partition: this thread owns that tracker.
-  if (src_part == dst_part && target.inert_arrival(sig.power_mw, sig.start)) {
-    target.add_interference(std::move(sig));
+  if (src_part == dst_part && target.inert_arrival(power_mw, start)) {
+    target.add_interference(
+        Signal{frame->id, power_mw, start, start + frame->duration});
     return;
   }
-  Radio* r = &target;
   // Ranked on (frame id, receiver id) — both intrinsic to the delivery —
   // so same-tick arrivals order identically whether this run is serial or
   // partitioned, and whichever route (direct or mailbox) a PDES delivery
   // takes.
-  const sim::Time start = sig.start;
-  auto arrive = [r, sig = std::move(sig)]() mutable {
-    r->deliver(std::move(sig));
+  auto arrive = [r = &target, frame, power_mw, start]() mutable {
+    r->deliver(std::move(frame), power_mw, start);
   };
   if (engine_ == nullptr) {
     sim_.at_ranked(start, sim::delivery_rank(frame->id, target.id()),

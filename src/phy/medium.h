@@ -53,8 +53,9 @@ class Radio;
 /// fading_sigma_db or cull_guard_sigmas, or a non-finite
 /// delivery_floor_dbm, aborts naming the field.
 struct MediumConfig {
-  // Deliveries below this mean power are dropped: they would change any
-  // SINR by < ~0.5 dB but cost events. 10 dB under the default noise floor.
+  // Deliveries whose faded power (mean gain plus this delivery's fade)
+  // falls below this are dropped: they would change any SINR by < ~0.5 dB
+  // but cost events. 10 dB under the default noise floor.
   double delivery_floor_dbm = -104.0;
   // Per-delivery lognormal fading (temporal channel variation); this is
   // what widens the PRR transition band into the testbed's "12% of links

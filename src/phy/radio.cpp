@@ -59,7 +59,7 @@ void Radio::transmit(Frame frame) {
     ++counters_.aborted_by_tx;
     metrics_.inc(metrics::Counter::kPhyCollisionLocalTx);
     if (trace_.wants(trace::Category::kPhyCollision)) {
-      trace_.tracer->phy_collision(sim_.now(), id_, lock_frame_id_,
+      trace_.tracer->phy_collision(sim_.now(), id_, lock_frame_->id,
                                    trace::CollisionReason::kLocalTx);
     }
     abort_rx();
@@ -96,18 +96,13 @@ void Radio::finish_tx() {
   if (listener_) listener_->on_tx_end(*frame);
 }
 
-void Radio::deliver(Signal signal) {
-  // Frameless (raw-energy) signals may live in an InterferenceTracker, but
-  // radio reception is keyed on frame ids throughout.
-  CMAP_ASSERT(signal.frame != nullptr, "radio delivery requires a frame");
-  const std::uint64_t fid = signal.frame->id;
-  const double power_mw = signal.power_mw;
-  const sim::Time start = signal.start;
-  const sim::Time end = signal.end;
+void Radio::deliver(std::shared_ptr<const Frame> frame, double power_mw,
+                    sim::Time start) {
+  const sim::Time end = start + frame->duration;
   tracker_.prune(sim_.now());
-  tracker_.add(std::move(signal));
+  tracker_.add(Signal{frame->id, power_mw, start, end});
   if (config_.salvage_enabled) {
-    sim_.at(end, [this, fid] { on_signal_end(fid); });
+    sim_.at(end, [this, frame] { on_signal_end(*frame); });
   }
   note_strong(power_mw, end);
 
@@ -117,7 +112,10 @@ void Radio::deliver(Signal signal) {
         state_ == State::kRx && config_.capture_enabled &&
         power_mw >= lock_power_mw_ * capture_ratio_;
     if (idle_lock_candidate || capture_candidate) {
-      sim_.at(start + kPlcpDuration, [this, fid] { evaluate_preamble(fid); });
+      sim_.at(start + kPlcpDuration,
+              [this, frame = std::move(frame)]() mutable {
+                evaluate_preamble(std::move(frame));
+              });
     }
   }
   update_cca();
@@ -134,20 +132,23 @@ bool Radio::inert_arrival(double power_mw, sim::Time start) const {
   return power_mw < cs_signal_mw_ && (talked_over || strong_until_ > start);
 }
 
-void Radio::add_interference(Signal signal) {
-  CMAP_ASSERT(signal.frame != nullptr, "radio delivery requires a frame");
+void Radio::add_interference(const Signal& signal) {
+  // Raw energy (frame id 0) may live in an InterferenceTracker, but radio
+  // reception is keyed on frame ids throughout.
+  CMAP_ASSERT(signal.frame_id != 0, "radio delivery requires a frame");
   tracker_.prune(sim_.now());
-  tracker_.add(std::move(signal));
+  tracker_.add(signal);
 }
 
-void Radio::evaluate_preamble(std::uint64_t frame_id) {
+void Radio::evaluate_preamble(std::shared_ptr<const Frame> frame) {
   if (state_ == State::kTx) return;
+  const std::uint64_t frame_id = frame->id;
   // The signal is still on the air, and prune() keeps every such signal.
   const Signal* sig = tracker_.find(frame_id);
   CMAP_ASSERT(sig != nullptr, "signal missing at preamble evaluation");
 
   if (state_ == State::kRx) {
-    if (!config_.capture_enabled || frame_id == lock_frame_id_) return;
+    if (!config_.capture_enabled || frame_id == lock_frame_->id) return;
     if (sig->power_mw < lock_power_mw_ * capture_ratio_) return;
   }
 
@@ -167,51 +168,52 @@ void Radio::evaluate_preamble(std::uint64_t frame_id) {
     ++counters_.aborted_by_capture;
     metrics_.inc(metrics::Counter::kPhyCollisionCaptured);
     if (trace_.wants(trace::Category::kPhyCollision)) {
-      trace_.tracer->phy_collision(sim_.now(), id_, lock_frame_id_,
+      trace_.tracer->phy_collision(sim_.now(), id_, lock_frame_->id,
                                    trace::CollisionReason::kCaptured);
     }
     abort_rx();
   }
-  lock(*sig);
+  lock(std::move(frame), *sig);
 }
 
-void Radio::lock(const Signal& sig) {
+void Radio::lock(std::shared_ptr<const Frame> frame, const Signal& sig) {
   CMAP_ASSERT(state_ == State::kIdle, "lock in wrong state");
   state_ = State::kRx;
-  lock_frame_id_ = sig.frame->id;
+  lock_frame_ = std::move(frame);
   lock_power_mw_ = sig.power_mw;
   lock_min_sinr_db_ = 1e9;
-  segment_results_.assign(sig.frame->segments.size(), std::nullopt);
+  const auto& segments = lock_frame_->segments;
+  segment_results_.assign(segments.size(), std::nullopt);
   ++counters_.locks;
 
   // Integrated mode: deliver the header verdict as soon as its last bit is
   // on the air ("streaming" property of the PHY abstraction, §2.1).
-  const auto& segments = sig.frame->segments;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     if (segments[i].kind == SegmentKind::kHeader) {
-      const auto [begin, end] = segment_window(sig, i);
-      const std::uint64_t fid = sig.frame->id;
+      const auto [begin, end] = segment_window(*lock_frame_, sig, i);
+      const std::uint64_t fid = lock_frame_->id;
       header_event_ = sim_.at(end, [this, fid, i] {
-        if (state_ != State::kRx || lock_frame_id_ != fid) return;
+        if (!locked_to(fid)) return;
         const Signal* s = tracker_.find(fid);
         CMAP_ASSERT(s != nullptr, "locked signal missing at header decode");
         double sinr_db = 0.0;
-        const bool ok = evaluate_segment(*s, i, &sinr_db);
+        const bool ok = evaluate_segment(*lock_frame_, *s, i, &sinr_db);
         segment_results_[i] = ok;
-        if (listener_) listener_->on_header_decoded(*s->frame, ok);
+        if (listener_) listener_->on_header_decoded(*lock_frame_, ok);
       });
       break;
     }
   }
 
-  rx_finish_event_ = sim_.at(sig.end, [this] { finish_rx(); });
+  const sim::Time end = sig.end;
+  rx_finish_event_ = sim_.at(end, [this] { finish_rx(); });
   update_cca();
-  if (listener_) listener_->on_rx_start(*sig.frame, sig.end);
+  if (listener_) listener_->on_rx_start(*lock_frame_, end);
 }
 
 std::pair<sim::Time, sim::Time> Radio::segment_window(
-    const Signal& sig, std::size_t index) const {
-  const auto& segments = sig.frame->segments;
+    const Frame& frame, const Signal& sig, std::size_t index) const {
+  const auto& segments = frame.segments;
   std::size_t total = 0, before = 0;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     if (i < index) before += segments[i].bytes;
@@ -232,25 +234,26 @@ std::pair<sim::Time, sim::Time> Radio::segment_window(
   return {begin, end};
 }
 
-bool Radio::evaluate_segment(const Signal& sig, std::size_t index,
-                             double* min_sinr_db) {
-  const auto [begin, end] = segment_window(sig, index);
-  const double bits = 8.0 * static_cast<double>(sig.frame->segments[index].bytes);
+bool Radio::evaluate_segment(const Frame& frame, const Signal& sig,
+                             std::size_t index, double* min_sinr_db) {
+  const auto [begin, end] = segment_window(frame, sig, index);
+  const double bits = 8.0 * static_cast<double>(frame.segments[index].bytes);
   const ChunkOutcome outcome =
-      tracker_.evaluate(sig.frame->id, begin, end, bits, sig.frame->rate,
-                        *error_model_, sinr_scale_);
+      tracker_.evaluate(frame.id, begin, end, bits, frame.rate, *error_model_,
+                        sinr_scale_);
   if (min_sinr_db != nullptr) *min_sinr_db = linear_to_db(outcome.min_sinr);
   return rng_.bernoulli(outcome.success_prob);
 }
 
 void Radio::finish_rx() {
   CMAP_ASSERT(state_ == State::kRx, "finish_rx in wrong state");
-  const Signal* sig = tracker_.find(lock_frame_id_);
+  const Frame& frame = *lock_frame_;
+  const Signal* sig = tracker_.find(frame.id);
   CMAP_ASSERT(sig != nullptr, "locked signal missing at finish");
 
   RxResult result;
   result.rssi_dbm = mw_to_dbm(sig->power_mw);
-  result.segment_ok.resize(sig->frame->segments.size());
+  result.segment_ok.resize(frame.segments.size());
   double worst_db = 1e9;
   for (std::size_t i = 0; i < result.segment_ok.size(); ++i) {
     if (segment_results_[i].has_value()) {
@@ -258,7 +261,7 @@ void Radio::finish_rx() {
       continue;
     }
     double sinr_db = 0.0;
-    result.segment_ok[i] = evaluate_segment(*sig, i, &sinr_db);
+    result.segment_ok[i] = evaluate_segment(frame, *sig, i, &sinr_db);
     worst_db = std::min(worst_db, sinr_db);
   }
   result.min_sinr_db = worst_db;
@@ -275,16 +278,16 @@ void Radio::finish_rx() {
     // verdict was precomputed (integrated header path).
     const double cdb = std::clamp(result.min_sinr_db * 100.0, -20000.0,
                                   20000.0);
-    trace_.tracer->phy_rx(sim_.now(), id_, sig->frame->id,
-                          sig->frame->tx_node, result.all_ok(),
-                          static_cast<std::int32_t>(cdb));
+    trace_.tracer->phy_rx(sim_.now(), id_, frame.id, frame.tx_node,
+                          result.all_ok(), static_cast<std::int32_t>(cdb));
   }
 
-  auto frame = sig->frame;  // keep alive across listener call
+  // Keep the frame alive across the listener call.
+  const std::shared_ptr<const Frame> done = std::move(lock_frame_);
   state_ = State::kIdle;
   header_event_.cancel();
   update_cca();
-  if (listener_) listener_->on_rx_end(*frame, result);
+  if (listener_) listener_->on_rx_end(*done, result);
 }
 
 void Radio::abort_rx() {
@@ -292,6 +295,7 @@ void Radio::abort_rx() {
   rx_finish_event_.cancel();
   header_event_.cancel();
   state_ = State::kIdle;
+  lock_frame_.reset();
   // No listener notification: a receiver that loses lock never learns what
   // the frame would have contained. No CCA update either: both callers
   // set the next state (kTx, or a capturing lock) and update it then, so
@@ -312,7 +316,7 @@ void Radio::request_cca_notifications() {
     // skipped, at its rank, as far as a watching radio needs it.
     const double power_mw = sig.power_mw;
     const sim::Time end = sig.end;
-    sim_.at_ranked(sig.start, sim::delivery_rank(sig.frame->id, id_),
+    sim_.at_ranked(sig.start, sim::delivery_rank(sig.frame_id, id_),
                    [this, power_mw, end] {
                      note_strong(power_mw, end);
                      update_cca();
@@ -322,13 +326,13 @@ void Radio::request_cca_notifications() {
   update_cca();  // no edge; arms the wake if the carrier is busy
 }
 
-void Radio::on_signal_end(std::uint64_t frame_id) {
-  const Signal* sig = tracker_.find(frame_id);
+void Radio::on_signal_end(const Frame& frame) {
+  const Signal* sig = tracker_.find(frame.id);
   CMAP_ASSERT(sig != nullptr, "signal missing at its end");
-  if (state_ != State::kRx || lock_frame_id_ != frame_id) maybe_salvage(*sig);
+  if (!locked_to(frame.id)) maybe_salvage(frame, *sig);
 }
 
-void Radio::maybe_salvage(const Signal& sig) {
+void Radio::maybe_salvage(const Frame& frame, const Signal& sig) {
   if (sig.power_mw < sensitivity_mw_) return;
   // A half-duplex radio hears nothing of a frame it talked over. Only the
   // latest transmission can start as late as sig.end (now); an earlier one
@@ -341,22 +345,22 @@ void Radio::maybe_salvage(const Signal& sig) {
 
   RxResult result;
   result.rssi_dbm = mw_to_dbm(sig.power_mw);
-  result.segment_ok.assign(sig.frame->segments.size(), false);
+  result.segment_ok.assign(frame.segments.size(), false);
   bool any = false;
   double worst_db = 1e9;
-  for (std::size_t i = 0; i < sig.frame->segments.size(); ++i) {
-    const SegmentKind kind = sig.frame->segments[i].kind;
+  for (std::size_t i = 0; i < frame.segments.size(); ++i) {
+    const SegmentKind kind = frame.segments[i].kind;
     if (kind != SegmentKind::kHeader && kind != SegmentKind::kTrailer)
       continue;
     double sinr_db = 0.0;
-    result.segment_ok[i] = evaluate_segment(sig, i, &sinr_db);
+    result.segment_ok[i] = evaluate_segment(frame, sig, i, &sinr_db);
     worst_db = std::min(worst_db, sinr_db);
     any = any || result.segment_ok[i];
   }
   result.min_sinr_db = worst_db;
   if (!any) return;
   ++counters_.salvages;
-  if (listener_) listener_->on_salvage(*sig.frame, result);
+  if (listener_) listener_->on_salvage(frame, result);
 }
 
 bool Radio::carrier_busy() const {

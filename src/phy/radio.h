@@ -214,23 +214,27 @@ class Radio {
   const Counters& counters() const { return counters_; }
   const InterferenceTracker& interference() const { return tracker_; }
 
-  /// Medium-facing entry point: a signal begins arriving at this radio.
-  /// Not for MAC use.
-  void deliver(Signal signal);
+  /// Medium-facing entry point: `frame` begins arriving at this radio at
+  /// `start`, received at `power_mw`. Not for MAC use.
+  void deliver(std::shared_ptr<const Frame> frame, double power_mw,
+               sim::Time start);
 
   /// Medium-facing: whether an arrival of `power_mw` starting at `start`
   /// is inert (see the file comment), judged at the transmit instant.
   bool inert_arrival(double power_mw, sim::Time start) const;
   /// Medium-facing: track an inert arrival's signal now, in place of its
   /// deliver() event. Only from the thread that runs this radio's events.
-  void add_interference(Signal signal);
+  void add_interference(const Signal& signal);
 
  private:
   enum class State { kIdle, kRx, kTx };
 
-  void on_signal_end(std::uint64_t frame_id);
-  void evaluate_preamble(std::uint64_t frame_id);
-  void lock(const Signal& sig);
+  bool locked_to(std::uint64_t frame_id) const {
+    return state_ == State::kRx && lock_frame_->id == frame_id;
+  }
+  void on_signal_end(const Frame& frame);
+  void evaluate_preamble(std::shared_ptr<const Frame> frame);
+  void lock(std::shared_ptr<const Frame> frame, const Signal& sig);
   void finish_rx();
   void abort_rx();
   void finish_tx();
@@ -242,14 +246,16 @@ class Radio {
       strong_until_ = std::max(strong_until_, end);
     }
   }
-  void maybe_salvage(const Signal& sig);
+  void maybe_salvage(const Frame& frame, const Signal& sig);
 
-  // Payload window [begin, end) of segment `index` of `sig`'s frame,
-  // mapping payload bits proportionally onto the post-preamble airtime.
-  std::pair<sim::Time, sim::Time> segment_window(const Signal& sig,
+  // Payload window [begin, end) of segment `index` of `frame`, received as
+  // `sig`, mapping payload bits proportionally onto the post-preamble
+  // airtime.
+  std::pair<sim::Time, sim::Time> segment_window(const Frame& frame,
+                                                 const Signal& sig,
                                                  std::size_t index) const;
-  bool evaluate_segment(const Signal& sig, std::size_t index,
-                        double* min_sinr_db);
+  bool evaluate_segment(const Frame& frame, const Signal& sig,
+                        std::size_t index, double* min_sinr_db);
 
   sim::Simulator& sim_;
   Medium& medium_;
@@ -263,8 +269,10 @@ class Radio {
   State state_ = State::kIdle;
   InterferenceTracker tracker_;
 
-  // Current reception.
-  std::uint64_t lock_frame_id_ = 0;
+  // Current reception. The tracker keeps only frame ids: the frames the
+  // radio can still need ride in the events that need them (preamble and
+  // salvage) and, once locked, here.
+  std::shared_ptr<const Frame> lock_frame_;  // set while kRx
   double lock_power_mw_ = 0.0;
   sim::EventId rx_finish_event_;
   sim::EventId header_event_;

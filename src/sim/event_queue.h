@@ -70,8 +70,7 @@ struct EventKey {
 /// A scheduled event's callback: a move-only `void()` callable stored
 /// inline. There is no heap fallback — a capture larger than kCapacity is
 /// a compile error — so scheduling an event never allocates for its
-/// callable. kCapacity fits the largest capture in the simulator, the
-/// medium's delivery closure [Radio*, Signal].
+/// callable. kCapacity fits the largest capture in the simulator.
 class EventFn {
  public:
   static constexpr std::size_t kCapacity = 48;

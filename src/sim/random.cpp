@@ -28,11 +28,25 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+double NormalDraw::radius() const { return std::sqrt(-2.0 * std::log(u1)); }
+
+double NormalDraw::angle() const { return 2.0 * M_PI * u2; }
+
+double NormalDraw::value() const { return radius() * std::cos(angle()); }
+
+bool NormalDraw::certainly_below(double mean, double stddev,
+                                 double limit) const {
+  if (!(mean < limit)) return false;
+  if (u2 >= 0.26 && u2 <= 0.74) return true;
+  return stddev * std::sqrt(2.0 * (1.0 / u1 - 1.0)) <
+         (limit - mean) - kBelowMargin;
+}
+
 double hash_normal(std::uint64_t h) {
   const double u1 = (static_cast<double>(mix64(h) >> 11) + 0.5) * 0x1.0p-53;
   const double u2 =
       static_cast<double>(mix64(h ^ 0xabcdef12345ull) >> 11) * 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+  return NormalDraw{u1, u2}.value();
 }
 
 Rng::Rng(std::uint64_t seed) : Rng(seed, 0x6a09e667f3bcc909ull) {}
@@ -95,16 +109,19 @@ double Rng::normal() {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  double u1, u2;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
+  const NormalDraw d = normal_draw();
+  cached_normal_ = d.radius() * std::sin(d.angle());
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return d.value();
+}
+
+NormalDraw Rng::normal_draw() {
+  NormalDraw d;
+  do {
+    d.u1 = uniform();
+  } while (d.u1 <= 0.0);
+  d.u2 = uniform();
+  return d;
 }
 
 double Rng::normal(double mean, double stddev) {

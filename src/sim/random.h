@@ -15,6 +15,39 @@
 
 namespace cmap::sim {
 
+/// The two uniforms behind one Box-Muller draw, kept apart from the
+/// transcendental math so a caller can often decide against a threshold
+/// without it. The one definition of Box-Muller in this repo: Rng::normal()
+/// and hash_normal() both go through radius() and angle().
+struct NormalDraw {
+  double u1 = 0.5;  // in (0, 1): sets the radius
+  double u2 = 0.0;  // in [0, 1): sets the angle
+
+  double radius() const;  // sqrt(-2 ln u1)
+  double angle() const;   // 2 pi u2
+  /// The standard normal variate radius() * cos(angle()); no sine.
+  double value() const;
+
+  /// True only if mean + stddev * value() < limit, decided without the
+  /// log and cos of value() (stddev >= 0). A false answer proves nothing:
+  /// the caller computes the value. Always false unless mean < limit. Two
+  /// exact exits, each sound under IEEE rounding:
+  ///  - u2 in [0.26, 0.74]: the angle lies strictly inside (pi/2, 3pi/2),
+  ///    so the cosine, and with it stddev * value(), is <= 0, and rounding
+  ///    is monotone, so mean + stddev * value() <= mean < limit;
+  ///  - -ln u1 <= 1/u1 - 1 bounds the radius by sqrt(2 (1/u1 - 1)), and
+  ///    stddev times that bound lies below limit - mean by an absolute
+  ///    margin (kBelowMargin) far wider than the rounding of any term.
+  bool certainly_below(double mean, double stddev, double limit) const;
+
+  /// certainly_below's slack, in the units of mean and limit. Absolute:
+  /// it must cover the rounding of mean + stddev * value() near `limit`
+  /// (an ulp of |limit|: 1.4e-14 at 100, still under 1.2e-10 below 1e6),
+  /// and a margin relative to limit - mean would shrink below that as
+  /// mean nears the limit.
+  static constexpr double kBelowMargin = 1e-9;
+};
+
 /// SplitMix64 finalizer (Steele, Lea & Flood): a bijective 64-bit mixer.
 /// THE way to fold structured coordinates (pair ids, sweep axes) into a
 /// substream id or seed — arithmetic packings like `a * 1000 + b` collide
@@ -55,6 +88,11 @@ class Rng {
 
   /// Standard normal via Box-Muller (cached second variate).
   double normal();
+
+  /// The uniforms normal() would turn into its next fresh variate (u1 > 0
+  /// redrawn as it does), advancing the generator as normal() would: for
+  /// a fresh generator, normal_draw().value() == normal(), bit for bit.
+  NormalDraw normal_draw();
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);

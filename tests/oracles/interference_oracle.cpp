@@ -13,15 +13,18 @@ phy::ChunkOutcome evaluate(const phy::InterferenceTracker& tracker,
                            const phy::ErrorModel& model, double sinr_scale) {
   phy::ChunkOutcome out;
   const std::vector<phy::Signal>& signals = tracker.signals();
-  const phy::Signal* target = tracker.find(target_frame_id);
-  CMAP_ASSERT(target != nullptr, "evaluating unknown frame");
+  const auto target = std::find_if(
+      signals.begin(), signals.end(),
+      [&](const phy::Signal& s) { return s.frame_id == target_frame_id; });
+  CMAP_ASSERT(target_frame_id != 0 && target != signals.end(),
+              "evaluating unknown frame");
   if (end <= begin) return out;
 
   std::vector<sim::Time> points;
   points.push_back(begin);
   points.push_back(end);
   for (const auto& s : signals) {
-    if (s.frame && s.frame->id == target_frame_id) continue;
+    if (s.frame_id == target_frame_id) continue;
     if (s.start > begin && s.start < end) points.push_back(s.start);
     if (s.end > begin && s.end < end) points.push_back(s.end);
   }
@@ -34,7 +37,7 @@ phy::ChunkOutcome evaluate(const phy::InterferenceTracker& tracker,
     const sim::Time t1 = points[i + 1];
     double interference = 0.0;
     for (const auto& s : signals) {
-      if (s.frame && s.frame->id == target_frame_id) continue;
+      if (s.frame_id == target_frame_id) continue;
       if (s.start < t1 && s.end > t0) interference += s.power_mw;
     }
     const double sinr = target->power_mw / (tracker.noise_mw() + interference);
@@ -44,6 +47,18 @@ phy::ChunkOutcome evaluate(const phy::InterferenceTracker& tracker,
         model.chunk_success(sinr / sinr_scale, chunk_bits, rate);
   }
   return out;
+}
+
+phy::ActivePower active_power(const phy::InterferenceTracker& tracker,
+                              sim::Time t) {
+  phy::ActivePower p;
+  for (const auto& s : tracker.signals()) {
+    if (s.start <= t && s.end > t) {
+      p.total_mw += s.power_mw;
+      p.max_mw = std::max(p.max_mw, s.power_mw);
+    }
+  }
+  return p;
 }
 
 }  // namespace cmap::oracles

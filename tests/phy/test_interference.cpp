@@ -14,21 +14,9 @@
 namespace cmap::phy {
 namespace {
 
-std::shared_ptr<const Frame> make_frame(std::uint64_t id, std::size_t bytes) {
-  Frame f;
-  f.id = id;
-  f.segments = {{SegmentKind::kWhole, bytes}};
-  return std::make_shared<const Frame>(std::move(f));
-}
-
 Signal make_signal(std::uint64_t id, double power_dbm, sim::Time start,
-                   sim::Time end, std::size_t bytes = 1400) {
-  Signal s;
-  s.frame = make_frame(id, bytes);
-  s.power_mw = dbm_to_mw(power_dbm);
-  s.start = start;
-  s.end = end;
-  return s;
+                   sim::Time end) {
+  return Signal{id, dbm_to_mw(power_dbm), start, end};
 }
 
 constexpr double kNoiseDbm = -94.0;
@@ -122,7 +110,7 @@ TEST(Interference, PruneCompactsOnceGrownAndDropsOnlyExpiredSignals) {
   t.prune(1100);  // longest 100: horizon 1000
   EXPECT_EQ(t.signals().size(), 19u);
   for (const auto& s : t.signals()) {
-    EXPECT_NE(s.frame->id, 1u);
+    EXPECT_NE(s.frame_id, 1u);
   }
 }
 
@@ -167,7 +155,7 @@ TEST(Interference, PrunedTrackerMatchesUnprunedOracleExactly) {
       s.end = now + 10 * rng.uniform_int(1, len_max);
       s.power_mw = dbm_to_mw(rng.uniform(-95.0, -60.0));
       if (!rng.bernoulli(0.2)) {
-        s.frame = make_frame(static_cast<std::uint64_t>(1 + step), 100);
+        s.frame_id = static_cast<std::uint64_t>(1 + step);
         framed.push_back(s);
       }
       pruned.prune(now);
@@ -186,7 +174,7 @@ TEST(Interference, PrunedTrackerMatchesUnprunedOracleExactly) {
         const sim::Time len = x.end - x.start;
         const sim::Time begin = x.start + rng.uniform_int(0, len - 1);
         const sim::Time end = begin + rng.uniform_int(1, x.end - begin);
-        const std::uint64_t id = x.frame->id;
+        const std::uint64_t id = x.frame_id;
         const ChunkOutcome a =
             pruned.evaluate(id, begin, end, 800, WifiRate::k6Mbps, model, 1.0);
         const ChunkOutcome b =
@@ -203,6 +191,98 @@ TEST(Interference, PrunedTrackerMatchesUnprunedOracleExactly) {
   }
   // Not vacuous: pruning dropped most of the stream.
   EXPECT_LT(3 * pruned_total, oracle_total);
+}
+
+// The windowed queries against the whole-vector oracles, bit for bit.
+// Powers are multiples of 2^-40 mW small enough that every partial sum is
+// exact, so the swept evaluator's running sum and the oracle's per-chunk
+// rescan agree exactly too. The stream has what the windows must get
+// right: an expired prefix that lazy compaction has not dropped yet, starts
+// tied on a 10 ns grid, raw-energy (id 0) signals, and rare long signals
+// that widen the window mid-stream.
+TEST(Interference, WindowedQueriesMatchTheWholeVectorOracleBitForBit) {
+  sim::Rng rng(4242);
+  NistErrorModel model;
+  std::uint64_t expired_prefix_queries = 0, raw_energy = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    InterferenceTracker t(dbm_to_mw(kNoiseDbm));
+    std::vector<Signal> framed;
+    sim::Time now = 0;
+    sim::Time longest = 0;
+    for (int step = 0; step < 300; ++step) {
+      now += 10 * rng.uniform_int(0, 6);
+      const std::int64_t len_max = rng.bernoulli(0.03) ? 300 : 20;
+      Signal s;
+      s.start = now + 10 * rng.uniform_int(0, 3);  // some arrive later
+      s.end = s.start + 10 * rng.uniform_int(1, len_max);
+      s.power_mw = static_cast<double>(rng.uniform_int(1, 1 << 24)) *
+                   0x1.0p-40;
+      if (rng.bernoulli(0.15)) {
+        ++raw_energy;  // frame id 0
+      } else {
+        s.frame_id = static_cast<std::uint64_t>(1 + step);
+        framed.push_back(s);
+      }
+      t.prune(now);
+      t.add(s);
+      longest = std::max(longest, s.end - s.start);
+      const bool expired_prefix = t.signals().front().end < now - longest;
+
+      for (int q = 0; q < 4; ++q) {
+        const sim::Time at = now + 10 * rng.uniform_int(0, 30);
+        const ActivePower a = t.active_power(at);
+        const ActivePower b = oracles::active_power(t, at);
+        EXPECT_EQ(a.total_mw, b.total_mw) << "t=" << at;
+        EXPECT_EQ(a.max_mw, b.max_mw) << "t=" << at;
+      }
+      for (const Signal& x : framed) {
+        if (x.end < now) continue;  // no longer on the air
+        ASSERT_NE(t.find(x.frame_id), nullptr);
+        EXPECT_EQ(t.find(x.frame_id)->start, x.start);
+        const sim::Time begin =
+            x.start + 10 * rng.uniform_int(0, (x.end - x.start) / 10 - 1);
+        const sim::Time end =
+            begin + 10 * rng.uniform_int(1, (x.end - begin) / 10);
+        const ChunkOutcome a =
+            t.evaluate(x.frame_id, begin, end, 800, WifiRate::k6Mbps, model,
+                       1.0);
+        const ChunkOutcome b = oracles::evaluate(
+            t, x.frame_id, begin, end, 800, WifiRate::k6Mbps, model, 1.0);
+        EXPECT_EQ(a.success_prob, b.success_prob) << "frame " << x.frame_id;
+        EXPECT_EQ(a.min_sinr, b.min_sinr) << "frame " << x.frame_id;
+        EXPECT_EQ(t.min_sinr(x.frame_id, begin, end), b.min_sinr)
+            << "frame " << x.frame_id;
+        expired_prefix_queries += expired_prefix;
+      }
+    }
+  }
+  // Not vacuous: queries ran over an uncompacted expired prefix, and raw
+  // energy was on the air.
+  EXPECT_GT(expired_prefix_queries, 1000u);
+  EXPECT_GT(raw_energy, 100u);
+}
+
+TEST(Interference, WindowedQueriesSkipAnExpiredPrefix) {
+  InterferenceTracker t(dbm_to_mw(-200.0));  // negligible noise
+  // Expired by t = 1000 (longest 100), but below the compaction size.
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    t.add(make_signal(10 + i, -60.0, 0, 100));
+  }
+  t.add(make_signal(1, -80.0, 1000, 1100));
+  t.add(Signal{0, dbm_to_mw(-80.0), 1000, 1050});  // raw energy, tied start
+  t.add(make_signal(2, -80.0, 1000, 1100));        // tied start
+  t.prune(1000);
+  EXPECT_EQ(t.signals().size(), 11u);  // the prefix lingers
+  EXPECT_EQ(t.signals()[8].frame_id, 0u);
+  const ActivePower p = t.active_power(1000);
+  EXPECT_EQ(p.total_mw, oracles::active_power(t, 1000).total_mw);
+  EXPECT_NEAR(mw_to_dbm(p.total_mw), -80.0 + linear_to_db(3.0), 1e-9);
+  // Frame 1 against frame 2 and the raw energy, then frame 2 alone.
+  EXPECT_NEAR(linear_to_db(t.min_sinr(1, 1000, 1100)), -linear_to_db(2.0),
+              1e-9);
+  EXPECT_NEAR(linear_to_db(t.min_sinr(1, 1050, 1100)), 0.0, 1e-9);
+  EXPECT_EQ(t.find(0), nullptr);
+  EXPECT_EQ(t.find(2)->end, 1100);
 }
 
 // The early-add invariant behind inert arrivals (phy/radio.h): adds made
@@ -227,7 +307,7 @@ TEST(Interference, OutOfOrderAddsMatchArrivalOrderAddsExactly) {
     std::sort(arrival_order.begin(), arrival_order.end(),
               [](const Signal& a, const Signal& b) {
                 return a.start != b.start ? a.start < b.start
-                                          : a.frame->id < b.frame->id;
+                                          : a.frame_id < b.frame_id;
               });
     std::vector<Signal> shuffled = signals;
     for (std::size_t i = shuffled.size(); i > 1; --i) {
@@ -244,8 +324,8 @@ TEST(Interference, OutOfOrderAddsMatchArrivalOrderAddsExactly) {
     for (std::size_t i = 0; i < in_order.signals().size(); ++i) {
       const Signal& a = in_order.signals()[i];
       const Signal& b = out_of_order.signals()[i];
-      EXPECT_EQ(a.frame->id, arrival_order[i].frame->id) << i;
-      EXPECT_EQ(a.frame->id, b.frame->id) << i;
+      EXPECT_EQ(a.frame_id, arrival_order[i].frame_id) << i;
+      EXPECT_EQ(a.frame_id, b.frame_id) << i;
       EXPECT_EQ(a.start, b.start) << i;
       EXPECT_EQ(a.end, b.end) << i;
       EXPECT_EQ(a.power_mw, b.power_mw) << i;
@@ -257,7 +337,7 @@ TEST(Interference, OutOfOrderAddsMatchArrivalOrderAddsExactly) {
       EXPECT_EQ(a.max_mw, b.max_mw) << "t=" << t;
     }
     for (const Signal& x : signals) {
-      const std::uint64_t id = x.frame->id;
+      const std::uint64_t id = x.frame_id;
       const sim::Time begin = x.start + rng.uniform_int(0, x.end - x.start - 1);
       const sim::Time end = begin + rng.uniform_int(1, x.end - begin);
       const ChunkOutcome a = in_order.evaluate(id, begin, end, 800,
@@ -280,25 +360,24 @@ TEST(Interference, EqualKeysKeepAddOrder) {
   noise.start = 5;
   noise.end = 50;
   t.add(make_signal(3, -80.0, 5, 50));
-  t.add(noise);  // frameless: frame id 0, before frame 3
+  t.add(noise);  // raw energy: frame id 0, before frame 3
   noise.end = 60;
   t.add(noise);  // same key: after the first frameless signal
   t.add(make_signal(2, -80.0, 0, 50));
   ASSERT_EQ(t.signals().size(), 4u);
-  EXPECT_EQ(t.signals()[0].frame->id, 2u);
+  EXPECT_EQ(t.signals()[0].frame_id, 2u);
   EXPECT_EQ(t.signals()[1].end, 50);
-  EXPECT_EQ(t.signals()[1].frame, nullptr);
+  EXPECT_EQ(t.signals()[1].frame_id, 0u);
   EXPECT_EQ(t.signals()[2].end, 60);
-  EXPECT_EQ(t.signals()[3].frame->id, 3u);
+  EXPECT_EQ(t.signals()[3].frame_id, 3u);
 }
 
 TEST(Interference, FramelessSignalCountsAsInterference) {
-  // Regression: evaluate() used to dereference s.frame->id without the
-  // null guard that find() applies, crashing on raw-energy signals.
+  // Regression: evaluate() once crashed on raw-energy signals.
   InterferenceTracker t(dbm_to_mw(-200.0));  // negligible noise
   t.add(make_signal(1, -80.0, 0, 1000));
+  EXPECT_EQ(t.find(0), nullptr);  // raw energy is never a decoding target
   Signal noise;
-  noise.frame = nullptr;
   noise.power_mw = dbm_to_mw(-80.0);
   noise.start = 0;
   noise.end = 1000;

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "dynamics/channel.h"
+#include "metrics/metrics.h"
 #include "oracles/link_oracle.h"
 #include "phy_test_util.h"
 #include "sim/time.h"
@@ -15,6 +18,8 @@ namespace cmap::phy {
 namespace {
 
 using testing::World;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::shared_ptr<const NistErrorModel> nist() {
   return std::make_shared<NistErrorModel>();
@@ -446,6 +451,158 @@ TEST(MediumSparse, SparseAndReferenceDeliveriesAreIdenticalWithFading) {
   EXPECT_LT(culled, full);
 }
 
+// ---- Early floor drops (docs/link_state.md) ----
+
+// The full delivery test of Medium::deliver_one: does `gain` faded by the
+// draw `d` fall below the floor?
+bool full_drop(const MediumConfig& cfg, double gain, const sim::NormalDraw& d) {
+  return gain + cfg.fading_sigma_db * d.value() < cfg.delivery_floor_dbm;
+}
+
+// The early exit must never drop a fade the full computation delivers.
+// Real draws against gains from the cull floor to one sigma over the
+// delivery floor, and against gains within 1e-12 dB of it.
+TEST(MediumEarlyDrop, EarlyDropImpliesTheFullComputationDrops) {
+  const MediumConfig cfg;
+  const double floor = cfg.delivery_floor_dbm;
+  const double sigma = cfg.fading_sigma_db;
+  const double cull = floor - cfg.cull_guard_sigmas * sigma;
+  const double ulp = floor - std::nextafter(floor, -kInf);
+  std::vector<double> gains;
+  for (int i = 0; i <= 280; ++i) {
+    gains.push_back(cull + (floor + sigma - cull) * i / 280.0);
+  }
+  for (int n = 1; n <= 64; ++n) gains.push_back(floor - n * ulp);
+  gains.push_back(floor - 1e-12);
+  gains.push_back(floor - 1e-9);
+
+  const sim::Rng root(31);
+  std::uint64_t checked = 0, full = 0, early_angle = 0, early_bound = 0;
+  std::uint64_t unsound = 0;
+  for (std::uint64_t key = 0; key < 50'000; ++key) {
+    const sim::NormalDraw d =
+        root.substream(make_frame_id(key % 50, 1 + key / 50), key % 97)
+            .normal_draw();
+    for (const double gain : gains) {
+      ++checked;
+      const bool drops = full_drop(cfg, gain, d);
+      full += drops;
+      if (!d.certainly_below(gain, sigma, floor)) continue;
+      unsound += !drops || gain >= floor;
+      (d.u2 >= 0.26 && d.u2 <= 0.74 ? early_angle : early_bound) += 1;
+    }
+  }
+  EXPECT_EQ(unsound, 0u);
+  // Not vacuous: both exits fire, on a real share of the drops.
+  EXPECT_GT(early_angle, full / 4);
+  EXPECT_GT(early_bound, full / 20);
+  EXPECT_LT(full, checked);
+}
+
+// The same implication at the edge of the early exit itself, where it is
+// hardest to keep: for a grid of uniforms, find the gain (one floor ulp
+// apart) closest to the floor that the exit still drops, and check it and
+// the gains just past it. Uniforms near 1 make the radius bound tight, and
+// the angles straddle the [0.26, 0.74] range.
+TEST(MediumEarlyDrop, EarlyDropHoldsAtItsOwnBoundary) {
+  const MediumConfig cfg;
+  const double floor = cfg.delivery_floor_dbm;
+  const double sigma = cfg.fading_sigma_db;
+  const double ulp = floor - std::nextafter(floor, -kInf);
+  const auto gain_at = [&](std::int64_t n) {
+    return floor - static_cast<double>(n) * ulp;
+  };
+  // Gains down to the cull floor stay in the floor's binade: exact steps.
+  const auto max_n = static_cast<std::int64_t>(
+      cfg.cull_guard_sigmas * sigma / ulp);
+  ASSERT_EQ(gain_at(max_n) + static_cast<double>(max_n) * ulp, floor);
+
+  std::vector<double> u1s = {0x1.0p-53, 1e-6, 0.01, 0.1, 0.3, 0.5,
+                             0.7,       0.9,  0.99, 0.999999};
+  for (int k = 1; k <= 600; ++k) u1s.push_back(1.0 - k * 0x1.0p-53);
+  for (int k = 1; k <= 64; ++k) u1s.push_back(1.0 - k * 0x1.0p-40);
+  const std::vector<double> u2s = {0.0,  0x1.0p-53, 0.1,  0.24, 0.245,
+                                   0.25, 0.255,     0.26, 0.5,  0.74,
+                                   0.745, 0.75,     0.76, 0.9,  1.0 - 0x1.0p-53};
+  std::uint64_t fired = 0, unsound = 0;
+  for (const double u1 : u1s) {
+    for (const double u2 : u2s) {
+      const sim::NormalDraw d{u1, u2};
+      const auto early = [&](std::int64_t n) {
+        return d.certainly_below(gain_at(n), sigma, floor);
+      };
+      std::vector<std::int64_t> ns;
+      for (std::int64_t n = 1; n <= 70; ++n) ns.push_back(n);  // <= 1e-12 dB
+      if (early(max_n)) {
+        // Smallest n the exit drops at (it is monotone in the gap).
+        std::int64_t lo = 0, hi = max_n;
+        while (hi - lo > 1) {
+          const std::int64_t mid = lo + (hi - lo) / 2;
+          (early(mid) ? hi : lo) = mid;
+        }
+        for (std::int64_t n = hi; n < hi + 16 && n <= max_n; ++n) {
+          ns.push_back(n);
+        }
+      }
+      for (const std::int64_t n : ns) {
+        if (!early(n)) continue;
+        ++fired;
+        unsound += !full_drop(cfg, gain_at(n), d);
+      }
+    }
+  }
+  EXPECT_EQ(unsound, 0u);
+  EXPECT_GT(fired, 0u);
+}
+
+// Both exits count as floor drops: every row candidate of every transmit
+// is either a delivery or a floor drop, and the drops are exactly those of
+// the full computation over the same (frame, receiver) substreams.
+TEST(MediumEarlyDrop, FloorDropsCountExactlyTheFullComputationsDrops) {
+  const MediumConfig cfg;
+  const sim::Rng fading(5);
+  sim::Simulator sim;
+  metrics::Registry registry;
+  Medium medium(sim, std::make_shared<FriisPropagation>(), cfg, fading);
+  medium.set_metrics(&registry);
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (NodeId id = 1; id <= 40; ++id) {
+    // A line across the delivery floor: some links always clear it, some
+    // fade across it, some sit in the guard band under it.
+    const double x = id == 1 ? 0.0 : 1500.0 + 250.0 * id;
+    radios.push_back(std::make_unique<Radio>(sim, medium, id,
+                                             Position{x, 0}, RadioConfig{},
+                                             nist(), sim::Rng(id)));
+  }
+  Radio& src = *radios[0];
+  const auto row = medium.row(src.id());
+  std::uint64_t expected_drops = 0, below_floor = 0;
+  for (const auto& link : row) {
+    below_floor += link.gain_dbm < cfg.delivery_floor_dbm;
+  }
+  ASSERT_GT(below_floor, 5u);
+  ASSERT_LT(below_floor, row.size());
+  const int frames = 300;
+  for (int i = 0; i < frames; ++i) {
+    sim.at(i * sim::milliseconds(3),
+           [&src] { src.transmit(World::whole_frame(200)); });
+  }
+  sim.run();
+  for (int i = 0; i < frames; ++i) {
+    const std::uint64_t fid =
+        make_frame_id(src.id(), static_cast<std::uint64_t>(i + 1));
+    for (const auto& link : row) {
+      const NodeId dst = medium.radios()[link.dst]->id();
+      const sim::NormalDraw d = fading.substream(fid, dst).normal_draw();
+      expected_drops += full_drop(cfg, link.gain_dbm, d);
+    }
+  }
+  EXPECT_EQ(registry.value(metrics::Counter::kPhyFloorDrops), expected_drops);
+  EXPECT_EQ(registry.value(metrics::Counter::kPhyFloorDrops) +
+                registry.value(metrics::Counter::kPhyDeliveries),
+            frames * row.size());
+}
+
 // ---- Config validation ----
 
 void build_medium(const MediumConfig& mcfg) {
@@ -453,7 +610,6 @@ void build_medium(const MediumConfig& mcfg) {
   Medium medium(sim, std::make_shared<FriisPropagation>(), mcfg, sim::Rng(1));
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(MediumConfigDeathTest, InvalidCullGuardSigmasAbortsNamingTheField) {

@@ -688,19 +688,20 @@ struct Router {
   std::uint64_t inert = 0;
   std::uint64_t inert_lockable = 0;
 
-  void route(Signal sig) {
-    if (use_inert && radio->inert_arrival(sig.power_mw, sig.start)) {
+  void route(std::shared_ptr<const Frame> frame, double power_mw,
+             sim::Time start) {
+    if (use_inert && radio->inert_arrival(power_mw, start)) {
       ++inert;
-      inert_lockable +=
-          sig.power_mw >= dbm_to_mw(radio->config().sensitivity_dbm);
-      radio->add_interference(std::move(sig));
+      inert_lockable += power_mw >= dbm_to_mw(radio->config().sensitivity_dbm);
+      radio->add_interference(
+          Signal{frame->id, power_mw, start, start + frame->duration});
       return;
     }
-    const sim::Time start = sig.start;
-    const sim::EventRank rank = sim::delivery_rank(sig.frame->id, radio->id());
-    sim->at_ranked(start, rank, [r = radio, sig = std::move(sig)]() mutable {
-      r->deliver(std::move(sig));
-    });
+    const sim::EventRank rank = sim::delivery_rank(frame->id, radio->id());
+    sim->at_ranked(start, rank,
+                   [r = radio, frame = std::move(frame), power_mw, start] {
+                     r->deliver(frame, power_mw, start);
+                   });
   }
 };
 
@@ -721,11 +722,10 @@ CarrierRun run_carrier(const RadioConfig& cfg,
     f.tx_node = 100;  // a foreign sender, never attached
     f.id = make_frame_id(f.tx_node, ++seq);
     f.duration = a.end - a.start;
-    Signal sig{std::make_shared<const Frame>(std::move(f)),
-               dbm_to_mw(a.power_dbm), a.start, a.end};
     w.simulator().at(a.start - a.lead,
-                     [rt = &router, sig = std::move(sig)]() mutable {
-                       rt->route(std::move(sig));
+                     [rt = &router, frame = std::make_shared<const Frame>(f),
+                      power_mw = dbm_to_mw(a.power_dbm), start = a.start] {
+                       rt->route(frame, power_mw, start);
                      });
   }
   for (const sim::Time t : txs) {

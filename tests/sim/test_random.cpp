@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace cmap::sim {
@@ -121,6 +123,43 @@ TEST(Rng, NormalMomentsMatch) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.05);
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.05);
+}
+
+// The split draw behind the medium's fading: a substream's normal_draw()
+// holds the uniforms its first normal() turns into a variate, and value()
+// is that variate bit for bit, also once scaled and added to a mean the
+// way the medium adds a fade to a mean gain.
+TEST(NormalDraw, SplitDrawMatchesSubstreamNormalBitForBit) {
+  const Rng root(2024);
+  const double sigma = 2.0;
+  std::uint64_t value_mismatches = 0, faded_mismatches = 0;
+  for (std::uint64_t key = 0; key < 1'000'000; ++key) {
+    const std::uint64_t tag = mix64(key);
+    const std::uint64_t id = key % 977;
+    const NormalDraw d = root.substream(tag, id).normal_draw();
+    const double gain = -104.0 + 1e-3 * static_cast<double>(key % 20'000);
+    Rng s = root.substream(tag, id);
+    value_mismatches += std::bit_cast<std::uint64_t>(d.value()) !=
+                        std::bit_cast<std::uint64_t>(s.normal());
+    Rng t = root.substream(tag, id);
+    faded_mismatches +=
+        std::bit_cast<std::uint64_t>(gain + sigma * d.value()) !=
+        std::bit_cast<std::uint64_t>(gain + t.normal(0.0, sigma));
+  }
+  EXPECT_EQ(value_mismatches, 0u);
+  EXPECT_EQ(faded_mismatches, 0u);
+}
+
+TEST(NormalDraw, DrawAdvancesTheGeneratorLikeNormal) {
+  Rng a(5), b(5);
+  for (int i = 0; i < 1000; ++i) {
+    const NormalDraw d = a.normal_draw();
+    EXPECT_GT(d.u1, 0.0);
+    EXPECT_LT(d.u1, 1.0);
+    EXPECT_EQ(d.value(), b.normal());
+    b.normal();  // the cached sine variate: no draw of its own
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
 }
 
 TEST(Rng, ExponentialMeanMatches) {
