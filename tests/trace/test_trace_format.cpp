@@ -109,9 +109,9 @@ TEST(TraceFormat, EmptyTraceIsHeaderOnlyAndDecodes) {
   EXPECT_TRUE(reader.ok()) << reader.error();  // clean EOF, not an error
 }
 
-TEST(TraceFormat, AllCategoriesRoundTrip) {
-  MemoryTracer mt(TraceConfig{});
-  Tracer& t = *mt.tracer;
+/// One record of each category, ticks 10..80: the stream
+/// AllCategoriesRoundTrip decodes and BytesMatchTheCommittedEncoding pins.
+void write_one_of_each(Tracer& t) {
   t.phy_tx(10, 3, 42, 2, 1428, 1928000);
   t.phy_rx(20, 4, 42, 3, true, -1234);
   t.phy_collision(30, 5, 43, CollisionReason::kCaptured);
@@ -121,6 +121,12 @@ TEST(TraceFormat, AllCategoriesRoundTrip) {
   t.ongoing(60, 6, OngoingOp::kUpdate, 8, 9, 777);
   t.move(70, 11, 12.345, -0.5);
   t.channel_epoch(80, 17);
+}
+
+TEST(TraceFormat, AllCategoriesRoundTrip) {
+  MemoryTracer mt(TraceConfig{});
+  Tracer& t = *mt.tracer;
+  write_one_of_each(t);
   EXPECT_EQ(t.records_written(), 8u);
 
   TraceReader reader(mt.sink->bytes());
@@ -219,6 +225,30 @@ TEST(TraceFormat, AllCategoriesRoundTrip) {
 
   EXPECT_FALSE(reader.next(&r));
   EXPECT_TRUE(reader.ok()) << reader.error();
+}
+
+// The exact encoding, header included, of version 1 as first released.
+// The round-trip tests above pass for any writer/reader pair that agree
+// with each other; this one fails if the pair changes the bytes together.
+TEST(TraceFormat, BytesMatchTheCommittedEncoding) {
+  MemoryTracer mt(TraceConfig{});
+  write_one_of_each(*mt.tracer);
+  std::string hex;
+  for (const std::uint8_t b : mt.sink->bytes()) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "434d545201ff01080101010101010101"  // magic, v1, mask, sampling
+            "0a000a032a02940bc0d675"            // phy_tx
+            "08010a042a0301a313"                // phy_rx
+            "05020a052b01"                      // phy_collision
+            "0b030a0607010208099f8d06"          // mac_defer
+            "12040a0600ffffffff0f080902ff01959aef3a"  // defer_table
+            "08050a060108098906"                // ongoing
+            "08060a0bf2c001e707"                // move
+            "03070a11");                        // channel_epoch
 }
 
 TEST(TraceFormat, DisabledCategoryWritesNothing) {
