@@ -29,41 +29,18 @@ DeferDecision DeferDecider::decide(phy::NodeId dst, phy::WifiRate my_rate,
     const bool dst_busy = tx.src == dst || tx.dst == dst;
     const phy::WifiRate their_rate =
         annotate_rates_ ? tx.data_rate : kAnyRate;
-    if (dst_busy ||
-        table_.should_defer(dst, tx.src, tx.dst, now, my_rate, their_rate)) {
-      d.defer = true;
-      until = std::min(until, tx.end_time);
+    if (!dst_busy &&
+        !table_.should_defer(dst, tx.src, tx.dst, now, my_rate, their_rate)) {
+      return;
     }
-  });
-  if (d.defer) d.until = until;
-  return d;
-}
-
-DeferDecision DeferDecider::decide_explain(phy::NodeId dst,
-                                           phy::WifiRate my_rate,
-                                           sim::Time now,
-                                           DeferDebug* debug) const {
-  DeferDecision d;
-  sim::Time until = sim::kTimeForever;
-  *debug = DeferDebug{};
-  ongoing_.for_each_active(now, [&](const OngoingTx& tx) {
-    if (tx.src == self_) return;
-    const bool dst_busy = tx.src == dst || tx.dst == dst;
-    const phy::WifiRate their_rate =
-        annotate_rates_ ? tx.data_rate : kAnyRate;
-    const bool map_hit =
-        !dst_busy &&
-        table_.should_defer(dst, tx.src, tx.dst, now, my_rate, their_rate);
-    if (dst_busy || map_hit) {
-      if (!d.defer) {
-        debug->reason = dst_busy ? trace::DeferReason::kDstBusy
-                                 : trace::DeferReason::kConflictMap;
-        debug->blocker_src = tx.src;
-        debug->blocker_dst = tx.dst;
-      }
+    if (!d.defer) {
       d.defer = true;
-      until = std::min(until, tx.end_time);
+      d.reason = dst_busy ? trace::DeferReason::kDstBusy
+                          : trace::DeferReason::kConflictMap;
+      d.blocker_src = tx.src;
+      d.blocker_dst = tx.dst;
     }
+    until = std::min(until, tx.end_time);
   });
   if (d.defer) d.until = until;
   return d;
@@ -203,29 +180,21 @@ bool CmapMac::check_defer(phy::NodeId dst, sim::Time* recheck_at) {
   const sim::Time now = sim_.now();
   const phy::WifiRate my_rate =
       config_.annotate_rates ? config_.data_rate : kAnyRate;
-  const DeferDecider d = decider();
-  const DeferDecision decision = d.decide(dst, my_rate, now);
+  const DeferDecision decision = decider().decide(dst, my_rate, now);
   if (decision.defer) *recheck_at = decision.until + config_.t_deferwait;
   if (metrics_.on()) {
     metrics_.inc(metrics::Counter::kMacSendDecisions);
     if (decision.defer) {
-      // Off the hot path (metrics enabled, and only deferrals): re-derive
-      // which rule blocked, same re-walk the kMacDefer trace path does.
-      DeferDebug dbg;
-      d.decide_explain(dst, my_rate, now, &dbg);
-      metrics_.inc(dbg.reason == trace::DeferReason::kDstBusy
+      metrics_.inc(decision.reason == trace::DeferReason::kDstBusy
                        ? metrics::Counter::kMacDeferDstBusy
                        : metrics::Counter::kMacDeferConflictMap);
     }
   }
   if (trace_.wants(trace::Category::kMacDefer)) {
-    // Off the hot path: re-derive the blocking transmission and rule only
-    // when this category is enabled (and only deferrals need the re-walk).
-    DeferDebug dbg;
-    if (decision.defer) d.decide_explain(dst, my_rate, now, &dbg);
-    trace_.tracer->mac_defer(now, trace_.self, dst, decision.defer,
-                             dbg.reason, dbg.blocker_src, dbg.blocker_dst,
-                             decision.defer ? decision.until : 0);
+    trace_.tracer->record(
+        now, trace::MacDeferRecord{trace_.self, dst, decision.defer,
+                                   decision.reason, decision.blocker_src,
+                                   decision.blocker_dst, decision.until});
   }
   return decision.defer;
 }
@@ -256,7 +225,6 @@ void CmapMac::start_vp(phy::NodeId dst) {
       retx_queue_.pop_front();
       window_.drop(seq);
       unacked_.erase(it);
-      ++counters_.dropped_retx_limit;
       ++stats_.dropped_retry_limit;
       continue;
     }
@@ -533,7 +501,6 @@ void CmapMac::on_retx_timeout() {
 }
 
 void CmapMac::handle_ack(const CmapAckFrame& ack) {
-  ++counters_.vp_acks_received;
   ++stats_.acks_received;
   for (std::uint32_t seq : window_.on_ack(ack)) {
     unacked_.erase(seq);
@@ -729,7 +696,6 @@ void CmapMac::send_vp_ack(phy::NodeId to) {
   f.rate = config_.control_rate;
   f.segments = {{phy::SegmentKind::kWhole, ack->wire_bytes()}};
   f.payload = ack;
-  ++counters_.vp_acks_sent;
   ++stats_.acks_sent;
   radio_.transmit(std::move(f));
 }

@@ -36,20 +36,17 @@
 namespace cmap::core {
 
 /// Outcome of one "may I send to v at rate r now?" consultation (§3.2).
+/// Every field but `defer` is valid only when defer, and zero otherwise.
 struct DeferDecision {
   bool defer = false;
-  /// Earliest end time among the transmissions that forced the deferral
-  /// (the moment the decision is worth re-asking). Valid only when defer.
-  sim::Time until = 0;
-};
-
-/// Why a deferral happened, for tracing: the first blocking ongoing
-/// transmission (in note order) and which rule it tripped. Filled by
-/// DeferDecider::decide_explain; meaningless when the decision was "send".
-struct DeferDebug {
+  /// Why: the first blocking ongoing transmission (in note order) and
+  /// which rule it tripped.
   trace::DeferReason reason = trace::DeferReason::kNone;
   phy::NodeId blocker_src = 0;
   phy::NodeId blocker_dst = 0;
+  /// Earliest end time among the transmissions that forced the deferral
+  /// (the moment the decision is worth re-asking).
+  sim::Time until = 0;
 };
 
 /// The CMAP send decision as one pass: for every live ongoing transmission
@@ -70,12 +67,6 @@ class DeferDecider {
 
   DeferDecision decide(phy::NodeId dst, phy::WifiRate my_rate,
                        sim::Time now) const;
-  /// decide(), but also reports which transmission blocked and why. Used
-  /// off the hot path (only when kMacDefer tracing is enabled), so it
-  /// re-walks the ongoing ring; lazy reclamation makes the second walk
-  /// observationally identical to the first.
-  DeferDecision decide_explain(phy::NodeId dst, phy::WifiRate my_rate,
-                               sim::Time now, DeferDebug* debug) const;
 
  private:
   const OngoingList& ongoing_;
@@ -101,8 +92,6 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   /// CMAP-specific counters, for experiments and tests.
   struct Counters {
     std::uint64_t vps_sent = 0;
-    std::uint64_t vp_acks_sent = 0;
-    std::uint64_t vp_acks_received = 0;
     std::uint64_t retx_timeouts = 0;
     std::uint64_t headers_heard = 0;    // any source
     std::uint64_t trailers_heard = 0;   // any source
@@ -111,7 +100,6 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
     std::uint64_t ilists_sent = 0;
     std::uint64_t ilists_received = 0;
     std::uint64_t defer_events = 0;
-    std::uint64_t dropped_retx_limit = 0;
   };
   const Counters& counters() const { return counters_; }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "sim/assert.h"
+
 namespace cmap::core {
 namespace {
 
@@ -14,18 +16,24 @@ void remove_from_bucket(std::vector<std::uint32_t>& bucket,
   bucket.pop_back();
 }
 
+trace::DeferTableRecord table_record(phy::NodeId self, trace::DeferTableOp op,
+                                     const DeferEntry& e) {
+  return {self, op, e.dst, e.src, e.via,
+          static_cast<std::uint32_t>(e.my_rate),
+          static_cast<std::uint32_t>(e.their_rate), e.expires};
+}
+
 }  // namespace
 
 bool DeferTable::rate_matches(phy::WifiRate entry_rate, phy::WifiRate rate) {
   return entry_rate == kAnyRate || rate == kAnyRate || entry_rate == rate;
 }
 
-DeferTable::Bucket* DeferTable::primary_bucket(const DeferEntry& e) {
-  // Every entry the update rules produce has at least one wildcard; the
+DeferTable::Bucket& DeferTable::primary_bucket(const DeferEntry& e) {
+  // Every entry has at least one wildcard (asserted in upsert); the
   // primary bucket is where exact duplicates of it are guaranteed to live.
-  if (e.dst == phy::kBroadcastId) return &by_src_via_[pair_key(e.src, e.via)];
-  if (e.via == phy::kBroadcastId) return &by_dst_src_[pair_key(e.dst, e.src)];
-  return &unmatched_;
+  if (e.dst == phy::kBroadcastId) return by_src_via_[pair_key(e.src, e.via)];
+  return by_dst_src_[pair_key(e.dst, e.src)];
 }
 
 void DeferTable::link(std::uint32_t idx) const {
@@ -36,19 +44,14 @@ void DeferTable::link(std::uint32_t idx) const {
   if (e.via == phy::kBroadcastId) {
     by_dst_src_[pair_key(e.dst, e.src)].push_back(idx);
   }
-  if (e.dst != phy::kBroadcastId && e.via != phy::kBroadcastId) {
-    unmatched_.push_back(idx);
-  }
 }
 
 void DeferTable::unlink(std::uint32_t idx, sim::Time now) const {
   Slot& s = slots_[idx];
   metrics_.inc(metrics::Counter::kMacDeferTtlExpiries);
   if (trace_.wants(trace::Category::kDeferTable)) {
-    trace_.tracer->defer_table(
-        now, trace_.self, trace::DeferTableOp::kExpire, s.e.dst, s.e.src,
-        s.e.via, static_cast<std::uint32_t>(s.e.my_rate),
-        static_cast<std::uint32_t>(s.e.their_rate), s.e.expires);
+    trace_.tracer->record(
+        now, table_record(trace_.self, trace::DeferTableOp::kExpire, s.e));
   }
   if (s.e.dst == phy::kBroadcastId) {
     const auto it = by_src_via_.find(pair_key(s.e.src, s.e.via));
@@ -58,21 +61,21 @@ void DeferTable::unlink(std::uint32_t idx, sim::Time now) const {
     const auto it = by_dst_src_.find(pair_key(s.e.dst, s.e.src));
     if (it != by_dst_src_.end()) remove_from_bucket(it->second, idx);
   }
-  if (s.e.dst != phy::kBroadcastId && s.e.via != phy::kBroadcastId) {
-    remove_from_bucket(unmatched_, idx);
-  }
   s.live = false;
   free_.push_back(idx);
   --live_count_;
 }
 
 void DeferTable::upsert(DeferEntry e, sim::Time now) {
+  // Update rule 1 sets via = *, rule 2 sets dst = *: an entry with neither
+  // could never match a defer pattern.
+  CMAP_ASSERT(e.dst == phy::kBroadcastId || e.via == phy::kBroadcastId,
+              "defer-table entry without a wildcard");
   const bool traced = trace_.wants(trace::Category::kDeferTable);
   // An exact duplicate (same key fields including rates) refreshes the
   // existing entry's TTL in place — whether or not it has lapsed — so
   // re-reported conflicts never grow the table.
-  Bucket* primary = primary_bucket(e);
-  for (std::uint32_t idx : *primary) {
+  for (std::uint32_t idx : primary_bucket(e)) {
     DeferEntry& existing = slots_[idx].e;
     if (existing.dst == e.dst && existing.src == e.src &&
         existing.via == e.via && existing.my_rate == e.my_rate &&
@@ -80,10 +83,8 @@ void DeferTable::upsert(DeferEntry e, sim::Time now) {
       existing.expires = e.expires;
       metrics_.inc(metrics::Counter::kMacDeferRefreshes);
       if (traced) {
-        trace_.tracer->defer_table(
-            now, trace_.self, trace::DeferTableOp::kRefresh, e.dst, e.src,
-            e.via, static_cast<std::uint32_t>(e.my_rate),
-            static_cast<std::uint32_t>(e.their_rate), e.expires);
+        trace_.tracer->record(
+            now, table_record(trace_.self, trace::DeferTableOp::kRefresh, e));
       }
       return;
     }
@@ -105,10 +106,8 @@ void DeferTable::upsert(DeferEntry e, sim::Time now) {
     metrics_.raise(metrics::Counter::kMacDeferOccupancyHw, live_count_);
   }
   if (traced) {
-    trace_.tracer->defer_table(
-        now, trace_.self, trace::DeferTableOp::kInsert, e.dst, e.src, e.via,
-        static_cast<std::uint32_t>(e.my_rate),
-        static_cast<std::uint32_t>(e.their_rate), e.expires);
+    trace_.tracer->record(
+        now, table_record(trace_.self, trace::DeferTableOp::kInsert, e));
   }
 }
 

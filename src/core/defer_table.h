@@ -117,7 +117,7 @@ class DeferTable {
   void upsert(DeferEntry e, sim::Time now);
   void link(std::uint32_t idx) const;
   void unlink(std::uint32_t idx, sim::Time now) const;
-  Bucket* primary_bucket(const DeferEntry& e);
+  Bucket& primary_bucket(const DeferEntry& e);
   bool probe(Index& index, std::uint64_t key, sim::Time now,
              phy::WifiRate my_rate, phy::WifiRate their_rate) const;
 
@@ -132,7 +132,6 @@ class DeferTable {
   mutable std::vector<std::uint32_t> free_;
   mutable Index by_src_via_;  // entries with dst == *  (defer pattern 1)
   mutable Index by_dst_src_;  // entries with via == *  (defer pattern 2)
-  mutable Bucket unmatched_;  // neither wildcard: can never match a pattern
   mutable std::size_t live_count_ = 0;
 };
 

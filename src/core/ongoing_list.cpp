@@ -13,8 +13,9 @@ void OngoingList::note(const VpDescriptor& d, sim::Time end_time,
       tx.end_time = end_time;
       tx.data_rate = d.data_rate;
       if (trace_.wants(trace::Category::kOngoing)) {
-        trace_.tracer->ongoing(now, trace_.self, trace::OngoingOp::kUpdate,
-                               d.src, d.dst, end_time);
+        trace_.tracer->record(
+            now, trace::OngoingRecord{trace_.self, trace::OngoingOp::kUpdate,
+                                      d.src, d.dst, end_time});
       }
       return;
     }
@@ -40,16 +41,18 @@ void OngoingList::note(const VpDescriptor& d, sim::Time end_time,
   ++live_count_;
   metrics_.raise(metrics::Counter::kMacOngoingActiveHw, live_count_);
   if (trace_.wants(trace::Category::kOngoing)) {
-    trace_.tracer->ongoing(now, trace_.self, trace::OngoingOp::kNote, d.src,
-                           d.dst, end_time);
+    trace_.tracer->record(now, trace::OngoingRecord{trace_.self,
+                                                    trace::OngoingOp::kNote,
+                                                    d.src, d.dst, end_time});
   }
 }
 
 void OngoingList::release(std::uint32_t idx, sim::Time now) const {
   Node& n = slots_[idx];
   if (trace_.wants(trace::Category::kOngoing)) {
-    trace_.tracer->ongoing(now, trace_.self, trace::OngoingOp::kExpire,
-                           n.tx.src, n.tx.dst, n.tx.end_time);
+    trace_.tracer->record(
+        now, trace::OngoingRecord{trace_.self, trace::OngoingOp::kExpire,
+                                  n.tx.src, n.tx.dst, n.tx.end_time});
   }
   if (n.prev != kNil) {
     slots_[n.prev].next = n.next;

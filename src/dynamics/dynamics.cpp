@@ -38,7 +38,7 @@ void Dynamics::channel_step() {
   ++epoch_;
   metrics_.inc(metrics::Counter::kDynChannelEpochs);
   if (trace_.wants(trace::Category::kChannelEpoch)) {
-    trace_.tracer->channel_epoch(sim_.now(), epoch_);
+    trace_.tracer->record(sim_.now(), trace::ChannelEpochRecord{epoch_});
   }
   // Every cached link gain is stale after an epoch step, so the medium
   // refreshes all of its rows; a single node's move only touches the

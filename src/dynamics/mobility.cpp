@@ -135,7 +135,7 @@ void MobilityModel::step_node(NodeState& st, phy::Radio& radio, double dt_s,
   radio.set_position(p);
   ++moves_;
   if (trace_.wants(trace::Category::kMove)) {
-    trace_.tracer->move(now, st.id, p.x, p.y);
+    trace_.tracer->record(now, trace::MoveRecord::from_metres(st.id, p.x, p.y));
   }
 }
 

@@ -59,8 +59,10 @@ void Radio::transmit(Frame frame) {
     ++counters_.aborted_by_tx;
     metrics_.inc(metrics::Counter::kPhyCollisionLocalTx);
     if (trace_.wants(trace::Category::kPhyCollision)) {
-      trace_.tracer->phy_collision(sim_.now(), id_, lock_frame_->id,
-                                   trace::CollisionReason::kLocalTx);
+      trace_.tracer->record(
+          sim_.now(), trace::PhyCollisionRecord{
+                          id_, lock_frame_->id,
+                          trace::CollisionReason::kLocalTx});
     }
     abort_rx();
   }
@@ -77,10 +79,12 @@ void Radio::transmit(Frame frame) {
   tx_end_ = sim_.now() + shared->duration;
   ++counters_.frames_sent;
   if (trace_.wants(trace::Category::kPhyTx)) {
-    trace_.tracer->phy_tx(tx_start_, id_, shared->id,
-                          static_cast<std::uint32_t>(shared->rate),
-                          static_cast<std::uint32_t>(shared->size_bytes()),
-                          shared->duration);
+    trace_.tracer->record(
+        tx_start_,
+        trace::PhyTxRecord{id_, shared->id,
+                           static_cast<std::uint32_t>(shared->rate),
+                           static_cast<std::uint32_t>(shared->size_bytes()),
+                           shared->duration});
   }
   medium_.transmit(*this, shared);
   sim_.in(shared->duration, [this] { finish_tx(); });
@@ -158,8 +162,10 @@ void Radio::evaluate_preamble(std::shared_ptr<const Frame> frame) {
     ++counters_.preamble_failures;
     metrics_.inc(metrics::Counter::kPhyCollisionPreambleSinr);
     if (trace_.wants(trace::Category::kPhyCollision)) {
-      trace_.tracer->phy_collision(sim_.now(), id_, frame_id,
-                                   trace::CollisionReason::kPreambleSinr);
+      trace_.tracer->record(
+          sim_.now(),
+          trace::PhyCollisionRecord{id_, frame_id,
+                                    trace::CollisionReason::kPreambleSinr});
     }
     return;
   }
@@ -168,8 +174,10 @@ void Radio::evaluate_preamble(std::shared_ptr<const Frame> frame) {
     ++counters_.aborted_by_capture;
     metrics_.inc(metrics::Counter::kPhyCollisionCaptured);
     if (trace_.wants(trace::Category::kPhyCollision)) {
-      trace_.tracer->phy_collision(sim_.now(), id_, lock_frame_->id,
-                                   trace::CollisionReason::kCaptured);
+      trace_.tracer->record(
+          sim_.now(), trace::PhyCollisionRecord{
+                          id_, lock_frame_->id,
+                          trace::CollisionReason::kCaptured});
     }
     abort_rx();
   }
@@ -278,8 +286,10 @@ void Radio::finish_rx() {
     // verdict was precomputed (integrated header path).
     const double cdb = std::clamp(result.min_sinr_db * 100.0, -20000.0,
                                   20000.0);
-    trace_.tracer->phy_rx(sim_.now(), id_, frame.id, frame.tx_node,
-                          result.all_ok(), static_cast<std::int32_t>(cdb));
+    trace_.tracer->record(
+        sim_.now(),
+        trace::PhyRxRecord{id_, frame.id, frame.tx_node, result.all_ok(),
+                           static_cast<std::int32_t>(cdb)});
   }
 
   // Keep the frame alive across the listener call.

@@ -60,8 +60,8 @@ bool merge_streams(const std::vector<std::string>& inputs,
     }
     if (best == heads.size()) break;
     Head& h = heads[best];
-    out.emit_raw(h.record.category, h.record.tick, h.reader->raw_body(),
-                 h.reader->raw_size());
+    std::visit([&](const auto& body) { out.record(h.record.tick, body); },
+               h.record.body);
     h.live = h.reader->next(&h.record);
     if (!h.live && !h.reader->ok()) {
       return fail(inputs[best] + ": " + h.reader->error());

@@ -5,8 +5,9 @@
 // wanting the whole run needs them interleaved. merge_streams k-way merges
 // on (tick, input index) — input index as the tie-breaker makes the output
 // a pure function of the input files, so merging the same run twice is
-// byte-identical. Record payloads are copied verbatim (TraceReader raw
-// bytes, Tracer::emit_raw), so no field ever round-trips through a decode.
+// byte-identical. Each record is decoded and re-encoded through its field
+// list; every field is an integer, so a stream the Tracer wrote comes out
+// with its payload bytes unchanged.
 #pragma once
 
 #include <string>

@@ -1,6 +1,6 @@
 #include "trace/reader.h"
 
-#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -15,24 +15,62 @@ struct FieldReader {
   std::size_t pos = 0;
   bool ok = true;
 
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    if (!wire::get_varint(data, size, &pos, &v)) ok = false;
-    return v;
-  }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(u64()); }
-  std::int64_t s64() { return wire::unzigzag(u64()); }
-  sim::Time time() { return static_cast<sim::Time>(u64()); }
-  bool boolean() {
-    if (pos >= size) {
-      ok = false;
-      return false;
+  template <wire::Encoding E, class T>
+  void get(T& v) {
+    if constexpr (E == wire::Encoding::kFlag) {
+      if (pos >= size) {
+        ok = false;
+        return;
+      }
+      v = data[pos++] != 0;
+    } else {
+      std::uint64_t u = 0;
+      if (!wire::get_varint(data, size, &pos, &u)) ok = false;
+      if constexpr (E == wire::Encoding::kZigzag) {
+        v = static_cast<T>(wire::unzigzag(u));
+      } else {
+        v = static_cast<T>(u);
+      }
     }
-    return data[pos++] != 0;
   }
   /// All payload bytes consumed, nothing trailing.
   bool done() const { return ok && pos == size; }
 };
+
+// Decode payload bytes as body alternative I (Category I) through its
+// field list.
+template <std::size_t I>
+bool decode_as(FieldReader& f, Record::Body* out) {
+  std::variant_alternative_t<I, Record::Body> r;
+  std::apply(
+      [&](const auto&... field) {
+        (f.get<std::decay_t<decltype(field)>::kEncoding>(r.*field.member),
+         ...);
+      },
+      r.fields());
+  *out = r;
+  return f.done();
+}
+
+// One decoder per category, indexed by the category value.
+template <std::size_t... I>
+constexpr auto make_decoders(std::index_sequence<I...>) {
+  return std::array{&decode_as<I>...};
+}
+constexpr auto kDecoders =
+    make_decoders(std::make_index_sequence<kCategoryCount>{});
+
+template <std::size_t... I>
+constexpr bool body_order_matches_categories(std::index_sequence<I...>) {
+  return ((std::variant_alternative_t<I, Record::Body>::kCategory ==
+           static_cast<Category>(I)) &&
+          ...);
+}
+static_assert(std::variant_size_v<Record::Body> == kCategoryCount &&
+                  body_order_matches_categories(
+                      std::make_index_sequence<kCategoryCount>{}),
+              "Record::Body must list one alternative per Category, in "
+              "Category order");
 
 }  // namespace
 
@@ -92,93 +130,6 @@ void TraceReader::parse_header() {
   }
 }
 
-bool TraceReader::parse_body(Category c, const std::uint8_t* data,
-                             std::size_t size, Record* out) {
-  FieldReader f{data, size};
-  switch (c) {
-    case Category::kPhyTx: {
-      PhyTxRecord r;
-      r.node = f.u32();
-      r.frame_id = f.u64();
-      r.rate = f.u32();
-      r.bytes = f.u32();
-      r.duration = f.time();
-      out->body = r;
-      break;
-    }
-    case Category::kPhyRx: {
-      PhyRxRecord r;
-      r.node = f.u32();
-      r.frame_id = f.u64();
-      r.tx_node = f.u32();
-      r.ok = f.boolean();
-      r.min_sinr_cdb = static_cast<std::int32_t>(f.s64());
-      out->body = r;
-      break;
-    }
-    case Category::kPhyCollision: {
-      PhyCollisionRecord r;
-      r.node = f.u32();
-      r.frame_id = f.u64();
-      r.reason = static_cast<CollisionReason>(f.u32());
-      out->body = r;
-      break;
-    }
-    case Category::kMacDefer: {
-      MacDeferRecord r;
-      r.node = f.u32();
-      r.dst = f.u32();
-      r.deferred = f.boolean();
-      r.reason = static_cast<DeferReason>(f.u32());
-      r.blocker_src = f.u32();
-      r.blocker_dst = f.u32();
-      r.until = f.time();
-      out->body = r;
-      break;
-    }
-    case Category::kDeferTable: {
-      DeferTableRecord r;
-      r.node = f.u32();
-      r.op = static_cast<DeferTableOp>(f.u32());
-      r.dst = f.u32();
-      r.src = f.u32();
-      r.via = f.u32();
-      r.my_rate = f.u32();
-      r.their_rate = f.u32();
-      r.expires = f.time();
-      out->body = r;
-      break;
-    }
-    case Category::kOngoing: {
-      OngoingRecord r;
-      r.node = f.u32();
-      r.op = static_cast<OngoingOp>(f.u32());
-      r.src = f.u32();
-      r.dst = f.u32();
-      r.end_time = f.time();
-      out->body = r;
-      break;
-    }
-    case Category::kMove: {
-      MoveRecord r;
-      r.node = f.u32();
-      r.x_mm = f.s64();
-      r.y_mm = f.s64();
-      out->body = r;
-      break;
-    }
-    case Category::kChannelEpoch: {
-      ChannelEpochRecord r;
-      r.epoch = f.u64();
-      out->body = r;
-      break;
-    }
-    case Category::kCount:
-      return false;
-  }
-  return f.done();
-}
-
 bool TraceReader::next(Record* out) {
   if (!ok() || pos_ >= bytes_.size()) return false;
   const std::size_t record_start = pos_;
@@ -208,9 +159,8 @@ bool TraceReader::next(Record* out) {
   out->category = static_cast<Category>(cat);
   last_tick_ += static_cast<sim::Time>(delta);
   out->tick = last_tick_;
-  raw_pos_ = pos_;
-  raw_size_ = end - pos_;
-  if (!parse_body(out->category, bytes_.data() + pos_, end - pos_, out)) {
+  FieldReader f{bytes_.data() + pos_, end - pos_};
+  if (!kDecoders[cat](f, &out->body)) {
     fail(std::string("malformed ") + category_name(out->category) +
          " payload at byte " + std::to_string(record_start));
     return false;
@@ -310,42 +260,6 @@ std::vector<std::uint32_t> OngoingReplay::nodes() const {
 
 namespace {
 
-const char* defer_reason_name(DeferReason r) {
-  switch (r) {
-    case DeferReason::kNone: return "none";
-    case DeferReason::kDstBusy: return "dst_busy";
-    case DeferReason::kConflictMap: return "conflict_map";
-  }
-  return "?";
-}
-
-const char* table_op_name(DeferTableOp op) {
-  switch (op) {
-    case DeferTableOp::kInsert: return "insert";
-    case DeferTableOp::kRefresh: return "refresh";
-    case DeferTableOp::kExpire: return "expire";
-  }
-  return "?";
-}
-
-const char* ongoing_op_name(OngoingOp op) {
-  switch (op) {
-    case OngoingOp::kNote: return "note";
-    case OngoingOp::kUpdate: return "update";
-    case OngoingOp::kExpire: return "expire";
-  }
-  return "?";
-}
-
-const char* collision_reason_name(CollisionReason r) {
-  switch (r) {
-    case CollisionReason::kPreambleSinr: return "preamble_sinr";
-    case CollisionReason::kCaptured: return "captured";
-    case CollisionReason::kLocalTx: return "local_tx";
-  }
-  return "?";
-}
-
 void appendf(std::string* out, const char* fmt, ...) {
   char buf[256];
   va_list args;
@@ -361,11 +275,27 @@ std::string id_or_star(std::uint32_t id) {
   return std::to_string(id);
 }
 
+// ,"name":value for one field, by its encoding.
+template <class F, class T>
+void append_json(std::string* out, const F& field, T v) {
+  appendf(out, ",\"%s\":", field.name);
+  constexpr wire::Encoding kE = F::kEncoding;
+  if constexpr (kE == wire::Encoding::kFlag) {
+    *out += v ? "true" : "false";
+  } else if constexpr (kE == wire::Encoding::kCode) {
+    appendf(out, "\"%s\"", code_name(v));
+  } else if constexpr (kE == wire::Encoding::kVarint) {
+    appendf(out, "%" PRIu64, static_cast<std::uint64_t>(v));
+  } else {
+    appendf(out, "%" PRId64, static_cast<std::int64_t>(v));
+  }
+}
+
 }  // namespace
 
 std::string describe(const Record& r) {
   std::string out;
-  appendf(&out, "%" PRId64 " %s", r.tick, category_name(r.category));
+  appendf(&out, "%14" PRId64 " %-13s", r.tick, category_name(r.category));
   switch (r.category) {
     case Category::kPhyTx: {
       const auto& b = std::get<PhyTxRecord>(r.body);
@@ -383,7 +313,7 @@ std::string describe(const Record& r) {
     case Category::kPhyCollision: {
       const auto& b = std::get<PhyCollisionRecord>(r.body);
       appendf(&out, " node=%u frame=%" PRIu64 " reason=%s", b.node, b.frame_id,
-              collision_reason_name(b.reason));
+              code_name(b.reason));
       break;
     }
     case Category::kMacDefer: {
@@ -392,8 +322,7 @@ std::string describe(const Record& r) {
               b.deferred ? "defer" : "send");
       if (b.deferred) {
         appendf(&out, " reason=%s blocker=%u->%u until=%" PRId64,
-                defer_reason_name(b.reason), b.blocker_src, b.blocker_dst,
-                b.until);
+                code_name(b.reason), b.blocker_src, b.blocker_dst, b.until);
       }
       break;
     }
@@ -402,7 +331,7 @@ std::string describe(const Record& r) {
       appendf(&out,
               " node=%u op=%s pattern=(%s: %s->%s) rates=%u/%u"
               " expires=%" PRId64,
-              b.node, table_op_name(b.op), id_or_star(b.dst).c_str(),
+              b.node, code_name(b.op), id_or_star(b.dst).c_str(),
               id_or_star(b.src).c_str(), id_or_star(b.via).c_str(), b.my_rate,
               b.their_rate, b.expires);
       break;
@@ -410,7 +339,7 @@ std::string describe(const Record& r) {
     case Category::kOngoing: {
       const auto& b = std::get<OngoingRecord>(r.body);
       appendf(&out, " node=%u op=%s tx=%u->%u end=%" PRId64, b.node,
-              ongoing_op_name(b.op), b.src, b.dst, b.end_time);
+              code_name(b.op), b.src, b.dst, b.end_time);
       break;
     }
     case Category::kMove: {
@@ -430,6 +359,21 @@ std::string describe(const Record& r) {
   return out;
 }
 
+std::string to_json(const Record& r) {
+  std::string out;
+  appendf(&out, "{\"tick\":%" PRId64 ",\"category\":\"%s\"", r.tick,
+          category_name(r.category));
+  std::visit(
+      [&](const auto& b) {
+        std::apply(
+            [&](const auto&... f) { (append_json(&out, f, b.*f.member), ...); },
+            b.fields());
+      },
+      r.body);
+  out += '}';
+  return out;
+}
+
 Divergence first_divergence(TraceReader& a, TraceReader& b) {
   Divergence d;
   for (std::uint64_t i = 0;; ++i) {
@@ -446,11 +390,7 @@ Divergence first_divergence(TraceReader& a, TraceReader& b) {
       if (have_b) d.b = rb;
       return d;
     }
-    const bool same = ra.tick == rb.tick && ra.category == rb.category &&
-                      a.raw_size() == b.raw_size() &&
-                      std::equal(a.raw_body(), a.raw_body() + a.raw_size(),
-                                 b.raw_body());
-    if (!same) {
+    if (ra != rb) {
       d.diverged = true;
       d.a = ra;
       d.b = rb;

@@ -16,73 +16,19 @@
 
 namespace cmap::trace {
 
-struct PhyTxRecord {
-  std::uint32_t node = 0;
-  std::uint64_t frame_id = 0;
-  std::uint32_t rate = 0;
-  std::uint32_t bytes = 0;
-  sim::Time duration = 0;
-};
-
-struct PhyRxRecord {
-  std::uint32_t node = 0;
-  std::uint64_t frame_id = 0;
-  std::uint32_t tx_node = 0;
-  bool ok = false;
-  std::int32_t min_sinr_cdb = 0;  // centi-dB, clamped
-};
-
-struct PhyCollisionRecord {
-  std::uint32_t node = 0;
-  std::uint64_t frame_id = 0;
-  CollisionReason reason = CollisionReason::kPreambleSinr;
-};
-
-struct MacDeferRecord {
-  std::uint32_t node = 0;
-  std::uint32_t dst = 0;
-  bool deferred = false;
-  DeferReason reason = DeferReason::kNone;
-  std::uint32_t blocker_src = 0;
-  std::uint32_t blocker_dst = 0;
-  sim::Time until = 0;
-};
-
-struct DeferTableRecord {
-  std::uint32_t node = 0;
-  DeferTableOp op = DeferTableOp::kInsert;
-  std::uint32_t dst = 0;
-  std::uint32_t src = 0;
-  std::uint32_t via = 0;
-  std::uint32_t my_rate = 0;
-  std::uint32_t their_rate = 0;
-  sim::Time expires = 0;
-};
-
-struct OngoingRecord {
-  std::uint32_t node = 0;
-  OngoingOp op = OngoingOp::kNote;
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-  sim::Time end_time = 0;
-};
-
-struct MoveRecord {
-  std::uint32_t node = 0;
-  std::int64_t x_mm = 0;
-  std::int64_t y_mm = 0;
-};
-
-struct ChannelEpochRecord {
-  std::uint64_t epoch = 0;
-};
-
+/// One decoded record. The body alternatives are listed in Category
+/// order, so body.index() is the category.
 struct Record {
+  using Body =
+      std::variant<PhyTxRecord, PhyRxRecord, PhyCollisionRecord,
+                   MacDeferRecord, DeferTableRecord, OngoingRecord,
+                   MoveRecord, ChannelEpochRecord>;
+
   Category category = Category::kPhyTx;
   sim::Time tick = 0;  // absolute (deltas resolved by the reader)
-  std::variant<PhyTxRecord, PhyRxRecord, PhyCollisionRecord, MacDeferRecord,
-               DeferTableRecord, OngoingRecord, MoveRecord, ChannelEpochRecord>
-      body;
+  Body body;
+
+  bool operator==(const Record&) const = default;
 };
 
 class TraceReader {
@@ -106,23 +52,12 @@ class TraceReader {
   /// decode error — check error() to tell them apart (empty = clean EOF).
   bool next(Record* out);
 
-  /// Payload bytes of the record most recently returned by next(), valid
-  /// until the next call. merge_streams re-emits these verbatim so field
-  /// round-tripping (e.g. the move record's mm quantization) cannot perturb
-  /// a merged stream.
-  const std::uint8_t* raw_body() const { return bytes_.data() + raw_pos_; }
-  std::size_t raw_size() const { return raw_size_; }
-
  private:
   void fail(const std::string& what);
   void parse_header();
-  bool parse_body(Category c, const std::uint8_t* data, std::size_t size,
-                  Record* out);
 
   std::vector<std::uint8_t> bytes_;
   std::size_t pos_ = 0;
-  std::size_t raw_pos_ = 0;
-  std::size_t raw_size_ = 0;
   sim::Time last_tick_ = 0;
   std::uint32_t categories_ = 0;
   std::vector<std::uint32_t> sample_every_;
@@ -203,15 +138,20 @@ class OngoingReplay {
 };
 
 /// One-line human description of a decoded record — "<tick> <category>
-/// field=value ..." — shared by trace_dump, trace_diff, and their tests.
+/// field=value ...", the tick right-aligned in 14 columns and the category
+/// left-aligned in 13 — shared by trace_dump, trace_diff, and their tests.
 std::string describe(const Record& r);
 
+/// The record as one JSON object: tick, category, then every payload field
+/// under its field-list name, in wire order (trace_dump --json).
+std::string to_json(const Record& r);
+
 /// Where two streams first disagree (tools/trace_diff). Streams are
-/// aligned record-by-record and compared on (tick, category, payload
-/// bytes); the payload comparison is exact, so any field difference —
-/// including ones describe() rounds — registers.
+/// aligned record-by-record and compared as decoded records (tick,
+/// category, every payload field); the comparison is exact, so any field
+/// difference — including ones describe() rounds — registers.
 struct Divergence {
-  bool diverged = false;    // false: streams are byte-equivalent
+  bool diverged = false;    // false: every record of the two streams equal
   /// 0-based record index of the first difference; when !diverged, the
   /// number of records compared.
   std::uint64_t index = 0;

@@ -9,17 +9,6 @@ namespace {
 
 constexpr std::size_t kFileBufferBytes = 64 * 1024;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  wire::put_varint(out, v);
-}
-
-void put_time(std::vector<std::uint8_t>& out, sim::Time t) {
-  // Every time field written today is non-negative (absolute sim times and
-  // durations); encode as plain varint, asserted rather than zigzagged.
-  CMAP_ASSERT(t >= 0, "negative time in trace record");
-  wire::put_varint(out, static_cast<std::uint64_t>(t));
-}
-
 }  // namespace
 
 const char* category_name(Category c) {
@@ -42,6 +31,42 @@ const char* category_name(Category c) {
       return "channel_epoch";
     case Category::kCount:
       break;
+  }
+  return "?";
+}
+
+const char* code_name(DeferReason r) {
+  switch (r) {
+    case DeferReason::kNone: return "none";
+    case DeferReason::kDstBusy: return "dst_busy";
+    case DeferReason::kConflictMap: return "conflict_map";
+  }
+  return "?";
+}
+
+const char* code_name(DeferTableOp op) {
+  switch (op) {
+    case DeferTableOp::kInsert: return "insert";
+    case DeferTableOp::kRefresh: return "refresh";
+    case DeferTableOp::kExpire: return "expire";
+  }
+  return "?";
+}
+
+const char* code_name(OngoingOp op) {
+  switch (op) {
+    case OngoingOp::kNote: return "note";
+    case OngoingOp::kUpdate: return "update";
+    case OngoingOp::kExpire: return "expire";
+  }
+  return "?";
+}
+
+const char* code_name(CollisionReason r) {
+  switch (r) {
+    case CollisionReason::kPreambleSinr: return "preamble_sinr";
+    case CollisionReason::kCaptured: return "captured";
+    case CollisionReason::kLocalTx: return "local_tx";
   }
   return "?";
 }
@@ -146,116 +171,6 @@ void Tracer::emit(Category c, sim::Time now) {
   sink_->write(body_.data(), body_.size());
   last_tick_ = now;
   ++records_;
-}
-
-void Tracer::phy_tx(sim::Time now, std::uint32_t node, std::uint64_t frame_id,
-                    std::uint32_t rate, std::uint32_t bytes,
-                    sim::Time duration) {
-  if (!wants(Category::kPhyTx) || !sample(Category::kPhyTx)) return;
-  body_.clear();
-  put_u32(body_, node);
-  wire::put_varint(body_, frame_id);
-  put_u32(body_, rate);
-  put_u32(body_, bytes);
-  put_time(body_, duration);
-  emit(Category::kPhyTx, now);
-}
-
-void Tracer::phy_rx(sim::Time now, std::uint32_t node, std::uint64_t frame_id,
-                    std::uint32_t tx_node, bool ok, std::int32_t min_sinr_cdb) {
-  if (!wants(Category::kPhyRx) || !sample(Category::kPhyRx)) return;
-  body_.clear();
-  put_u32(body_, node);
-  wire::put_varint(body_, frame_id);
-  put_u32(body_, tx_node);
-  body_.push_back(ok ? 1 : 0);
-  wire::put_varint(body_, wire::zigzag(min_sinr_cdb));
-  emit(Category::kPhyRx, now);
-}
-
-void Tracer::phy_collision(sim::Time now, std::uint32_t node,
-                           std::uint64_t frame_id, CollisionReason reason) {
-  if (!wants(Category::kPhyCollision) || !sample(Category::kPhyCollision)) {
-    return;
-  }
-  body_.clear();
-  put_u32(body_, node);
-  wire::put_varint(body_, frame_id);
-  put_u32(body_, static_cast<std::uint32_t>(reason));
-  emit(Category::kPhyCollision, now);
-}
-
-void Tracer::mac_defer(sim::Time now, std::uint32_t node, std::uint32_t dst,
-                       bool deferred, DeferReason reason,
-                       std::uint32_t blocker_src, std::uint32_t blocker_dst,
-                       sim::Time until) {
-  if (!wants(Category::kMacDefer) || !sample(Category::kMacDefer)) return;
-  body_.clear();
-  put_u32(body_, node);
-  put_u32(body_, dst);
-  body_.push_back(deferred ? 1 : 0);
-  put_u32(body_, static_cast<std::uint32_t>(reason));
-  put_u32(body_, blocker_src);
-  put_u32(body_, blocker_dst);
-  put_time(body_, until);
-  emit(Category::kMacDefer, now);
-}
-
-void Tracer::defer_table(sim::Time now, std::uint32_t node, DeferTableOp op,
-                         std::uint32_t dst, std::uint32_t src,
-                         std::uint32_t via, std::uint32_t my_rate,
-                         std::uint32_t their_rate, sim::Time expires) {
-  if (!wants(Category::kDeferTable) || !sample(Category::kDeferTable)) return;
-  body_.clear();
-  put_u32(body_, node);
-  put_u32(body_, static_cast<std::uint32_t>(op));
-  put_u32(body_, dst);
-  put_u32(body_, src);
-  put_u32(body_, via);
-  put_u32(body_, my_rate);
-  put_u32(body_, their_rate);
-  put_time(body_, expires);
-  emit(Category::kDeferTable, now);
-}
-
-void Tracer::ongoing(sim::Time now, std::uint32_t node, OngoingOp op,
-                     std::uint32_t src, std::uint32_t dst, sim::Time end_time) {
-  if (!wants(Category::kOngoing) || !sample(Category::kOngoing)) return;
-  body_.clear();
-  put_u32(body_, node);
-  put_u32(body_, static_cast<std::uint32_t>(op));
-  put_u32(body_, src);
-  put_u32(body_, dst);
-  put_time(body_, end_time);
-  emit(Category::kOngoing, now);
-}
-
-void Tracer::move(sim::Time now, std::uint32_t node, double x_m, double y_m) {
-  if (!wants(Category::kMove) || !sample(Category::kMove)) return;
-  body_.clear();
-  put_u32(body_, node);
-  // Millimetre resolution keeps positions integral (and the file
-  // deterministic across libm variations is NOT a concern here: the
-  // doubles being rounded are themselves deterministic sim state).
-  wire::put_varint(body_, wire::zigzag(static_cast<std::int64_t>(x_m * 1000.0)));
-  wire::put_varint(body_, wire::zigzag(static_cast<std::int64_t>(y_m * 1000.0)));
-  emit(Category::kMove, now);
-}
-
-void Tracer::channel_epoch(sim::Time now, std::uint64_t epoch) {
-  if (!wants(Category::kChannelEpoch) || !sample(Category::kChannelEpoch)) {
-    return;
-  }
-  body_.clear();
-  wire::put_varint(body_, epoch);
-  emit(Category::kChannelEpoch, now);
-}
-
-void Tracer::emit_raw(Category c, sim::Time now, const std::uint8_t* body,
-                      std::size_t size) {
-  if (!wants(c) || !sample(c)) return;
-  body_.assign(body, body + size);
-  emit(c, now);
 }
 
 }  // namespace cmap::trace

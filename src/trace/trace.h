@@ -24,8 +24,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "sim/assert.h"
 #include "sim/time.h"
 
 namespace cmap::trace {
@@ -91,6 +94,13 @@ enum class CollisionReason : std::uint8_t {
   kLocalTx = 2        // reception aborted by this node's own transmission
 };
 
+/// Stable names of the enum codes above ("dst_busy", "insert", ...), used
+/// by describe() and the JSON form of a record.
+const char* code_name(DeferReason r);
+const char* code_name(DeferTableOp op);
+const char* code_name(OngoingOp op);
+const char* code_name(CollisionReason r);
+
 struct TraceConfig {
   /// Output file (".cmtrace" by convention). For Sweep-level tracing this
   /// names a directory instead; see scenario::trace_run_path().
@@ -155,12 +165,238 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
 /// leaves *pos at the malformed byte) on truncation or >10-byte varints.
 bool get_varint(const std::uint8_t* data, std::size_t size, std::size_t* pos,
                 std::uint64_t* out);
+
+/// How one payload field is put on the wire.
+enum class Encoding : std::uint8_t {
+  kVarint,  // unsigned integer as a varint
+  kZigzag,  // signed integer, zigzag-mapped, as a varint
+  kTime,    // non-negative sim::Time as a plain varint (asserted)
+  kFlag,    // bool as one byte, 0 or 1
+  kCode     // enum as a varint of its value; printed by code_name()
+};
+
+/// One entry of a record's field list: its name (the JSON key), the member
+/// it reads and writes, and its encoding.
+template <Encoding E, class R, class T>
+struct Field {
+  static constexpr Encoding kEncoding = E;
+  const char* name;
+  T R::*member;
+};
+
+// Field-list entries, one maker per encoding; each rejects a member type
+// its encoding cannot carry.
+template <class R, class T>
+constexpr Field<Encoding::kVarint, R, T> as_varint(const char* name,
+                                                   T R::*member) {
+  static_assert(std::is_unsigned_v<T> && !std::is_same_v<T, bool>);
+  return {name, member};
+}
+template <class R, class T>
+constexpr Field<Encoding::kZigzag, R, T> as_zigzag(const char* name,
+                                                   T R::*member) {
+  static_assert(std::is_signed_v<T>);
+  return {name, member};
+}
+template <class R>
+constexpr Field<Encoding::kTime, R, sim::Time> as_time(
+    const char* name, sim::Time R::*member) {
+  return {name, member};
+}
+template <class R>
+constexpr Field<Encoding::kFlag, R, bool> as_flag(const char* name,
+                                                  bool R::*member) {
+  return {name, member};
+}
+template <class R, class T>
+constexpr Field<Encoding::kCode, R, T> as_code(const char* name,
+                                               T R::*member) {
+  static_assert(std::is_enum_v<T>);
+  return {name, member};
+}
+
+/// Append one field value in encoding E.
+template <Encoding E, class T>
+void put(std::vector<std::uint8_t>& out, T v) {
+  if constexpr (E == Encoding::kFlag) {
+    out.push_back(v ? 1 : 0);
+  } else if constexpr (E == Encoding::kZigzag) {
+    put_varint(out, zigzag(v));
+  } else {
+    // Every time field is non-negative (absolute sim times and durations):
+    // asserted rather than zigzagged.
+    if constexpr (E == Encoding::kTime) {
+      CMAP_ASSERT(v >= 0, "negative time in trace record");
+    }
+    put_varint(out, static_cast<std::uint64_t>(v));
+  }
+}
 }  // namespace wire
 
+// ---- Record payloads ----
+// Each record lists its payload fields in wire order in fields(). That
+// list is the one description of the layout: Tracer::record encodes
+// through it, TraceReader decodes through it, and the JSON form prints
+// it (docs/trace_format.md mirrors it). Every field is an integer, so
+// decoded records compare exactly with ==.
+
+struct PhyTxRecord {
+  static constexpr Category kCategory = Category::kPhyTx;
+  std::uint32_t node = 0;
+  std::uint64_t frame_id = 0;
+  std::uint32_t rate = 0;
+  std::uint32_t bytes = 0;
+  sim::Time duration = 0;
+
+  static constexpr auto fields() {
+    using R = PhyTxRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_varint("frame", &R::frame_id),
+                      wire::as_varint("rate", &R::rate),
+                      wire::as_varint("bytes", &R::bytes),
+                      wire::as_time("duration", &R::duration)};
+  }
+  bool operator==(const PhyTxRecord&) const = default;
+};
+
+struct PhyRxRecord {
+  static constexpr Category kCategory = Category::kPhyRx;
+  std::uint32_t node = 0;
+  std::uint64_t frame_id = 0;
+  std::uint32_t tx_node = 0;
+  bool ok = false;
+  std::int32_t min_sinr_cdb = 0;  // centi-dB, clamped
+
+  static constexpr auto fields() {
+    using R = PhyRxRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_varint("frame", &R::frame_id),
+                      wire::as_varint("from", &R::tx_node),
+                      wire::as_flag("ok", &R::ok),
+                      wire::as_zigzag("min_sinr_cdb", &R::min_sinr_cdb)};
+  }
+  bool operator==(const PhyRxRecord&) const = default;
+};
+
+struct PhyCollisionRecord {
+  static constexpr Category kCategory = Category::kPhyCollision;
+  std::uint32_t node = 0;
+  std::uint64_t frame_id = 0;
+  CollisionReason reason = CollisionReason::kPreambleSinr;
+
+  static constexpr auto fields() {
+    using R = PhyCollisionRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_varint("frame", &R::frame_id),
+                      wire::as_code("reason", &R::reason)};
+  }
+  bool operator==(const PhyCollisionRecord&) const = default;
+};
+
+struct MacDeferRecord {
+  static constexpr Category kCategory = Category::kMacDefer;
+  std::uint32_t node = 0;
+  std::uint32_t dst = 0;
+  bool deferred = false;
+  DeferReason reason = DeferReason::kNone;
+  std::uint32_t blocker_src = 0;
+  std::uint32_t blocker_dst = 0;
+  sim::Time until = 0;
+
+  static constexpr auto fields() {
+    using R = MacDeferRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_varint("dst", &R::dst),
+                      wire::as_flag("deferred", &R::deferred),
+                      wire::as_code("reason", &R::reason),
+                      wire::as_varint("blocker_src", &R::blocker_src),
+                      wire::as_varint("blocker_dst", &R::blocker_dst),
+                      wire::as_time("until", &R::until)};
+  }
+  bool operator==(const MacDeferRecord&) const = default;
+};
+
+struct DeferTableRecord {
+  static constexpr Category kCategory = Category::kDeferTable;
+  std::uint32_t node = 0;
+  DeferTableOp op = DeferTableOp::kInsert;
+  std::uint32_t dst = 0;
+  std::uint32_t src = 0;
+  std::uint32_t via = 0;
+  std::uint32_t my_rate = 0;
+  std::uint32_t their_rate = 0;
+  sim::Time expires = 0;
+
+  static constexpr auto fields() {
+    using R = DeferTableRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_code("op", &R::op),
+                      wire::as_varint("dst", &R::dst),
+                      wire::as_varint("src", &R::src),
+                      wire::as_varint("via", &R::via),
+                      wire::as_varint("my_rate", &R::my_rate),
+                      wire::as_varint("their_rate", &R::their_rate),
+                      wire::as_time("expires", &R::expires)};
+  }
+  bool operator==(const DeferTableRecord&) const = default;
+};
+
+struct OngoingRecord {
+  static constexpr Category kCategory = Category::kOngoing;
+  std::uint32_t node = 0;
+  OngoingOp op = OngoingOp::kNote;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  sim::Time end_time = 0;
+
+  static constexpr auto fields() {
+    using R = OngoingRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_code("op", &R::op),
+                      wire::as_varint("src", &R::src),
+                      wire::as_varint("dst", &R::dst),
+                      wire::as_time("end", &R::end_time)};
+  }
+  bool operator==(const OngoingRecord&) const = default;
+};
+
+struct MoveRecord {
+  static constexpr Category kCategory = Category::kMove;
+  std::uint32_t node = 0;
+  std::int64_t x_mm = 0;
+  std::int64_t y_mm = 0;
+
+  /// A position in metres, truncated toward zero to whole millimetres.
+  /// The doubles being truncated are deterministic sim state, so the
+  /// record is too.
+  static MoveRecord from_metres(std::uint32_t node, double x_m, double y_m) {
+    return {node, static_cast<std::int64_t>(x_m * 1000.0),
+            static_cast<std::int64_t>(y_m * 1000.0)};
+  }
+
+  static constexpr auto fields() {
+    using R = MoveRecord;
+    return std::tuple{wire::as_varint("node", &R::node),
+                      wire::as_zigzag("x_mm", &R::x_mm),
+                      wire::as_zigzag("y_mm", &R::y_mm)};
+  }
+  bool operator==(const MoveRecord&) const = default;
+};
+
+struct ChannelEpochRecord {
+  static constexpr Category kCategory = Category::kChannelEpoch;
+  std::uint64_t epoch = 0;
+
+  static constexpr auto fields() {
+    return std::tuple{wire::as_varint("epoch", &ChannelEpochRecord::epoch)};
+  }
+  bool operator==(const ChannelEpochRecord&) const = default;
+};
+
 /// Serializes records for one run. Construction writes the file header;
-/// every emitter is a no-op for categories outside the config mask (but
-/// call sites should pre-filter through a TraceHook so the disabled path
-/// never reaches the call). Code reaches a Tracer only through the
+/// record() is a no-op for categories outside the config mask (but call
+/// sites should pre-filter through a TraceHook so the disabled path never
+/// reaches the call). Code reaches a Tracer only through the
 /// TraceHook it bound at construction; there is no ambient "current" tracer.
 class Tracer {
  public:
@@ -177,30 +413,21 @@ class Tracer {
   std::uint64_t records_written() const { return records_; }
   void flush() { sink_->flush(); }
 
-  // ---- Typed emitters (field layouts in docs/trace_format.md) ----
-  void phy_tx(sim::Time now, std::uint32_t node, std::uint64_t frame_id,
-              std::uint32_t rate, std::uint32_t bytes, sim::Time duration);
-  void phy_rx(sim::Time now, std::uint32_t node, std::uint64_t frame_id,
-              std::uint32_t tx_node, bool ok, std::int32_t min_sinr_cdb);
-  void phy_collision(sim::Time now, std::uint32_t node,
-                     std::uint64_t frame_id, CollisionReason reason);
-  void mac_defer(sim::Time now, std::uint32_t node, std::uint32_t dst,
-                 bool deferred, DeferReason reason, std::uint32_t blocker_src,
-                 std::uint32_t blocker_dst, sim::Time until);
-  void defer_table(sim::Time now, std::uint32_t node, DeferTableOp op,
-                   std::uint32_t dst, std::uint32_t src, std::uint32_t via,
-                   std::uint32_t my_rate, std::uint32_t their_rate,
-                   sim::Time expires);
-  void ongoing(sim::Time now, std::uint32_t node, OngoingOp op,
-               std::uint32_t src, std::uint32_t dst, sim::Time end_time);
-  void move(sim::Time now, std::uint32_t node, double x_m, double y_m);
-  void channel_epoch(sim::Time now, std::uint64_t epoch);
-
-  /// Re-emit an already-encoded record payload verbatim (merge_streams):
-  /// only the length prefix and tick delta are re-encoded against this
-  /// stream's position. Masking and sampling still apply.
-  void emit_raw(Category c, sim::Time now, const std::uint8_t* body,
-                std::size_t size);
+  /// Append one record at `now`; a no-op for a category outside the mask
+  /// or one that sampling skips.
+  template <class R>
+  void record(sim::Time now, const R& r) {
+    if (!wants(R::kCategory) || !sample(R::kCategory)) return;
+    body_.clear();
+    std::apply(
+        [&](const auto&... f) {
+          (wire::put<std::decay_t<decltype(f)>::kEncoding>(body_,
+                                                           r.*f.member),
+           ...);
+        },
+        R::fields());
+    emit(R::kCategory, now);
+  }
 
  private:
   bool sample(Category c);

@@ -25,7 +25,7 @@ TEST(CmapMac, SingleLinkSaturatedThroughput) {
   EXPECT_GT(mbps, 5.5);
   EXPECT_LT(mbps, 6.1);
   EXPECT_EQ(a.counters().retx_timeouts, 0u);
-  EXPECT_GT(a.counters().vp_acks_received, 20u);
+  EXPECT_GT(a.stats().acks_received, 20u);
   EXPECT_EQ(w.mac(1).stats().duplicates, 0u);
 }
 
@@ -108,7 +108,7 @@ TEST(CmapMac, WindowFullTriggersTimeoutAndRetransmission) {
   w.simulator().run_until(sim::seconds(20));
   EXPECT_GT(a.counters().retx_timeouts, 5u);
   EXPECT_GT(a.stats().retransmissions, 100u);
-  EXPECT_GT(a.counters().dropped_retx_limit, 0u);
+  EXPECT_GT(a.stats().dropped_retry_limit, 0u);
   EXPECT_TRUE(w.received(1).empty());
 }
 
@@ -138,8 +138,8 @@ TEST(CmapMac, BroadcastReachesAllNeighboursWithoutAcks) {
   w.simulator().run_until(sim::seconds(2));
   EXPECT_GT(w.received(1).size(), 500u);
   EXPECT_GT(w.received(2).size(), 500u);
-  EXPECT_EQ(w.mac(1).counters().vp_acks_sent, 0u);
-  EXPECT_EQ(w.mac(2).counters().vp_acks_sent, 0u);
+  EXPECT_EQ(w.mac(1).stats().acks_sent, 0u);
+  EXPECT_EQ(w.mac(2).stats().acks_sent, 0u);
   EXPECT_EQ(a.counters().retx_timeouts, 0u);
   // The window never blocks broadcasts.
   EXPECT_GT(a.counters().vps_sent, 16u);

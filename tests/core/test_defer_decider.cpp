@@ -129,6 +129,12 @@ class FuzzHarness {
       if (ref.defer) {
         ASSERT_EQ(fast.until, ref.until)
             << "step " << step << " dst " << dst << " now " << now_;
+        ASSERT_EQ(fast.reason, ref.reason)
+            << "step " << step << " dst " << dst << " now " << now_;
+        ASSERT_EQ(fast.blocker_src, ref.blocker_src)
+            << "step " << step << " dst " << dst << " now " << now_;
+        ASSERT_EQ(fast.blocker_dst, ref.blocker_dst)
+            << "step " << step << " dst " << dst << " now " << now_;
       }
     }
     // Raw table queries, including pairs that are not ongoing.
@@ -232,6 +238,10 @@ TEST(DeferDecider, BusyDestinationDefersUntilEarliestConflictEnds) {
   const DeferDecision decision = d.decide(3, kAnyRate, 0);
   EXPECT_TRUE(decision.defer);
   EXPECT_EQ(decision.until, sim::milliseconds(2));
+  // The first blocker in note order is reported, not the earliest-ending.
+  EXPECT_EQ(decision.reason, trace::DeferReason::kDstBusy);
+  EXPECT_EQ(decision.blocker_src, 4u);
+  EXPECT_EQ(decision.blocker_dst, 3u);
   const DeferDecision ref = oracles::decide(l, t, kSelf, false, 3, kAnyRate, 0);
   EXPECT_TRUE(ref.defer);
   EXPECT_EQ(ref.until, sim::milliseconds(2));
@@ -255,6 +265,9 @@ TEST(DeferDecider, ConflictMapEntryDefersForUninvolvedDestination) {
   const DeferDecision decision = d.decide(5, kAnyRate, sim::milliseconds(1));
   EXPECT_TRUE(decision.defer);
   EXPECT_EQ(decision.until, sim::milliseconds(8));
+  EXPECT_EQ(decision.reason, trace::DeferReason::kConflictMap);
+  EXPECT_EQ(decision.blocker_src, 1u);
+  EXPECT_EQ(decision.blocker_dst, 2u);
   EXPECT_TRUE(oracles::decide(l, t, kSelf, false, 5, kAnyRate,
                               sim::milliseconds(1))
                   .defer);

@@ -67,6 +67,9 @@ core::DeferDecision decide(const std::vector<Blocker>& blockers) {
   core::DeferDecision d;
   if (blockers.empty()) return d;
   d.defer = true;
+  d.reason = blockers.front().reason;
+  d.blocker_src = blockers.front().src;
+  d.blocker_dst = blockers.front().dst;
   d.until = std::min_element(blockers.begin(), blockers.end(),
                              [](const Blocker& a, const Blocker& b) {
                                return a.end_time < b.end_time;

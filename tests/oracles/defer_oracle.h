@@ -50,7 +50,8 @@ std::vector<Blocker> blockers(const std::vector<core::OngoingTx>& ongoing,
                               phy::NodeId dst, phy::WifiRate my_rate,
                               sim::Time now);
 
-/// Defer iff anything blocks; `until` is the earliest blocker's end time.
+/// Defer iff anything blocks; the first blocker gives the reason and the
+/// blocking transmission, and `until` is the earliest blocker's end time.
 core::DeferDecision decide(const std::vector<Blocker>& blockers);
 
 /// The whole decision over a live list and table, as DeferDecider::decide

@@ -44,11 +44,12 @@ std::vector<std::uint8_t> make_stream(std::uint32_t flip_node) {
   TraceConfig config;  // all categories
   MemoryTracer mt(config);
   Tracer& t = *mt.tracer;
-  t.phy_tx(1000, 7, 1, 0, 24, 56000);
-  t.ongoing(1000, 6, OngoingOp::kNote, 7, 6, 57000);
-  t.mac_defer(2000, flip_node, 6, true, DeferReason::kDstBusy, 7, 6, 57000);
-  t.phy_rx(57000, 6, 1, 7, true, 1234);
-  t.ongoing(57000, 6, OngoingOp::kExpire, 7, 6, 57000);
+  t.record(1000, PhyTxRecord{7, 1, 0, 24, 56000});
+  t.record(1000, OngoingRecord{6, OngoingOp::kNote, 7, 6, 57000});
+  t.record(2000, MacDeferRecord{flip_node, 6, true, DeferReason::kDstBusy, 7,
+                                6, 57000});
+  t.record(57000, PhyRxRecord{6, 1, 7, true, 1234});
+  t.record(57000, OngoingRecord{6, OngoingOp::kExpire, 7, 6, 57000});
   return mt.sink->bytes();
 }
 
@@ -83,10 +84,10 @@ TEST(FirstDivergence, SingleFieldFlipRegistersAtItsIndex) {
 TEST(FirstDivergence, TickDifferenceRegisters) {
   TraceConfig config;
   MemoryTracer ma(config), mb(config);
-  ma.tracer->phy_tx(1000, 1, 1, 0, 24, 56000);
-  mb.tracer->phy_tx(1000, 1, 1, 0, 24, 56000);
-  ma.tracer->channel_epoch(5000, 1);
-  mb.tracer->channel_epoch(6000, 1);  // same payload, different tick
+  ma.tracer->record(1000, PhyTxRecord{1, 1, 0, 24, 56000});
+  mb.tracer->record(1000, PhyTxRecord{1, 1, 0, 24, 56000});
+  ma.tracer->record(5000, ChannelEpochRecord{1});
+  mb.tracer->record(6000, ChannelEpochRecord{1});  // same payload, later tick
   TraceReader a(ma.sink->bytes());
   TraceReader b(mb.sink->bytes());
   const Divergence d = first_divergence(a, b);
@@ -100,11 +101,13 @@ TEST(FirstDivergence, TruncatedStreamReportsWhichSideEnded) {
   TraceConfig config;
   MemoryTracer ma(config), mb(config);
   for (int i = 0; i < 3; ++i) {
-    ma.tracer->phy_tx(1000 * (i + 1), 1, static_cast<std::uint64_t>(i + 1), 0,
-                      24, 56000);
+    ma.tracer->record(1000 * (i + 1),
+                      PhyTxRecord{1, static_cast<std::uint64_t>(i + 1), 0, 24,
+                                  56000});
     if (i < 2) {
-      mb.tracer->phy_tx(1000 * (i + 1), 1, static_cast<std::uint64_t>(i + 1),
-                        0, 24, 56000);
+      mb.tracer->record(1000 * (i + 1),
+                        PhyTxRecord{1, static_cast<std::uint64_t>(i + 1), 0,
+                                    24, 56000});
     }
   }
   TraceReader a(ma.sink->bytes());
@@ -123,8 +126,8 @@ TEST(FirstDivergence, HeadersAreNotCompared) {
   TraceConfig narrow;
   narrow.categories = bit(Category::kPhyTx);
   MemoryTracer ma(wide), mb(narrow);
-  ma.tracer->phy_tx(1000, 1, 1, 0, 24, 56000);
-  mb.tracer->phy_tx(1000, 1, 1, 0, 24, 56000);
+  ma.tracer->record(1000, PhyTxRecord{1, 1, 0, 24, 56000});
+  mb.tracer->record(1000, PhyTxRecord{1, 1, 0, 24, 56000});
   TraceReader a(ma.sink->bytes());
   TraceReader b(mb.sink->bytes());
   const Divergence d = first_divergence(a, b);
@@ -135,11 +138,13 @@ TEST(OngoingReplay, NoteUpdateExpireSemantics) {
   TraceConfig config;
   MemoryTracer mt(config);
   Tracer& t = *mt.tracer;
-  t.ongoing(100, 4, OngoingOp::kNote, 1, 2, 500);
-  t.ongoing(200, 4, OngoingOp::kUpdate, 1, 2, 900);  // extended in place
-  t.ongoing(200, 4, OngoingOp::kNote, 3, 4, 600);
-  t.ongoing(300, 9, OngoingOp::kNote, 5, 6, 700);
-  t.ongoing(650, 4, OngoingOp::kExpire, 3, 4, 600);  // reclamation: no-op
+  t.record(100, OngoingRecord{4, OngoingOp::kNote, 1, 2, 500});
+  // Extended in place.
+  t.record(200, OngoingRecord{4, OngoingOp::kUpdate, 1, 2, 900});
+  t.record(200, OngoingRecord{4, OngoingOp::kNote, 3, 4, 600});
+  t.record(300, OngoingRecord{9, OngoingOp::kNote, 5, 6, 700});
+  // Reclamation: no-op.
+  t.record(650, OngoingRecord{4, OngoingOp::kExpire, 3, 4, 600});
 
   OngoingReplay replay;
   TraceReader reader(mt.sink->bytes());

@@ -1,6 +1,6 @@
 // trace::merge_streams unit coverage: k-way interleaving on (tick, input
-// index), verbatim payload re-emission (fields survive a merge without any
-// decode round-trip drift — the move record's mm quantization is the
+// index), payload re-emission (fields survive a merge's decode and
+// re-encode bit for bit — the move record's mm quantization is the
 // sensitive case), header handling (category-mask union), and the error
 // paths (no inputs, missing file).
 #include "trace/merge.h"
@@ -29,15 +29,16 @@ TEST(MergeStreams, InterleavesByTickWithInputIndexTieBreak) {
     TraceConfig ca;
     ca.path = a_path;
     Tracer a(ca);
-    a.channel_epoch(10, 1);
-    a.channel_epoch(30, 3);  // ties with b's t=30 record; input 0 wins
+    a.record(10, ChannelEpochRecord{1});
+    // Ties with b's t=30 record; input 0 wins.
+    a.record(30, ChannelEpochRecord{3});
   }
   {
     TraceConfig cb;
     cb.path = b_path;
     Tracer b(cb);
-    b.channel_epoch(20, 2);
-    b.channel_epoch(30, 4);
+    b.record(20, ChannelEpochRecord{2});
+    b.record(30, ChannelEpochRecord{4});
   }
   std::string error;
   ASSERT_TRUE(merge_streams({a_path, b_path}, out_path, &error)) << error;
@@ -66,17 +67,17 @@ TEST(MergeStreams, PayloadsSurviveVerbatimAndMasksUnion) {
     ca.path = a_path;
     ca.categories = bit(Category::kMove);
     Tracer a(ca);
-    // 0.0015 m -> 1 mm (truncation); a decode/re-encode of the decoded mm
-    // value would be lossless, but a re-quantization of a reconstructed
-    // double would not — verbatim copy sidesteps the question entirely.
-    a.move(5, 7, 0.0015, -3.9994);
+    // 0.0015 m -> 1 mm (truncation). The merge re-encodes the decoded mm
+    // value, which is lossless; re-quantizing a reconstructed double would
+    // not be.
+    a.record(5, MoveRecord::from_metres(7, 0.0015, -3.9994));
   }
   {
     TraceConfig cb;
     cb.path = b_path;
     cb.categories = bit(Category::kPhyTx);
     Tracer b(cb);
-    b.phy_tx(6, 2, 0x123456789abcull, 4, 1400, 2000);
+    b.record(6, PhyTxRecord{2, 0x123456789abcull, 4, 1400, 2000});
   }
   std::string error;
   ASSERT_TRUE(merge_streams({a_path, b_path}, out_path, &error)) << error;

@@ -1,8 +1,10 @@
 // Wire-format unit tests for the trace subsystem: varint/zigzag edge
 // cases, per-category encode/decode round trips through an in-memory
 // sink, header validation, loud failure on truncated or corrupt input,
-// and every-Nth sampling. The writer and reader share wire.h helpers, so
-// these tests pin the format both sides implement.
+// and every-Nth sampling. The writer and reader share each record's field
+// list, so the round trips alone would pass for a layout change made on
+// both sides; BytesMatchTheCommittedEncoding pins the bytes themselves,
+// and TextAndJsonMatchTheCommittedLines the two trace_dump renderings.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -112,15 +114,16 @@ TEST(TraceFormat, EmptyTraceIsHeaderOnlyAndDecodes) {
 /// One record of each category, ticks 10..80: the stream
 /// AllCategoriesRoundTrip decodes and BytesMatchTheCommittedEncoding pins.
 void write_one_of_each(Tracer& t) {
-  t.phy_tx(10, 3, 42, 2, 1428, 1928000);
-  t.phy_rx(20, 4, 42, 3, true, -1234);
-  t.phy_collision(30, 5, 43, CollisionReason::kCaptured);
-  t.mac_defer(40, 6, 7, true, DeferReason::kConflictMap, 8, 9, 99999);
-  t.defer_table(50, 6, DeferTableOp::kInsert, 0xffffffffu, 8, 9, 2, 0xff,
-                123456789);
-  t.ongoing(60, 6, OngoingOp::kUpdate, 8, 9, 777);
-  t.move(70, 11, 12.345, -0.5);
-  t.channel_epoch(80, 17);
+  t.record(10, PhyTxRecord{3, 42, 2, 1428, 1928000});
+  t.record(20, PhyRxRecord{4, 42, 3, true, -1234});
+  t.record(30, PhyCollisionRecord{5, 43, CollisionReason::kCaptured});
+  t.record(40,
+           MacDeferRecord{6, 7, true, DeferReason::kConflictMap, 8, 9, 99999});
+  t.record(50, DeferTableRecord{6, DeferTableOp::kInsert, 0xffffffffu, 8, 9,
+                                2, 0xff, 123456789});
+  t.record(60, OngoingRecord{6, OngoingOp::kUpdate, 8, 9, 777});
+  t.record(70, MoveRecord::from_metres(11, 12.345, -0.5));
+  t.record(80, ChannelEpochRecord{17});
 }
 
 TEST(TraceFormat, AllCategoriesRoundTrip) {
@@ -251,12 +254,56 @@ TEST(TraceFormat, BytesMatchTheCommittedEncoding) {
             "03070a11");                        // channel_epoch
 }
 
+TEST(TraceFormat, TextAndJsonMatchTheCommittedLines) {
+  MemoryTracer mt(TraceConfig{});
+  write_one_of_each(*mt.tracer);
+  TraceReader reader(mt.sink->bytes());
+  std::vector<std::string> text, json;
+  Record r;
+  while (reader.next(&r)) {
+    text.push_back(describe(r));
+    json.push_back(to_json(r));
+  }
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  EXPECT_EQ(text, (std::vector<std::string>{
+      "            10 phy_tx        node=3 frame=42 rate=2 bytes=1428"
+      " dur=1928000",
+      "            20 phy_rx        node=4 frame=42 from=3 ok=1"
+      " min_sinr=-12.34dB",
+      "            30 phy_collision node=5 frame=43 reason=captured",
+      "            40 mac_defer     node=6 dst=7 decision=defer"
+      " reason=conflict_map blocker=8->9 until=99999",
+      "            50 defer_table   node=6 op=insert pattern=(*: 8->9)"
+      " rates=2/255 expires=123456789",
+      "            60 ongoing       node=6 op=update tx=8->9 end=777",
+      "            70 move          node=11 x=12.345m y=-0.500m",
+      "            80 channel_epoch epoch=17"}));
+  EXPECT_EQ(json, (std::vector<std::string>{
+      R"({"tick":10,"category":"phy_tx","node":3,"frame":42,"rate":2,)"
+      R"("bytes":1428,"duration":1928000})",
+      R"({"tick":20,"category":"phy_rx","node":4,"frame":42,"from":3,)"
+      R"("ok":true,"min_sinr_cdb":-1234})",
+      R"({"tick":30,"category":"phy_collision","node":5,"frame":43,)"
+      R"("reason":"captured"})",
+      R"({"tick":40,"category":"mac_defer","node":6,"dst":7,)"
+      R"("deferred":true,"reason":"conflict_map","blocker_src":8,)"
+      R"("blocker_dst":9,"until":99999})",
+      R"({"tick":50,"category":"defer_table","node":6,"op":"insert",)"
+      R"("dst":4294967295,"src":8,"via":9,"my_rate":2,"their_rate":255,)"
+      R"("expires":123456789})",
+      R"({"tick":60,"category":"ongoing","node":6,"op":"update","src":8,)"
+      R"("dst":9,"end":777})",
+      R"({"tick":70,"category":"move","node":11,"x_mm":12345,)"
+      R"("y_mm":-500})",
+      R"({"tick":80,"category":"channel_epoch","epoch":17})"}));
+}
+
 TEST(TraceFormat, DisabledCategoryWritesNothing) {
   TraceConfig config;
   config.categories = bit(Category::kPhyTx);
   MemoryTracer mt(config);
-  mt.tracer->phy_rx(10, 1, 2, 3, true, 0);  // masked out
-  mt.tracer->phy_tx(20, 1, 2, 0, 100, 5);
+  mt.tracer->record(10, PhyRxRecord{1, 2, 3, true, 0});  // masked out
+  mt.tracer->record(20, PhyTxRecord{1, 2, 0, 100, 5});
   EXPECT_EQ(mt.tracer->records_written(), 1u);
 
   TraceReader reader(mt.sink->bytes());
@@ -272,7 +319,8 @@ TEST(TraceFormat, EveryNthSamplingKeepsFirstOfEachStride) {
   config.sample_every[static_cast<std::size_t>(Category::kPhyTx)] = 3;
   MemoryTracer mt(config);
   for (int i = 0; i < 10; ++i) {
-    mt.tracer->phy_tx(i, 1, static_cast<std::uint64_t>(i), 0, 100, 5);
+    mt.tracer->record(
+        i, PhyTxRecord{1, static_cast<std::uint64_t>(i), 0, 100, 5});
   }
   EXPECT_EQ(mt.tracer->records_written(), 4u);  // i = 0, 3, 6, 9
 
@@ -286,8 +334,9 @@ TEST(TraceFormat, EveryNthSamplingKeepsFirstOfEachStride) {
 
 TEST(TraceFormat, TruncatedStreamFailsLoudly) {
   MemoryTracer mt(TraceConfig{});
-  mt.tracer->phy_tx(10, 3, 42, 2, 1428, 1928000);
-  mt.tracer->mac_defer(40, 6, 7, false, DeferReason::kNone, 0, 0, 0);
+  mt.tracer->record(10, PhyTxRecord{3, 42, 2, 1428, 1928000});
+  mt.tracer->record(40,
+                    MacDeferRecord{6, 7, false, DeferReason::kNone, 0, 0, 0});
   const std::vector<std::uint8_t>& full = mt.sink->bytes();
 
   // Chop mid-way through the last record: the first still decodes, then
@@ -302,6 +351,28 @@ TEST(TraceFormat, TruncatedStreamFailsLoudly) {
   EXPECT_FALSE(reader.ok());
   EXPECT_NE(reader.error().find("truncated"), std::string::npos)
       << reader.error();
+}
+
+// A record whose length prefix disagrees with its field list, or whose
+// category the reader does not know, stops the stream with an error.
+TEST(TraceFormat, MalformedPayloadAndUnknownCategoryFailLoudly) {
+  const auto first_error = [](std::vector<std::uint8_t> record) {
+    MemoryTracer mt(TraceConfig{});
+    std::vector<std::uint8_t> bytes = mt.sink->bytes();
+    bytes.insert(bytes.end(), record.begin(), record.end());
+    TraceReader reader(std::move(bytes));
+    Record r;
+    EXPECT_FALSE(reader.next(&r));
+    return reader.error();
+  };
+  // channel_epoch at tick 10 carrying epoch 17 (03 07 0a 11), then with
+  // one trailing byte and with the epoch missing.
+  EXPECT_EQ(first_error({0x04, 0x07, 0x0a, 0x11, 0x00}),
+            "malformed channel_epoch payload at byte 16");
+  EXPECT_EQ(first_error({0x02, 0x07, 0x0a}),
+            "malformed channel_epoch payload at byte 16");
+  EXPECT_EQ(first_error({0x02, 0x08, 0x0a}),
+            "unknown category 8 at byte 16");
 }
 
 TEST(TraceFormat, BadMagicRejected) {

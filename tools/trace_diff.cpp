@@ -1,8 +1,8 @@
 // trace_diff: align two .cmtrace streams record-by-record and report the
 // first divergence — the 0-based record index, each stream's record (tick,
 // category, decoded fields), or which stream ended first. The comparison
-// is on payload bytes, so any field difference registers, including ones
-// the human formatting rounds. Exit codes follow cmp/diff convention:
+// is on every decoded field, exactly, so any field difference registers,
+// including ones the human formatting rounds. Exit codes follow cmp/diff convention:
 // 0 identical, 1 diverged, 2 usage or read error.
 //
 // Usage:
