@@ -68,8 +68,8 @@ Medium::RowLink Medium::compute_link(std::uint32_t src_idx,
   link.gain_dbm =
       propagation_->rx_power_dbm(src.config().tx_power_dbm, src.id(), dst.id(),
                                  src.position(), dst.position());
-  // Shared with the PDES lookahead derivation (phy/partition.h) so the
-  // lookahead provably lower-bounds every link delay.
+  // The one delay formula (phy/partition.h): every delivery over this
+  // link starts exactly this long after its transmission.
   link.delay = propagation_delay_ns(distance(src.position(), dst.position()));
   return link;
 }
@@ -101,20 +101,50 @@ void Medium::attach(Radio* radio) {
   index_by_id_[radio->id()] = idx;
   radios_.push_back(radio);
 
+  ++rows_epoch_;
   ensure_candidate_radius(radio->config().tx_power_dbm);
   if (!grid_) {
-    // Pitch ~= the candidate radius keeps queries at a 3x3 cell scan; an
-    // unbounded radius (model without a range bound) degenerates to
-    // full scans where pitch is irrelevant.
-    const double pitch = std::isfinite(candidate_radius_m_)
-                             ? std::clamp(candidate_radius_m_, 1.0, 1.0e5)
-                             : 64.0;
-    grid_ = std::make_unique<SpatialGrid>(pitch);
+    grid_ = std::make_unique<SpatialGrid>(grid_pitch(candidate_radius_m_));
   }
   grid_->insert(idx, radio->position());
   sparse_rows_.emplace_back();
   if (track_watch_) watch_rows_.emplace_back();
   link_neighborhood(idx);
+}
+
+double Medium::grid_pitch(double radius_m) {
+  // Pitch ~= the candidate radius keeps queries at a 3x3 cell scan; an
+  // unbounded radius (model without a range bound) degenerates to full
+  // scans where pitch is irrelevant.
+  return std::isfinite(radius_m) ? std::clamp(radius_m, 1.0, 1.0e5) : 64.0;
+}
+
+std::vector<LiveLink> Medium::row_links_among(std::span<const LiveNode> nodes,
+                                              double tx_power_dbm) const {
+  const double radius = max_candidate_range_m(
+      *propagation_, tx_power_dbm, cull_floor_dbm(), config_.cull_guard_sigmas);
+  SpatialGrid grid(grid_pitch(radius));
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    grid.insert(i, nodes[i].position);
+  }
+  std::vector<LiveLink> links;
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    const LiveNode& from = nodes[i];
+    grid.query(from.position, radius, &candidates);
+    for (const std::uint32_t j : candidates) {
+      if (j == i) continue;
+      const LiveNode& to = nodes[j];
+      // sparse_classify's rule: a link joins its source's row when its
+      // mean gain clears the cull floor.
+      if (propagation_->rx_power_dbm(tx_power_dbm, from.id, to.id,
+                                     from.position, to.position) >=
+          cull_floor_dbm()) {
+        links.push_back(LiveLink{i, j});
+      }
+    }
+  }
+  return links;
 }
 
 void Medium::ensure_candidate_radius(double tx_power_dbm) {
@@ -169,6 +199,7 @@ void Medium::sparse_erase(std::uint32_t src, std::uint32_t dst) {
 void Medium::refresh_all() {
   metrics_dyn_.inc(metrics::Counter::kDynFullRefreshes);
   ++channel_epoch_;
+  ++rows_epoch_;
   const double floor = cull_floor_dbm();
   std::vector<RowLink> new_active;
   std::vector<WatchEntry> new_watch;
@@ -222,7 +253,7 @@ void Medium::refresh_all() {
 }
 
 void Medium::on_position_changed(Radio& radio) {
-  ++position_epoch_;
+  ++rows_epoch_;
   metrics_dyn_.inc(metrics::Counter::kDynMoves);
   const std::uint32_t idx = index_of(radio.id());
   CMAP_ASSERT(idx != kNoIndex, "position change for unattached radio");

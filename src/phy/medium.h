@@ -127,8 +127,8 @@ class Medium {
 
   /// Route deliveries through a PDES engine (testbed::World installs this
   /// before any radio attaches; both pointers must outlive the medium or
-  /// be cleared). `plan` maps NodeId -> partition. nullptr restores the
-  /// serial path.
+  /// be cleared). `plan` maps NodeId -> partition and must cover a radio
+  /// before it attaches. nullptr restores the serial path.
   void set_pdes(sim::PdesEngine* engine, const PartitionPlan* plan) {
     engine_ = engine;
     plan_ = engine != nullptr ? plan : nullptr;
@@ -149,10 +149,17 @@ class Medium {
     return part_tracers_[static_cast<std::size_t>(partition_of(id))];
   }
 
-  /// Monotone count of radio position changes; the World's PDES lookahead
-  /// refresh uses it to skip recomputing the delay matrix when no node
-  /// moved since the last global barrier.
-  std::uint64_t position_epoch() const { return position_epoch_; }
+  /// Monotone count of the events that can change rows: attaches, moves
+  /// and channel epochs (refresh_all). The World's PDES lookahead refresh
+  /// uses it to skip recomputing the delay matrix when no row changed.
+  std::uint64_t rows_epoch() const { return rows_epoch_; }
+
+  /// The row links `nodes` would have, were each attached at its position
+  /// with `tx_power_dbm`: every pair whose link from -> to would clear
+  /// the cull floor, as indices into `nodes`. A PDES plan groups nodes by
+  /// these before any radio is built (phy/partition.h). Counts no metric.
+  std::vector<LiveLink> row_links_among(std::span<const LiveNode> nodes,
+                                        double tx_power_dbm) const;
 
   sim::Simulator& simulator() { return sim_; }
   const MediumConfig& config() const { return config_; }
@@ -191,6 +198,8 @@ class Medium {
                    const std::shared_ptr<const Frame>& frame, sim::Time now);
   std::uint32_t index_of(NodeId id) const;
   double cull_floor_dbm() const;
+  /// Spatial-grid pitch for queries of `radius_m`.
+  static double grid_pitch(double radius_m);
 
   void ensure_candidate_radius(double tx_power_dbm);
   /// Compute both directions between radio `idx` and every grid candidate
@@ -223,7 +232,7 @@ class Medium {
   sim::PdesEngine* engine_ = nullptr;
   const PartitionPlan* plan_ = nullptr;
   std::vector<trace::Tracer*> part_tracers_;
-  std::uint64_t position_epoch_ = 0;
+  std::uint64_t rows_epoch_ = 0;
 };
 
 }  // namespace cmap::phy

@@ -1,20 +1,20 @@
 // Conservative parallel discrete-event execution inside one run (the
 // ROADMAP "intra-run PDES" item; protocol derivation in docs/pdes.md).
 //
-// The floor is partitioned spatially (phy/partition.h); every partition
-// owns a Simulator whose queue holds that partition's node events, and one
-// extra *global sequencer* Simulator holds the dynamics events (mobility
-// ticks, channel epochs) that mutate shared medium state. Execution
-// proceeds in rounds:
+// The run's nodes are partitioned by link component (phy/partition.h);
+// every partition owns a Simulator whose queue holds that partition's
+// node events, and one extra *global sequencer* Simulator holds the
+// dynamics events (mobility ticks, channel epochs) that mutate shared
+// medium state. Execution proceeds in rounds:
 //
 //   1. S = earliest pending time across all queues. If the global
 //      sequencer is due at S, its events run alone (a barrier: they touch
-//      shared state), then min-delays are refreshed (positions may have
-//      moved).
+//      shared state), then min-delays are refreshed (links may have
+//      changed).
 //   2. Otherwise every partition g gets a conservative window
 //      W_g = min(next_global, min_h(next_h + sp(h -> g)))
 //      and executes its events with t < W_g, in parallel across partitions.
-//      sp is the SHORTEST-PATH closure of the pairwise minimum propagation
+//      sp is the SHORTEST-PATH closure of the pairwise minimum link
 //      delays — not the direct edge. The closure matters: a partition with
 //      no pending events imposes no next_h term of its own, but it can still
 //      relay influence (a message posted to it this round wakes a node
@@ -23,7 +23,7 @@
 //      in the closure bound both: any chain of deliveries rooted at some
 //      pending event in h reaches g no earlier than next_h + sp(h, g),
 //      which is >= W_g by construction. Per-edge lookahead is the minimum
-//      propagation delay alone — a signal's influence at a receiver starts
+//      link delay alone — a signal's influence at a receiver starts
 //      at its arrival tick (CCA is event-driven), so frame airtime adds
 //      nothing sound; see docs/pdes.md.
 //   3. Cross-partition deliveries were posted as timestamped mailbox
@@ -32,8 +32,8 @@
 //      message is ever late (the conservative invariant).
 //
 // Precondition: every cross-partition lookahead is >= 1 ns, which
-// phy::propagation_delay_ns guarantees by flooring every distinct-pair
-// delay at 1 ns; set_min_delays aborts on anything smaller. It is what
+// phy::propagation_delay_ns guarantees by flooring every link delay at
+// 1 ns; set_min_delays aborts on anything smaller. It is what
 // makes every round progress (the partition holding the earliest event
 // always has a non-empty window) and what lets each partition queue keep
 // its own seq counter: seqs from different queues are never compared.
@@ -119,7 +119,7 @@ class PdesEngine {
   void set_min_delays(const std::vector<Time>& matrix);
 
   /// Called after each global-event barrier so the owner can refresh the
-  /// delay matrix when node positions changed.
+  /// delay matrix when links changed.
   void set_topology_refresh(std::function<void()> fn) {
     topology_refresh_ = std::move(fn);
   }

@@ -127,12 +127,10 @@ World::World(const Testbed& tb, const RunConfig& config)
     medium_.set_metrics(registry_.get());
   }
   if (config_.pdes.partitions > 1) {
-    std::vector<phy::Position> positions;
-    positions.reserve(static_cast<std::size_t>(tb_.size()));
-    for (int i = 0; i < tb_.size(); ++i) {
-      positions.push_back(tb_.position(static_cast<phy::NodeId>(i)));
-    }
-    plan_ = phy::make_partition_plan(positions, config_.pdes.partitions);
+    // The plan itself waits for the live nodes (build_requested).
+    built_ = false;
+    plan_.count =
+        std::min(config_.pdes.partitions, std::max(tb_.size(), 1));
     engine_ = std::make_unique<sim::PdesEngine>(sim_, plan_.count,
                                                 config_.pdes.threads);
     medium_.set_pdes(engine_.get(), &plan_);
@@ -175,21 +173,43 @@ sim::Simulator& World::node_simulator(phy::NodeId id) {
   return engine_->partition_sim(plan_.partition_of(id));
 }
 
+void World::build_requested() {
+  if (built_) return;
+  built_ = true;
+  std::vector<phy::LiveNode> live;
+  std::vector<bool> seen(static_cast<std::size_t>(tb_.size()), false);
+  const auto want = [&](phy::NodeId id) {
+    if (id == phy::kBroadcastId || seen[id]) return;
+    seen[id] = true;
+    live.push_back({id, tb_.position(id)});
+  };
+  for (const Request& r : requests_) {
+    want(r.src);
+    if (r.flow) want(r.dst);
+  }
+  plan_ = phy::make_partition_plan(
+      live, medium_.row_links_among(live, radio_config_.tx_power_dbm),
+      plan_.count);
+  // Every testbed id reads a partition, -1 until its node is built.
+  plan_.part_of_node.resize(static_cast<std::size_t>(tb_.size()), -1);
+  // Built in the order asked for, as the serial path builds them: attach
+  // order is the order of each row, and with it of every fan-out.
+  for (const Request& r : requests_) {
+    if (r.flow) {
+      add_saturated_flow(r.src, r.dst);
+    } else {
+      add_node(r.src);
+    }
+  }
+  requests_ = {};
+}
+
 void World::refresh_pdes_delays() {
   if (engine_ == nullptr) return;
-  if (pdes_delays_valid_ && medium_.position_epoch() == pdes_epoch_) return;
+  if (pdes_delays_valid_ && medium_.rows_epoch() == pdes_epoch_) return;
   pdes_delays_valid_ = true;
-  pdes_epoch_ = medium_.position_epoch();
-  std::vector<int> parts;
-  std::vector<phy::Position> positions;
-  parts.reserve(medium_.radios().size());
-  positions.reserve(medium_.radios().size());
-  for (const phy::Radio* r : medium_.radios()) {
-    parts.push_back(plan_.partition_of(r->id()));
-    positions.push_back(r->position());
-  }
-  engine_->set_min_delays(
-      phy::min_cross_delays(parts, positions, plan_.count));
+  pdes_epoch_ = medium_.rows_epoch();
+  engine_->set_min_delays(phy::min_row_delays(medium_, plan_));
 }
 
 void World::run(sim::Time until) {
@@ -197,12 +217,18 @@ void World::run(sim::Time until) {
     sim_.run_until(until);
     return;
   }
+  build_requested();
   refresh_pdes_delays();
   engine_->run_until(until);
 }
 
 void World::add_node(phy::NodeId id) {
+  if (!built_) {
+    requests_.push_back({id, id, false});
+    return;
+  }
   if (nodes_.count(id)) return;
+  if (engine_ != nullptr) plan_.place(id);
   NodeState st;
   sim::Simulator& nsim = node_simulator(id);
   st.radio = std::make_unique<phy::Radio>(nsim, medium_, id, tb_.position(id),
@@ -221,6 +247,10 @@ void World::add_node(phy::NodeId id) {
 }
 
 void World::add_saturated_flow(phy::NodeId src, phy::NodeId dst) {
+  if (!built_) {
+    requests_.push_back({src, dst, true});
+    return;
+  }
   add_node(src);
   if (dst != phy::kBroadcastId) add_node(dst);
   NodeState& st = nodes_.at(src);
@@ -230,6 +260,7 @@ void World::add_saturated_flow(phy::NodeId src, phy::NodeId dst) {
 }
 
 void World::set_measurement_window(sim::Time begin, sim::Time end) {
+  build_requested();
   for (auto& [id, st] : nodes_) st.sink->set_window(begin, end);
 }
 
@@ -281,16 +312,32 @@ metrics::MetricsSnapshot World::metrics_snapshot() {
   return snap;
 }
 
-mac::Mac& World::mac(phy::NodeId id) { return *nodes_.at(id).mac; }
-net::PacketSink& World::sink(phy::NodeId id) { return *nodes_.at(id).sink; }
-phy::Radio& World::radio(phy::NodeId id) { return *nodes_.at(id).radio; }
+mac::Mac& World::mac(phy::NodeId id) {
+  build_requested();
+  return *nodes_.at(id).mac;
+}
+
+net::PacketSink& World::sink(phy::NodeId id) {
+  build_requested();
+  return *nodes_.at(id).sink;
+}
+
+phy::Radio& World::radio(phy::NodeId id) {
+  build_requested();
+  return *nodes_.at(id).radio;
+}
+
+const phy::Medium& World::medium() {
+  build_requested();
+  return medium_;
+}
 
 core::CmapMac* World::cmap(phy::NodeId id) {
-  return dynamic_cast<core::CmapMac*>(nodes_.at(id).mac.get());
+  return dynamic_cast<core::CmapMac*>(&mac(id));
 }
 
 mac80211::DcfMac* World::dcf(phy::NodeId id) {
-  return dynamic_cast<mac80211::DcfMac*>(nodes_.at(id).mac.get());
+  return dynamic_cast<mac80211::DcfMac*>(&mac(id));
 }
 
 RunResult run_flows(const Testbed& tb, const std::vector<Flow>& flows,

@@ -98,6 +98,14 @@ struct RunConfig {
 /// A live simulation world. Benches with bespoke needs (mesh phases,
 /// mid-run inspection) use this directly; run_flows() covers the common
 /// saturated-flows case.
+///
+/// When nodes are built: serially (config().pdes.partitions == 1),
+/// add_node and add_saturated_flow build at once. Under PDES they only
+/// record the request, because the partition plan (phy/partition.h)
+/// groups the run's live nodes by link: the first run() or node accessor
+/// (mac, sink, cmap, dcf, radio, medium, set_measurement_window) plans
+/// the recorded nodes and builds them in the recorded order. A node added
+/// after that is built at once on the least-loaded partition.
 class World {
  public:
   World(const Testbed& tb, const RunConfig& config);
@@ -108,7 +116,7 @@ class World {
   /// Saturate `src` toward `dst` (kBroadcastId allowed for CMAP §3.6).
   void add_saturated_flow(phy::NodeId src, phy::NodeId dst);
 
-  /// Set every sink's measurement window.
+  /// Set every built sink's measurement window.
   void set_measurement_window(sim::Time begin, sim::Time end);
 
   /// Drive the world to `until`: the PDES engine when
@@ -124,6 +132,9 @@ class World {
   core::CmapMac* cmap(phy::NodeId id);          // nullptr for DCF schemes
   mac80211::DcfMac* dcf(phy::NodeId id);        // nullptr for CMAP schemes
   phy::Radio& radio(phy::NodeId id);
+  /// The medium; under PDES, medium().partition_of(id) is node id's
+  /// partition (-1 for a testbed node not built).
+  const phy::Medium& medium();
   const RunConfig& config() const { return config_; }
   /// The dynamics subsystem, when config().dynamics is set (else nullptr).
   const dynamics::Dynamics* dynamics() const { return dynamics_.get(); }
@@ -146,11 +157,20 @@ class World {
     std::unique_ptr<net::SaturatedSource> source;
   };
 
+  /// A node or flow asked for before a PDES world is built.
+  struct Request {
+    phy::NodeId src = 0;
+    phy::NodeId dst = 0;
+    bool flow = false;  // add_saturated_flow(src, dst), else add_node(src)
+  };
+
   /// The simulator `id`'s components schedule on: its partition's under
   /// PDES, the run simulator otherwise.
   sim::Simulator& node_simulator(phy::NodeId id);
-  /// Recompute the engine's lookahead matrix from the attached radios'
-  /// current positions (no-op when nothing moved since the last call).
+  /// Under PDES, on first call: plan the requested nodes and build them.
+  void build_requested();
+  /// Recompute the engine's lookahead matrix from the medium's rows
+  /// (no-op when no row changed since the last call).
   void refresh_pdes_delays();
 
   const Testbed& tb_;
@@ -170,6 +190,8 @@ class World {
   phy::PartitionPlan plan_;
   std::unique_ptr<sim::PdesEngine> engine_;
   std::vector<std::unique_ptr<trace::Tracer>> part_tracers_;
+  std::vector<Request> requests_;  // until built_
+  bool built_ = true;              // false under PDES until first built
   std::uint64_t pdes_epoch_ = 0;
   bool pdes_delays_valid_ = false;
   // Per-run channel wrapper (nullptr without channel dynamics); must

@@ -60,8 +60,9 @@ bool merge_streams(const std::vector<std::string>& inputs,
     }
     if (best == heads.size()) break;
     Head& h = heads[best];
-    std::visit([&](const auto& body) { out.record(h.record.tick, body); },
-               h.record.body);
+    std::visit(
+        [&](const auto& body) { out.record_unsampled(h.record.tick, body); },
+        h.record.body);
     h.live = h.reader->next(&h.record);
     if (!h.live && !h.reader->ok()) {
       return fail(inputs[best] + ": " + h.reader->error());

@@ -417,7 +417,20 @@ class Tracer {
   /// or one that sampling skips.
   template <class R>
   void record(sim::Time now, const R& r) {
-    if (!wants(R::kCategory) || !sample(R::kCategory)) return;
+    if (wants(R::kCategory) && sample(R::kCategory)) write(now, r);
+  }
+
+  /// Append one record at `now` without sampling it (a no-op for a
+  /// category outside the mask): for records sampled when first written,
+  /// as trace::merge_streams copies them.
+  template <class R>
+  void record_unsampled(sim::Time now, const R& r) {
+    if (wants(R::kCategory)) write(now, r);
+  }
+
+ private:
+  template <class R>
+  void write(sim::Time now, const R& r) {
     body_.clear();
     std::apply(
         [&](const auto&... f) {
@@ -429,7 +442,6 @@ class Tracer {
     emit(R::kCategory, now);
   }
 
- private:
   bool sample(Category c);
   void emit(Category c, sim::Time now);
 

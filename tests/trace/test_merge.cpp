@@ -1,14 +1,16 @@
 // trace::merge_streams unit coverage: k-way interleaving on (tick, input
 // index), payload re-emission (fields survive a merge's decode and
 // re-encode bit for bit — the move record's mm quantization is the
-// sensitive case), header handling (category-mask union), and the error
-// paths (no inputs, missing file).
+// sensitive case), sampled inputs (kept as written, rate declared),
+// header handling (category-mask union), and the error paths (no inputs,
+// missing file).
 #include "trace/merge.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/reader.h"
@@ -97,6 +99,43 @@ TEST(MergeStreams, PayloadsSurviveVerbatimAndMasksUnion) {
   EXPECT_EQ(tx.bytes, 1400u);
   EXPECT_FALSE(reader.next(&r));
   EXPECT_TRUE(reader.ok()) << reader.error();
+
+  for (const auto& p : {a_path, b_path, out_path}) std::remove(p.c_str());
+}
+
+TEST(MergeStreams, KeepsSampledRecordsAndDeclaresTheInputsRate) {
+  // Each input keeps every second of its four phy_tx records; the merge
+  // must keep all four it is given, not sample them again.
+  const std::string a_path = temp_path("merge_sampled_a.cmtrace");
+  const std::string b_path = temp_path("merge_sampled_b.cmtrace");
+  const std::string out_path = temp_path("merge_sampled_out.cmtrace");
+  const auto phy_tx = static_cast<std::size_t>(Category::kPhyTx);
+  for (const auto& [path, node] : {std::pair{a_path, 1u}, {b_path, 2u}}) {
+    TraceConfig c;
+    c.path = path;
+    c.sample_every[phy_tx] = 2;
+    Tracer t(c);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      t.record(static_cast<sim::Time>(10 * i + node),
+               PhyTxRecord{node, i, 4, 1400, 2000});
+    }
+  }
+  std::string error;
+  ASSERT_TRUE(merge_streams({a_path, b_path}, out_path, &error)) << error;
+
+  TraceReader reader(out_path);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  EXPECT_EQ(reader.sample_every()[phy_tx], 2u);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> got;  // (node, frame)
+  Record r;
+  while (reader.next(&r)) {
+    const auto& tx = std::get<PhyTxRecord>(r.body);
+    got.push_back({tx.node, tx.frame_id});
+  }
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> want = {
+      {1, 0}, {2, 0}, {1, 2}, {2, 2}};
+  EXPECT_EQ(got, want);
 
   for (const auto& p : {a_path, b_path, out_path}) std::remove(p.c_str());
 }

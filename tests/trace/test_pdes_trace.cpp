@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "phy/partition.h"
 #include "sim/random.h"
 #include "testbed/experiment.h"
 #include "testbed/testbed.h"
@@ -102,9 +101,10 @@ std::vector<trace::Record> read_checked(const std::string& path) {
   return records;
 }
 
-// Random cross-floor flow set: endpoints drawn over all 50 nodes, so most
-// flows straddle the 4 spatial strips; saturated sources then put many
-// transmissions on identical ticks.
+// Random cross-floor flow set: endpoints drawn over all 50 nodes, which
+// mostly hear one another, so the plan cuts their one link component into
+// 4 spatial strips that most flows straddle; saturated sources then put
+// many transmissions on identical ticks.
 std::vector<Flow> fuzz_flows(std::uint64_t seed) {
   sim::Rng rng(seed);
   std::vector<Flow> flows;
@@ -210,25 +210,20 @@ TEST(PdesTraceStreams, PhyTxLandsInItsSendersPartitionStream) {
   const Testbed tb{TestbedConfig{}};
   const std::string path =
       ::testing::TempDir() + "pdes_phy_tx_streams.cmtrace";
-  std::vector<phy::Position> positions;
-  for (int i = 0; i < tb.size(); ++i) {
-    positions.push_back(tb.position(static_cast<phy::NodeId>(i)));
-  }
-  const phy::PartitionPlan plan =
-      phy::make_partition_plan(positions, kPartitions);
 
   std::uint64_t frames_sent = 0;
+  std::map<phy::NodeId, int> partition_of;  // the World's own plan
   {
     World world(tb, traced_config(11, path, kPartitions, kPartitions));
-    std::set<phy::NodeId> nodes;
     for (const Flow& f : fuzz_flows(11)) {
       world.add_saturated_flow(f.src, f.dst);
-      nodes.insert(f.src);
-      nodes.insert(f.dst);
+      partition_of[f.src];
+      partition_of[f.dst];
     }
     world.run(world.config().duration);
-    for (const phy::NodeId id : nodes) {
+    for (auto& [id, part] : partition_of) {
       frames_sent += world.radio(id).counters().frames_sent;
+      part = world.medium().partition_of(id);
     }
   }  // tracers flush on destruction
 
@@ -243,7 +238,7 @@ TEST(PdesTraceStreams, PhyTxLandsInItsSendersPartitionStream) {
     for (const auto& r : read_checked(part_path)) {
       if (r.category != trace::Category::kPhyTx) continue;
       const auto node = std::get<trace::PhyTxRecord>(r.body).node;
-      EXPECT_EQ(plan.partition_of(node), p) << "node " << node;
+      EXPECT_EQ(partition_of.at(node), p) << "node " << node;
       ++here;
     }
     traced += here;
