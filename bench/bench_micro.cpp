@@ -132,7 +132,7 @@ struct FanoutWorld {
   std::vector<std::unique_ptr<phy::Radio>> radios;
 
   explicit FanoutWorld(int n)
-      : medium(sim, std::make_shared<phy::LogDistanceShadowing>(),
+      : medium(std::make_shared<phy::LogDistanceShadowing>(),
                phy::MediumConfig{}, sim::Rng(7)) {
     const auto model = std::make_shared<phy::NistErrorModel>();
     const int side =

@@ -48,7 +48,7 @@ struct Floor {
     phy::LogDistanceConfig prop_cfg;
     prop_cfg.seed = seed;
     propagation = std::make_shared<phy::LogDistanceShadowing>(prop_cfg);
-    medium = std::make_unique<phy::Medium>(sim, propagation,
+    medium = std::make_unique<phy::Medium>(propagation,
                                            phy::MediumConfig{},
                                            sim::Rng(seed));
     auto error = std::make_shared<phy::NistErrorModel>();

@@ -1,21 +1,20 @@
-// Intra-run PDES bench: the byte-identity gate and the scaling story for
-// the partitioned executive (sim/pdes.h, docs/pdes.md).
+// Intra-run PDES bench: the byte-identity gate and the wall-clock ratio
+// of partitioned runs (sim/pdes.h, docs/pdes.md).
 //
 // Two probes, all in one process:
 //   1. pdes_reports_match — a sweep over the bench scenario run on the
 //      serial oracle and again at 2 and 4 partitions (2 threads each);
 //      1.0 iff all three SweepReport JSONs are byte-identical. This is the
-//      contract the executive ships under and is CI-gated as a fixed
-//      minimum of 1.0.
+//      contract PDES ships under and is CI-gated as a fixed minimum of 1.0.
 //   2. pdes_speedup — wall-clock serial / wall-clock 4-partition for the
-//      same single run. Informational only: the CI container is
-//      effectively single-core, so the honest expectation there is ~1x or
-//      below (windows + barriers are pure overhead without parallelism).
+//      same single run. Informational only: a partition runs one link
+//      component whole, so a scenario that is one component (the default
+//      flows_50, every dense floor) runs on one partition and reads about
+//      1x, and one with dynamics runs serially.
 //
-// The 4-partition run also reports stall attribution from the metrics
-// subsystem: per-partition executed events, mailbox traffic, busy time and
-// barrier wait (src/metrics/metrics.h) — INFO rows, since they measure the
-// machine, not the simulation.
+// The 4-partition run also reports per-partition executed events, busy
+// time and idle time (src/metrics/metrics.h) — INFO rows, since they
+// measure the machine, not the simulation.
 //
 // Knobs: CMAP_BENCH_SCENARIO (default flows_50), CMAP_BENCH_SECONDS /
 // CMAP_BENCH_SEED as usual. Runtimes stay deliberately under the
@@ -111,29 +110,26 @@ int main() {
   std::printf("serial oracle:         %8.1f wall-ms\n", serial_ms);
   std::printf("2 partitions:          %8.1f wall-ms\n", p2_ms);
   std::printf("4 partitions:          %8.1f wall-ms\n", p4_ms);
-  std::printf("speedup (4p):          %8.2fx (wall; info-only on 1 core)\n",
-              speedup);
+  std::printf("speedup (4p):          %8.2fx (wall; info-only)\n", speedup);
   std::printf("reports identical:     %s\n", match ? "yes" : "NO — BUG");
 
-  // Stall attribution for the 4-partition run: who executed what, and who
-  // spent the parallel phase waiting. busy/barrier-wait need wall-clock and
-  // so ride as INFO only (new keys inside the existing pdes_bench row are
-  // ignored by the regression gate's baseline-driven iteration).
+  // Per-partition split of the 4-partition run: who executed what, and who
+  // sat idle while others ran. busy/idle need wall-clock and so ride as
+  // INFO only (new keys inside the existing pdes_bench row are ignored by
+  // the regression gate's baseline-driven iteration).
   std::vector<std::pair<std::string, double>> partition_info;
   if (!p4_report.rows().empty() && p4_report.rows().front().profile) {
     const metrics::MetricsSnapshot& snap = *p4_report.rows().front().profile;
-    std::printf("4p stall attribution:  %" PRIu64 " rounds, %" PRIu64
-                " global barriers\n",
-                snap.rounds, snap.global_barriers);
+    std::printf("4p execution:          %" PRIu64 " run() calls\n",
+                snap.rounds);
     for (const metrics::PartitionExec& pe : snap.parts) {
       const double util =
           snap.parallel_wall_ms > 0.0 ? pe.busy_ms / snap.parallel_wall_ms
                                       : 0.0;
-      std::printf("  partition %d: %10" PRIu64 " events, %8" PRIu64
-                  " mailbox msgs, busy %8.1f ms, barrier-wait %8.1f ms "
-                  "(%.0f%% util)\n",
-                  pe.partition, pe.executed, pe.mailbox_posted, pe.busy_ms,
-                  pe.barrier_wait_ms, util * 100.0);
+      std::printf("  partition %d: %10" PRIu64 " events, busy %8.1f ms, "
+                  "idle %8.1f ms (%.0f%% util)\n",
+                  pe.partition, pe.executed, pe.busy_ms, pe.barrier_wait_ms,
+                  util * 100.0);
       const std::string prefix = "pdes_p" + std::to_string(pe.partition);
       partition_info.emplace_back(prefix + "_executed",
                                   static_cast<double>(pe.executed));
@@ -149,8 +145,8 @@ int main() {
   timing.scheme = "timing";
   timing.topology = "cpu-time";
   // pdes_reports_match is the fixed ==1.0 gate; the wall timings and the
-  // speedup ride as info (the CI container has one core, and the runtimes
-  // sit under the gate's 1000 ms floor by construction).
+  // speedup ride as info (the runtimes sit under the gate's 1000 ms floor
+  // by construction).
   timing.metrics = {{"pdes_serial_wall_ms", serial_ms},
                     {"pdes_p4_wall_ms", p4_ms},
                     {"pdes_speedup", speedup},

@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   sim::Simulator simulator;
   phy::MediumConfig mcfg;
   mcfg.fading_sigma_db = 0.0;
-  phy::Medium medium(simulator, std::make_shared<phy::FriisPropagation>(),
-                     mcfg, sim::Rng(5));
+  phy::Medium medium(std::make_shared<phy::FriisPropagation>(), mcfg,
+                     sim::Rng(5));
   auto model = std::make_shared<phy::ThresholdErrorModel>(3.0);
 
   struct NodeDef {

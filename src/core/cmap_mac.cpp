@@ -206,11 +206,17 @@ void CmapMac::start_vp(phy::NodeId dst) {
   }
   const std::size_t nvpkt = static_cast<std::size_t>(config_.nvpkt);
   std::vector<std::uint32_t>& seqs = vp_seqs_;
-  std::vector<const mac::Packet*>& packets = vp_packets_;
-  std::vector<bool>& is_retx = vp_is_retx_;
+  std::vector<CmapDataFrame>& data_frames = vp_data_frames_;
   seqs.clear();
-  packets.clear();
-  is_retx.clear();
+  data_frames.clear();
+  const auto take = [&](std::uint32_t seq, const mac::Packet& packet,
+                        bool retry) {
+    seqs.push_back(seq);
+    CmapDataFrame& df = data_frames.emplace_back();
+    df.seq = seq;
+    df.retry = retry;
+    df.packet = packet;
+  };
 
   // Retransmissions first (§3.3: unacked packets resent in sequence).
   while (seqs.size() < nvpkt && !retx_queue_.empty()) {
@@ -228,9 +234,7 @@ void CmapMac::start_vp(phy::NodeId dst) {
       ++stats_.dropped_retry_limit;
       continue;
     }
-    seqs.push_back(seq);
-    packets.push_back(&it->second.packet);
-    is_retx.push_back(true);
+    take(seq, it->second.packet, /*retry=*/true);
     retx_queue_.pop_front();
   }
   // Then fresh packets, as window space admits. Without per-destination
@@ -252,9 +256,7 @@ void CmapMac::start_vp(phy::NodeId dst) {
     it = fresh_queue_.erase(it);
     auto [slot, inserted] = unacked_.emplace(seq, std::move(o));
     CMAP_ASSERT(inserted, "sequence number reused");
-    seqs.push_back(seq);
-    packets.push_back(&slot->second.packet);
-    is_retx.push_back(false);
+    take(seq, slot->second.packet, /*retry=*/false);
     moved_fresh = true;
   }
   if (seqs.empty()) {
@@ -268,66 +270,12 @@ void CmapMac::start_vp(phy::NodeId dst) {
     return;
   }
 
-  const std::uint32_t vp_seq = ++next_vp_seq_;
-  VpDescriptor d;
-  d.src = radio_.id();
-  d.dst = dst;
-  d.vp_seq = vp_seq;
-  d.npackets = static_cast<std::uint16_t>(seqs.size());
-  d.data_rate = config_.data_rate;
-
-  vp_frames_.clear();
-  if (config_.mode == PhyMode::kShim) {
-    // Timing: header airs first; data and trailer follow with no gap.
-    const sim::Time hdr_air =
-        phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
-    sim::Time data_air = 0;
-    std::vector<CmapDataFrame>& data_frames = vp_data_frames_;
-    data_frames.clear();
-    data_frames.resize(seqs.size());
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      auto& df = data_frames[i];
-      df.src = d.src;
-      df.dst = dst;
-      df.seq = seqs[i];
-      df.vp_seq = vp_seq;
-      df.index = static_cast<std::uint16_t>(i);
-      df.retry = is_retx[i];
-      df.packet = *packets[i];
-      data_air += phy::frame_airtime(config_.data_rate, df.wire_bytes());
-    }
-    const sim::Time trl_air =
-        phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
-
-    VpDescriptor hd = d;
-    hd.elapsed_through = hdr_air;
-    hd.remaining_after = data_air + trl_air;
-    vp_frames_.push_back(build_delim_frame(hd, /*trailer=*/false));
-    for (auto& df : data_frames) {
-      vp_frames_.push_back(build_data_frame(df));
-    }
-    VpDescriptor td = d;
-    td.elapsed_through = hdr_air + data_air + trl_air;
-    td.remaining_after = 0;
-    vp_frames_.push_back(build_delim_frame(td, /*trailer=*/true));
-  } else {
-    CmapDataFrame df;
-    df.src = d.src;
-    df.dst = dst;
-    df.seq = seqs[0];
-    df.vp_seq = vp_seq;
-    df.index = 0;
-    df.retry = is_retx[0];
-    df.packet = *packets[0];
-    vp_frames_.push_back(build_integrated_frame(d, df));
-  }
-
+  const std::uint32_t vp_seq = build_vp_frames(dst);
   window_.on_vp_sent(vp_seq, seqs);
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    auto it = unacked_.find(seqs[i]);
-    ++it->second.transmissions;
+  for (const CmapDataFrame& df : data_frames) {
+    ++unacked_.find(df.seq)->second.transmissions;
     ++stats_.data_frames_sent;
-    if (is_retx[i]) ++stats_.retransmissions;
+    if (df.retry) ++stats_.retransmissions;
   }
   ++counters_.vps_sent;
   vp_dst_ = dst;
@@ -343,52 +291,18 @@ void CmapMac::start_broadcast_vp() {
   // (check_defer already ran) but is fire-and-forget: no window slot, no
   // ACK, no retransmission.
   const std::size_t nvpkt = static_cast<std::size_t>(config_.nvpkt);
-  std::vector<mac::Packet> pkts;
-  while (pkts.size() < nvpkt && !fresh_queue_.empty() &&
+  std::vector<CmapDataFrame>& data_frames = vp_data_frames_;
+  data_frames.clear();
+  while (data_frames.size() < nvpkt && !fresh_queue_.empty() &&
          fresh_queue_.front().dst == phy::kBroadcastId) {
-    pkts.push_back(fresh_queue_.front());
+    data_frames.emplace_back().packet = fresh_queue_.front();
     fresh_queue_.pop_front();
   }
-  if (pkts.empty()) return;
+  if (data_frames.empty()) return;
+  for (CmapDataFrame& df : data_frames) df.seq = ++next_seq_;
 
-  const std::uint32_t vp_seq = ++next_vp_seq_;
-  VpDescriptor d;
-  d.src = radio_.id();
-  d.dst = phy::kBroadcastId;
-  d.vp_seq = vp_seq;
-  d.npackets = static_cast<std::uint16_t>(pkts.size());
-  d.data_rate = config_.data_rate;
-
-  vp_frames_.clear();
-  std::vector<CmapDataFrame> data_frames(pkts.size());
-  sim::Time data_air = 0;
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    auto& df = data_frames[i];
-    df.src = d.src;
-    df.dst = phy::kBroadcastId;
-    df.seq = ++next_seq_;
-    df.vp_seq = vp_seq;
-    df.index = static_cast<std::uint16_t>(i);
-    df.packet = pkts[i];
-    data_air += phy::frame_airtime(config_.data_rate, df.wire_bytes());
-  }
-  if (config_.mode == PhyMode::kShim) {
-    const sim::Time hdr_air =
-        phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
-    const sim::Time trl_air = hdr_air;
-    VpDescriptor hd = d;
-    hd.elapsed_through = hdr_air;
-    hd.remaining_after = data_air + trl_air;
-    vp_frames_.push_back(build_delim_frame(hd, false));
-    for (auto& df : data_frames) vp_frames_.push_back(build_data_frame(df));
-    VpDescriptor td = d;
-    td.elapsed_through = hdr_air + data_air + trl_air;
-    td.remaining_after = 0;
-    vp_frames_.push_back(build_delim_frame(td, true));
-  } else {
-    vp_frames_.push_back(build_integrated_frame(d, data_frames[0]));
-  }
-  stats_.data_frames_sent += pkts.size();
+  build_vp_frames(phy::kBroadcastId);
+  stats_.data_frames_sent += data_frames.size();
   ++counters_.vps_sent;
   vp_dst_ = phy::kBroadcastId;
   vp_is_broadcast_ = true;
@@ -396,6 +310,48 @@ void CmapMac::start_broadcast_vp() {
   state_ = State::kSendingVp;
   if (drain_handler_) drain_handler_();
   transmit_next_vp_frame();
+}
+
+std::uint32_t CmapMac::build_vp_frames(phy::NodeId dst) {
+  std::vector<CmapDataFrame>& data_frames = vp_data_frames_;
+  VpDescriptor d;
+  d.src = radio_.id();
+  d.dst = dst;
+  d.vp_seq = ++next_vp_seq_;
+  d.npackets = static_cast<std::uint16_t>(data_frames.size());
+  d.data_rate = config_.data_rate;
+  for (std::size_t i = 0; i < data_frames.size(); ++i) {
+    CmapDataFrame& df = data_frames[i];
+    df.src = d.src;
+    df.dst = dst;
+    df.vp_seq = d.vp_seq;
+    df.index = static_cast<std::uint16_t>(i);
+  }
+
+  vp_frames_.clear();
+  if (config_.mode != PhyMode::kShim) {
+    vp_frames_.push_back(build_integrated_frame(d, data_frames[0]));
+    return d.vp_seq;
+  }
+  // Timing: header airs first; data and trailer follow with no gap.
+  const sim::Time delim_air =
+      phy::frame_airtime(config_.control_rate, kVpHeaderBytes);
+  sim::Time data_air = 0;
+  for (const CmapDataFrame& df : data_frames) {
+    data_air += phy::frame_airtime(config_.data_rate, df.wire_bytes());
+  }
+  VpDescriptor hd = d;
+  hd.elapsed_through = delim_air;
+  hd.remaining_after = data_air + delim_air;
+  vp_frames_.push_back(build_delim_frame(hd, /*trailer=*/false));
+  for (const CmapDataFrame& df : data_frames) {
+    vp_frames_.push_back(build_data_frame(df));
+  }
+  VpDescriptor td = d;
+  td.elapsed_through = delim_air + data_air + delim_air;
+  td.remaining_after = 0;
+  vp_frames_.push_back(build_delim_frame(td, /*trailer=*/true));
+  return d.vp_seq;
 }
 
 phy::Frame CmapMac::build_delim_frame(const VpDescriptor& d,

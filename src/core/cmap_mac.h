@@ -180,6 +180,10 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   bool check_defer(phy::NodeId dst, sim::Time* recheck_at);
   void start_vp(phy::NodeId dst);
   void start_broadcast_vp();  // §3.6: unacknowledged, outside the window
+  /// Number the VP to `dst` whose data frames (seq, retry, packet) are in
+  /// vp_data_frames_, and build its frames into vp_frames_. Returns the
+  /// VP's sequence number.
+  std::uint32_t build_vp_frames(phy::NodeId dst);
   void transmit_next_vp_frame();
   void on_vp_fully_sent();
   void on_ack_wait_expired();
@@ -243,11 +247,9 @@ class CmapMac final : public mac::Mac, public phy::RadioListener {
   sim::EventId retx_event_;
   sim::EventId ack_tx_event_;
   std::size_t last_skip_offset_ = 0;  // per-destination queue rotation
-  // start_vp's per-VP lists, kept across VPs so that building one
-  // allocates only the frames it sends.
+  // The current VP's sequence numbers and data frames, kept across VPs
+  // so that building one allocates only the frames it sends.
   std::vector<std::uint32_t> vp_seqs_;
-  std::vector<const mac::Packet*> vp_packets_;
-  std::vector<bool> vp_is_retx_;
   std::vector<CmapDataFrame> vp_data_frames_;
 
   // Shared conflict-map state.

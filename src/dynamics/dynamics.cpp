@@ -24,9 +24,9 @@ Dynamics::Dynamics(sim::Simulator& simulator, phy::Medium& medium,
 
 void Dynamics::start() {
   if (mobility_) mobility_->start();
-  // Global rank: dynamics events mutate shared medium state, so the PDES
-  // engine runs them alone at a barrier — and the serial queue sorts them
-  // first at their tick to match.
+  // Global rank: dynamics events mutate shared medium state, so they run
+  // before every node event at their tick. (A world with dynamics always
+  // runs serially; changing the rank would move report digests.)
   if (channel_) {
     sim_.in_ranked(config_.channel->epoch, sim::kGlobalRank,
                    [this] { channel_step(); });

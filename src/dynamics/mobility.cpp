@@ -22,7 +22,7 @@ MobilityModel::MobilityModel(sim::Simulator& simulator, phy::Medium& medium,
 
 void MobilityModel::start() {
   // Global rank: moves mutate the medium's shared link caches (see
-  // Dynamics::start for the barrier contract).
+  // Dynamics::start).
   sim_.in_ranked(config_.tick, sim::kGlobalRank, [this] { tick(); });
 }
 

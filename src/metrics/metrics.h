@@ -13,12 +13,12 @@
 // (config, seed) — byte-identical across SweepRunner thread counts AND
 // across PDES partition counts (tests/metrics/test_metrics_golden.cpp).
 // Counters are relaxed std::atomic sums and maxes: both are commutative,
-// so the value is independent of the order partition workers interleave
+// so the value is independent of the order partition threads interleave
 // their increments, and concurrent increments are race-free under TSan.
 // Everything that genuinely depends on the execution strategy — event
-// queue depths, PDES rounds, windows, mailbox traffic, barrier waits,
-// wall-clock timings — lives in the separate *execution* section of the
-// snapshot, which is explicitly exempt from the byte-identity contract.
+// queue depths, PDES run() calls, per-partition timings — lives in the
+// separate *execution* section of the snapshot, which is explicitly
+// exempt from the byte-identity contract.
 //
 // Registry state is run-local (owned by the World, like the Tracer), never
 // static: runs stay independent and cmap_lint's mutable-static rule stays
@@ -174,14 +174,15 @@ struct MetricsHook {
   }
 };
 
-/// One partition's share of the run, for the PDES stall attribution rows.
+/// One partition's share of the run, for the PDES timing rows.
 /// barrier_wait_ms is the partition's idle share of the parallel phase:
-/// the total time windows were executing anywhere minus the time this
-/// partition's own events were executing.
+/// the time partitions were running anywhere minus the time this one was.
 struct PartitionExec {
   int partition = 0;
-  std::uint64_t executed = 0;        // events dispatched by this queue
-  std::uint64_t mailbox_posted = 0;  // cross-group messages addressed to it
+  std::uint64_t executed = 0;  // events dispatched by this queue
+  /// Always 0: no delivery crosses a partition. Kept only because
+  /// bench/e2e/e2e_driver.cpp reads it.
+  std::uint64_t mailbox_posted = 0;
   double busy_ms = 0.0;
   double barrier_wait_ms = 0.0;
 };
@@ -197,17 +198,20 @@ struct MetricsSnapshot {
   std::array<std::uint64_t, kCounterCount> counters{};
 
   // ---- execution section (not covered by the byte-identity contract) ----
-  int partitions = 1;
-  int threads = 1;  // threads that ran windows: min(threads, partitions)
+  int partitions = 1;  // 1 for a serial run, dynamics worlds included
+  int threads = 1;     // PDES threads asked for, capped at partitions
   std::uint64_t queue_depth_high_water = 0;  // max heap depth, any queue
   std::uint64_t queue_compactions = 0;       // cancelled-entry compactions
-  std::uint64_t rounds = 0;                  // conservative PDES rounds
-  std::uint64_t global_barriers = 0;         // global-sequencer barriers
-  /// Histogram of conservative window sizes: bin i counts windows with
-  /// floor(log2(size_ns)) == i (bin 0 also takes size 1 ns).
+  std::uint64_t rounds = 0;  // PDES run() calls
+  /// Always 0 (dynamics worlds run serially). Kept only because
+  /// bench/e2e/e2e_driver.cpp reads it.
+  std::uint64_t global_barriers = 0;
+  /// One window per partition with work per PDES run() call, spanning
+  /// from its first pending event to the end of the call: bin i counts
+  /// windows with floor(log2(size_ns)) == i (bin 0 also takes 1 ns).
   std::array<std::uint64_t, 64> window_log2{};
   std::vector<PartitionExec> parts;
-  double parallel_wall_ms = 0.0;  // total time partition windows were live
+  double parallel_wall_ms = 0.0;  // total time partitions were running
 
   std::uint64_t counter(Counter c) const {
     return counters[static_cast<std::size_t>(c)];

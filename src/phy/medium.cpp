@@ -7,7 +7,6 @@
 #include "phy/radio.h"
 #include "phy/units.h"
 #include "sim/assert.h"
-#include "sim/pdes.h"
 
 namespace cmap::phy {
 namespace {
@@ -29,11 +28,9 @@ typename std::vector<Entry>::iterator find_dst(std::vector<Entry>& row,
 
 }  // namespace
 
-Medium::Medium(sim::Simulator& simulator,
-               std::shared_ptr<const PropagationModel> propagation,
+Medium::Medium(std::shared_ptr<const PropagationModel> propagation,
                MediumConfig config, sim::Rng rng)
-    : sim_(simulator),
-      propagation_(std::move(propagation)),
+    : propagation_(std::move(propagation)),
       config_(config),
       rng_(rng) {
   // A negative guard or sigma would raise the cull floor above the
@@ -101,7 +98,6 @@ void Medium::attach(Radio* radio) {
   index_by_id_[radio->id()] = idx;
   radios_.push_back(radio);
 
-  ++rows_epoch_;
   ensure_candidate_radius(radio->config().tx_power_dbm);
   if (!grid_) {
     grid_ = std::make_unique<SpatialGrid>(grid_pitch(candidate_radius_m_));
@@ -169,6 +165,14 @@ void Medium::link_neighborhood(std::uint32_t idx) {
 
 void Medium::sparse_classify(std::uint32_t src, const RowLink& link) {
   if (link.gain_dbm >= cull_floor_dbm()) {
+    const NodeId from = radios_[src]->id();
+    const NodeId to = radios_[link.dst]->id();
+    if (partition_of(from) != partition_of(to)) {
+      std::fprintf(stderr,
+                   "Medium: row link %u -> %u joins partitions %d and %d\n",
+                   from, to, partition_of(from), partition_of(to));
+      CMAP_ASSERT(false, "row link across partitions (see stderr for ids)");
+    }
     auto& row = sparse_rows_[src];
     const auto it = find_dst(row, link.dst);
     CMAP_ASSERT(it == row.end() || it->dst != link.dst,
@@ -199,7 +203,6 @@ void Medium::sparse_erase(std::uint32_t src, std::uint32_t dst) {
 void Medium::refresh_all() {
   metrics_dyn_.inc(metrics::Counter::kDynFullRefreshes);
   ++channel_epoch_;
-  ++rows_epoch_;
   const double floor = cull_floor_dbm();
   std::vector<RowLink> new_active;
   std::vector<WatchEntry> new_watch;
@@ -253,7 +256,6 @@ void Medium::refresh_all() {
 }
 
 void Medium::on_position_changed(Radio& radio) {
-  ++rows_epoch_;
   metrics_dyn_.inc(metrics::Counter::kDynMoves);
   const std::uint32_t idx = index_of(radio.id());
   CMAP_ASSERT(idx != kNoIndex, "position change for unattached radio");
@@ -334,35 +336,27 @@ void Medium::deliver_one(Radio& target, const RowLink& link,
 
   const double power_mw = dbm_to_mw(power_dbm);
   const sim::Time start = now + link.delay;
-  const int src_part = partition_of(frame->tx_node);
-  const int dst_part = partition_of(target.id());
   // An inert arrival (phy/radio.h) goes straight into the receiver's
-  // tracker. Only within one partition: this thread owns that tracker.
-  if (src_part == dst_part && target.inert_arrival(power_mw, start)) {
+  // tracker: the receiver shares the sender's partition, so this thread
+  // owns it.
+  if (target.inert_arrival(power_mw, start)) {
     target.add_interference(
         Signal{frame->id, power_mw, start, start + frame->duration});
     return;
   }
   // Ranked on (frame id, receiver id) — both intrinsic to the delivery —
   // so same-tick arrivals order identically whether this run is serial or
-  // partitioned, and whichever route (direct or mailbox) a PDES delivery
-  // takes.
-  auto arrive = [r = &target, frame, power_mw, start]() mutable {
-    r->deliver(std::move(frame), power_mw, start);
-  };
-  if (engine_ == nullptr) {
-    sim_.at_ranked(start, sim::delivery_rank(frame->id, target.id()),
-                   std::move(arrive));
-    return;
-  }
-  engine_->schedule_delivery(src_part, dst_part, start, frame->id,
-                             target.id(), std::move(arrive));
+  // partitioned.
+  target.simulator().at_ranked(
+      start, sim::delivery_rank(frame->id, target.id()),
+      [r = &target, frame, power_mw, start]() mutable {
+        r->deliver(std::move(frame), power_mw, start);
+      });
 }
 
 void Medium::transmit(Radio& source, std::shared_ptr<const Frame> frame) {
-  // The transmit instant is the *source's* clock: under PDES each radio
-  // lives on its partition's simulator, and the medium's own handle is the
-  // global sequencer whose clock lags inside a parallel window.
+  // The transmit instant is the source's clock: under PDES each radio
+  // lives on its partition's simulator.
   const sim::Time now = source.simulator().now();
   const std::uint32_t si = index_of(source.id());
   CMAP_ASSERT(si != kNoIndex, "transmit from unattached radio");

@@ -41,10 +41,6 @@
 #include "sim/simulator.h"
 #include "trace/trace.h"
 
-namespace cmap::sim {
-class PdesEngine;
-}  // namespace cmap::sim
-
 namespace cmap::phy {
 
 class Radio;
@@ -73,8 +69,7 @@ struct MediumConfig {
 
 class Medium {
  public:
-  Medium(sim::Simulator& simulator,
-         std::shared_ptr<const PropagationModel> propagation,
+  Medium(std::shared_ptr<const PropagationModel> propagation,
          MediumConfig config, sim::Rng rng);
 
   /// Register a radio (called by the Radio constructor). Ids must be
@@ -118,29 +113,26 @@ class Medium {
   /// anchor role as set_tracer: call before radios attach — every
   /// instrumented component binds its own cached MetricsHook from here.
   /// Unlike tracers the registry is not per-partition: its slots are
-  /// commutative relaxed atomics, safe to share across PDES workers.
+  /// commutative relaxed atomics, safe to share across partition threads.
   void set_metrics(metrics::Registry* registry) {
     metrics_.bind(registry, metrics::Domain::kPhy);
     metrics_dyn_.bind(registry, metrics::Domain::kDynamics);
   }
   metrics::Registry* metrics() const { return metrics_.registry; }
 
-  /// Route deliveries through a PDES engine (testbed::World installs this
-  /// before any radio attaches; both pointers must outlive the medium or
-  /// be cleared). `plan` maps NodeId -> partition and must cover a radio
-  /// before it attaches. nullptr restores the serial path.
-  void set_pdes(sim::PdesEngine* engine, const PartitionPlan* plan) {
-    engine_ = engine;
-    plan_ = engine != nullptr ? plan : nullptr;
-  }
-  /// The partition `id`'s events run in (0 when serial).
+  /// Install a PDES partition plan (testbed::World does, before any radio
+  /// attaches; it must outlive the medium or be cleared with nullptr).
+  /// Every radio must be planned before it attaches, and attach aborts on
+  /// a row link between two partitions: no delivery ever crosses one.
+  void set_plan(const PartitionPlan* plan) { plan_ = plan; }
+  /// The partition `id`'s events run in (0 without a plan).
   int partition_of(NodeId id) const {
     return plan_ != nullptr ? plan_->partition_of(id) : 0;
   }
 
-  /// Per-partition trace streams (parallel to the engine's partitions).
-  /// Components of a node bind tracer_for(id): the node's partition stream
-  /// under PDES, else the run tracer. Install before radios attach.
+  /// Per-partition trace streams, one per planned partition. Components
+  /// of a node bind tracer_for(id): the node's partition stream under a
+  /// plan, else the run tracer. Install before radios attach.
   void set_partition_tracers(std::vector<trace::Tracer*> tracers) {
     part_tracers_ = std::move(tracers);
   }
@@ -149,11 +141,6 @@ class Medium {
     return part_tracers_[static_cast<std::size_t>(partition_of(id))];
   }
 
-  /// Monotone count of the events that can change rows: attaches, moves
-  /// and channel epochs (refresh_all). The World's PDES lookahead refresh
-  /// uses it to skip recomputing the delay matrix when no row changed.
-  std::uint64_t rows_epoch() const { return rows_epoch_; }
-
   /// The row links `nodes` would have, were each attached at its position
   /// with `tx_power_dbm`: every pair whose link from -> to would clear
   /// the cull floor, as indices into `nodes`. A PDES plan groups nodes by
@@ -161,7 +148,6 @@ class Medium {
   std::vector<LiveLink> row_links_among(std::span<const LiveNode> nodes,
                                         double tx_power_dbm) const;
 
-  sim::Simulator& simulator() { return sim_; }
   const MediumConfig& config() const { return config_; }
   const PropagationModel& propagation() const { return *propagation_; }
   const std::vector<Radio*>& radios() const { return radios_; }
@@ -210,7 +196,6 @@ class Medium {
   /// Drop dst from src's active row or watch list (no-op when absent).
   void sparse_erase(std::uint32_t src, std::uint32_t dst);
 
-  sim::Simulator& sim_;
   std::shared_ptr<const PropagationModel> propagation_;
   MediumConfig config_;
   trace::TraceHook trace_;
@@ -228,11 +213,9 @@ class Medium {
   double dyn_delta_db_ = 0.0;  // model's per-epoch bound; 0 = static
   bool track_watch_ = false;   // dyn_delta_db_ > 0: keep below-floor lists
   std::uint64_t channel_epoch_ = 0;
-  // ---- PDES routing (null/empty on the serial path) ----
-  sim::PdesEngine* engine_ = nullptr;
+  // ---- PDES plan (null/empty on the serial path) ----
   const PartitionPlan* plan_ = nullptr;
   std::vector<trace::Tracer*> part_tracers_;
-  std::uint64_t rows_epoch_ = 0;
 };
 
 }  // namespace cmap::phy

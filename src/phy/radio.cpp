@@ -66,8 +66,8 @@ void Radio::transmit(Frame frame) {
     }
     abort_rx();
   }
-  // Sender-derived id (see make_frame_id): identical between the serial
-  // and PDES executives, where a medium-global counter would not be.
+  // Sender-derived id (see make_frame_id): identical between serial and
+  // PDES runs, where a medium-global counter would not be.
   frame.id = make_frame_id(id_, ++tx_seq_);
   frame.tx_node = id_;
   frame.duration = frame_airtime(frame.rate, frame.size_bytes());

@@ -39,9 +39,9 @@
 //    listener, DcfMac::on_cca, acts through resume_contention(), which
 //    reads the exact carrier_busy(), so an edge that comes later within
 //    its instant finds the MAC acting on the same truth. Same-instant
-//    order across nodes is already irrelevant: the PDES executive
-//    (docs/pdes.md) runs each partition's local events in its own order
-//    and reproduces the serial report byte for byte.
+//    order across nodes is already irrelevant: a PDES run (docs/pdes.md)
+//    runs each partition's local events in its own order and reproduces
+//    the serial report byte for byte.
 // A salvaging radio (integrated mode) still schedules an end event for
 // every signal it tracks through deliver(): salvage runs there.
 //
@@ -65,10 +65,11 @@
 //    are strict: at start == strong_until_ or tx_end_, the wake or
 //    finish_tx runs first in that instant and must not see the signal.
 // The medium adds an inert arrival's signal to the tracker at transmit time
-// instead (only when sender and receiver share a partition: the sender's
-// thread must own the tracker). The tracker keeps signals in (start, frame
-// id) order, the order arrival events run in at one receiver, so the early
-// add lands where the event would have put it (phy/interference.h).
+// instead (under PDES the receiver shares the sender's partition, since no
+// row link crosses one, so the sender's thread owns the tracker). The
+// tracker keeps signals in (start, frame id) order, the order arrival
+// events run in at one receiver, so the early add lands where the event
+// would have put it (phy/interference.h).
 #pragma once
 
 #include <algorithm>

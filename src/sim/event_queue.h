@@ -1,10 +1,10 @@
 // A binary-heap event queue with O(log n) insertion and lazily cancelled
 // events. Same-instant ordering is defined by an explicit EventRank rather
-// than raw insertion order, so the serial executive and the partitioned
-// (PDES) executive sort identical keys and produce identical execution
-// orders — the root of the byte-identity contract (docs/pdes.md). Within
-// one rank, events still execute in insertion order (FIFO), which keeps
-// protocol state machines deterministic.
+// than raw insertion order, so a partition's queue under PDES executes its
+// nodes' events in the order the serial queue does — the root of the
+// byte-identity contract (docs/pdes.md). Within one rank, events still
+// execute in insertion order (FIFO), which keeps protocol state machines
+// deterministic.
 #pragma once
 
 #include <cstddef>
@@ -20,16 +20,15 @@ namespace cmap::sim {
 
 /// Deterministic same-tick ordering key. At one instant, events execute by
 /// ascending (cls, a, b), then FIFO. The three classes:
-///   0 (global)   — dynamics/sequencer events (mobility ticks, channel
-///                  epochs). Under PDES these run alone at a barrier, so
-///                  the serial queue must also sort them first.
+///   0 (global)   — dynamics events (mobility ticks, channel epochs). They
+///                  mutate shared medium state, so they sort first.
 ///   2 (local)    — MAC timers, signal ends, CCA wakes, rx completions.
 ///                  Scheduled and executed within one node's partition,
 ///                  where FIFO insertion order is itself deterministic.
 ///   3 (delivery) — a frame arriving at a receiver; keyed (frame id,
 ///                  receiver id), both intrinsic to the delivery, so the
-///                  order is identical whether the event was scheduled
-///                  locally or drained from a cross-partition mailbox.
+///                  order does not depend on which fan-out scheduled it
+///                  first.
 /// Deliveries sort AFTER local events at the same tick on purpose: a
 /// signal-end (or finish_rx) at T must run before a new signal starting
 /// at exactly T, or back-to-back frame trains would overlap for zero
@@ -169,8 +168,8 @@ class EventId {
 /// callbacks live in a pool of slots recycled through a free list, so a
 /// schedule/run cycle allocates nothing once the pool and heap have grown
 /// to the run's peak depth. Not thread-safe: each queue is driven by one
-/// executive at a time (the whole simulation for the serial path, one
-/// partition window for PDES). Not copyable or movable: EventIds point at
+/// thread at a time (the whole simulation for the serial path, one
+/// partition for PDES). Not copyable or movable: EventIds point at
 /// it.
 class EventQueue {
  public:

@@ -1,8 +1,8 @@
 // The simulation executive: owns the clock and the event queue. Components
 // hold a reference to the Simulator and schedule callbacks; run() drains
 // events in time order until a stop condition. Under PDES (pdes.h) each
-// partition owns one Simulator and the engine drives the queues directly;
-// components are none the wiser.
+// partition owns one Simulator, which testbed::World runs to the horizon
+// beside the others; components are none the wiser.
 #pragma once
 
 #include "sim/event_queue.h"
@@ -31,8 +31,8 @@ class Simulator {
 
   /// Ranked variants: explicit same-tick ordering (see EventRank). The
   /// medium schedules deliveries and the dynamics subsystem its global
-  /// steps through these so the serial queue sorts same-instant events
-  /// exactly as the partitioned engine executes them.
+  /// steps through these, so same-instant events sort by what they are,
+  /// not by when they were scheduled.
   EventId at_ranked(Time when, EventRank rank, EventFn fn) {
     return queue_.schedule_ranked(when, rank, std::move(fn));
   }
@@ -47,15 +47,14 @@ class Simulator {
   /// are executed), the queue drains, or stop() is called.
   void run_until(Time until);
 
-  /// Request that run()/run_until() return after the current event. Not
-  /// honored by the PDES engine (no caller needs it mid-partitioned-run;
-  /// see docs/pdes.md).
+  /// Request that run()/run_until() return after the current event. Stops
+  /// only this simulator: under PDES the other partitions run on.
   void stop() { stopped_ = true; }
 
   std::uint64_t events_executed() const { return queue_.executed(); }
 
-  /// Direct queue access for the PDES engine, which merges and windows
-  /// several queues itself. Components should schedule via at()/in().
+  /// Direct queue access for profilers and the execution profile.
+  /// Components should schedule via at()/in().
   EventQueue& queue() { return queue_; }
 
  private:

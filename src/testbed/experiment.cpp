@@ -1,6 +1,8 @@
 #include "testbed/experiment.h"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <type_traits>
@@ -9,6 +11,26 @@
 
 namespace cmap::testbed {
 namespace {
+
+/// Monotonic nanoseconds for the PDES execution profile. Values land only
+/// in the metrics snapshot's execution section — simulation logic never
+/// observes them, so determinism is untouched.
+std::int64_t profile_clock_ns() {
+  // cmap-lint: allow(banned-wallclock) -- PDES execution-profile timing; feeds only the non-deterministic execution section
+  const auto now = std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             now.time_since_epoch())
+      .count();
+}
+
+std::uint64_t elapsed_ns(std::int64_t since) {
+  const std::int64_t dt = profile_clock_ns() - since;
+  return static_cast<std::uint64_t>(dt > 0 ? dt : 0);
+}
+
+constexpr std::size_t log2_bin(std::uint64_t span) {
+  return span <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(span)) - 1;
+}
 
 // Per-run channel wrapper over the testbed's (shared, static) propagation.
 // Seeded from both the channel config's seed and the run seed so
@@ -109,9 +131,8 @@ World::World(const Testbed& tb, const RunConfig& config)
       config_(config),
       rng_(config.seed),
       channel_(make_channel(tb, config)),
-      medium_(sim_, channel_ ? std::shared_ptr<const phy::PropagationModel>(
-                                   channel_)
-                             : tb.propagation(),
+      medium_(channel_ ? std::shared_ptr<const phy::PropagationModel>(channel_)
+                       : tb.propagation(),
               tb.config().medium, sim::Rng(config.seed).substream(0xbead, 0)) {
   radio_config_ = resolve(config_, tb_.config().radio);
   // The tracer must be bound into the medium before any radio, MAC, or
@@ -126,14 +147,20 @@ World::World(const Testbed& tb, const RunConfig& config)
     registry_ = std::make_unique<metrics::Registry>(config_.metrics->domains);
     medium_.set_metrics(registry_.get());
   }
-  if (config_.pdes.partitions > 1) {
+  // Moves and channel epochs can join two components, so a world with
+  // dynamics runs serially.
+  if (config_.pdes.partitions > 1 && !config_.dynamics) {
     // The plan itself waits for the live nodes (build_requested).
     built_ = false;
     plan_.count =
         std::min(config_.pdes.partitions, std::max(tb_.size(), 1));
-    engine_ = std::make_unique<sim::PdesEngine>(sim_, plan_.count,
-                                                config_.pdes.threads);
-    medium_.set_pdes(engine_.get(), &plan_);
+    for (int p = 0; p < plan_.count; ++p) {
+      part_sims_.push_back(std::make_unique<sim::Simulator>());
+    }
+    busy_ns_.assign(part_sims_.size(), 0);
+    team_ = std::make_unique<sim::ThreadTeam>(
+        std::min(config_.pdes.threads, plan_.count));
+    medium_.set_plan(&plan_);
     if (tracer_ != nullptr) {
       std::vector<trace::Tracer*> tracers;
       for (int p = 0; p < plan_.count; ++p) {
@@ -144,10 +171,6 @@ World::World(const Testbed& tb, const RunConfig& config)
       }
       medium_.set_partition_tracers(std::move(tracers));
     }
-    engine_->set_topology_refresh([this] { refresh_pdes_delays(); });
-    // Stall attribution reads a wall clock; only pay for it when metrics
-    // were asked for.
-    if (registry_ != nullptr) engine_->enable_profiling();
   }
   if (config_.dynamics &&
       (config_.dynamics->mobility || config_.dynamics->channel)) {
@@ -169,8 +192,8 @@ World::World(const Testbed& tb, const RunConfig& config)
 }
 
 sim::Simulator& World::node_simulator(phy::NodeId id) {
-  if (engine_ == nullptr) return sim_;
-  return engine_->partition_sim(plan_.partition_of(id));
+  if (part_sims_.empty()) return sim_;
+  return *part_sims_[static_cast<std::size_t>(plan_.partition_of(id))];
 }
 
 void World::build_requested() {
@@ -204,22 +227,33 @@ void World::build_requested() {
   requests_ = {};
 }
 
-void World::refresh_pdes_delays() {
-  if (engine_ == nullptr) return;
-  if (pdes_delays_valid_ && medium_.rows_epoch() == pdes_epoch_) return;
-  pdes_delays_valid_ = true;
-  pdes_epoch_ = medium_.rows_epoch();
-  engine_->set_min_delays(phy::min_row_delays(medium_, plan_));
-}
-
 void World::run(sim::Time until) {
-  if (engine_ == nullptr) {
+  if (part_sims_.empty()) {
     sim_.run_until(until);
     return;
   }
   build_requested();
-  refresh_pdes_delays();
-  engine_->run_until(until);
+  CMAP_ASSERT(sim_.queue().empty(),
+              "the run simulator holds events under PDES");
+  ++pdes_runs_;
+  // No delivery crosses a partition (phy/partition.h), so each partition
+  // runs to the horizon on its own.
+  for (const auto& part : part_sims_) {
+    const sim::Time next = part->queue().next_time();
+    if (next > until) continue;
+    window_log2_[log2_bin(static_cast<std::uint64_t>(until + 1 - next))]++;
+  }
+  // Timing reads a wall clock; only pay for it when metrics were asked
+  // for.
+  const bool timed = registry_ != nullptr;
+  const std::int64_t t0 = timed ? profile_clock_ns() : 0;
+  team_->run(part_sims_.size(), [&](std::size_t p) {
+    const std::int64_t start = timed ? profile_clock_ns() : 0;
+    part_sims_[p]->run_until(until);
+    // Each partition writes its own slot.
+    if (timed) busy_ns_[p] += elapsed_ns(start);
+  });
+  if (timed) parallel_ns_ += elapsed_ns(t0);
 }
 
 void World::add_node(phy::NodeId id) {
@@ -228,7 +262,10 @@ void World::add_node(phy::NodeId id) {
     return;
   }
   if (nodes_.count(id)) return;
-  if (engine_ != nullptr) plan_.place(id);
+  if (!part_sims_.empty() && plan_.partition_of(id) < 0) {
+    std::fprintf(stderr, "World: node %u added after the PDES plan\n", id);
+    CMAP_ASSERT(false, "a PDES world plans its nodes once (see stderr)");
+  }
   NodeState st;
   sim::Simulator& nsim = node_simulator(id);
   st.radio = std::make_unique<phy::Radio>(nsim, medium_, id, tb_.position(id),
@@ -272,41 +309,30 @@ metrics::MetricsSnapshot World::metrics_snapshot() {
     snap.counters[i] =
         registry_->value(static_cast<metrics::Counter>(i));
   }
-  if (engine_ == nullptr) {
-    snap.partitions = 1;
-    snap.queue_depth_high_water = sim_.queue().depth_high_water();
-    snap.queue_compactions = sim_.queue().compactions();
+  snap.queue_depth_high_water = sim_.queue().depth_high_water();
+  snap.queue_compactions = sim_.queue().compactions();
+  if (part_sims_.empty()) {
     metrics::PartitionExec pe;
-    pe.partition = 0;
     pe.executed = sim_.queue().executed();
     snap.parts.push_back(pe);
     return snap;
   }
-  snap.partitions = engine_->partitions();
-  // The engine's crew is capped at the partition count.
-  snap.threads = std::min(config_.pdes.threads, engine_->partitions());
-  snap.queue_depth_high_water = sim_.queue().depth_high_water();
-  snap.queue_compactions = sim_.queue().compactions();
-  const sim::PdesExecStats& es = engine_->exec_stats();
-  snap.rounds = engine_->rounds();
-  snap.global_barriers = es.global_barriers;
-  snap.window_log2 = es.window_log2;
-  snap.parallel_wall_ms = static_cast<double>(es.parallel_ns) / 1e6;
-  for (int p = 0; p < engine_->partitions(); ++p) {
-    sim::EventQueue& q = engine_->partition_sim(p).queue();
-    if (q.depth_high_water() > snap.queue_depth_high_water) {
-      snap.queue_depth_high_water = q.depth_high_water();
-    }
+  snap.partitions = plan_.count;
+  snap.threads = std::min(config_.pdes.threads, plan_.count);
+  snap.rounds = pdes_runs_;
+  snap.window_log2 = window_log2_;
+  snap.parallel_wall_ms = static_cast<double>(parallel_ns_) / 1e6;
+  for (std::size_t p = 0; p < part_sims_.size(); ++p) {
+    sim::EventQueue& q = part_sims_[p]->queue();
+    snap.queue_depth_high_water =
+        std::max<std::uint64_t>(snap.queue_depth_high_water,
+                                q.depth_high_water());
     snap.queue_compactions += q.compactions();
     metrics::PartitionExec pe;
-    pe.partition = p;
+    pe.partition = static_cast<int>(p);
     pe.executed = q.executed();
-    pe.mailbox_posted = engine_->mailbox_posted(p);
-    pe.busy_ms =
-        static_cast<double>(es.busy_ns[static_cast<std::size_t>(p)]) / 1e6;
-    pe.barrier_wait_ms = snap.parallel_wall_ms > pe.busy_ms
-                             ? snap.parallel_wall_ms - pe.busy_ms
-                             : 0.0;
+    pe.busy_ms = static_cast<double>(busy_ns_[p]) / 1e6;
+    pe.barrier_wait_ms = std::max(snap.parallel_wall_ms - pe.busy_ms, 0.0);
     snap.parts.push_back(pe);
   }
   return snap;

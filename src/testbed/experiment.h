@@ -4,6 +4,7 @@
 // enum spans every MAC variant that appears in the evaluation's figures.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,6 +18,7 @@
 #include "phy/medium.h"
 #include "phy/partition.h"
 #include "phy/radio.h"
+#include "sim/parallel.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
@@ -73,16 +75,17 @@ struct RunConfig {
   // (trace::merge_streams reassembles one time-ordered file).
   std::optional<trace::TraceConfig> trace;
   // Run-level metrics (metrics/metrics.h): when set, the World owns a
-  // counter Registry every subsystem hooks into, and — under PDES — the
-  // engine records stall attribution. Like tracing, metrics never draw
+  // counter Registry every subsystem hooks into, and — under PDES — times
+  // each partition's run. Like tracing, metrics never draw
   // randomness or schedule events, so a metered run's results are
   // identical to an unmetered one's; the counter section is additionally
   // byte-identical across partition and thread counts.
   std::optional<metrics::MetricsConfig> metrics;
   // Intra-run parallel execution (sim/pdes.h, docs/pdes.md). partitions ==
   // 1 keeps the single-queue serial path — the reference oracle PDES runs
-  // are golden-tested byte-identical against. Both fields must be >= 1.
-  // Results never depend on partitions or threads.
+  // are golden-tested byte-identical against — and so does `dynamics`,
+  // whatever this says. Both fields must be >= 1. Results never depend on
+  // partitions or threads.
   sim::PdesOptions pdes;
 
   // Kept only for bench/e2e/e2e_driver.cpp, the benchmark's pinned driver;
@@ -99,13 +102,13 @@ struct RunConfig {
 /// mid-run inspection) use this directly; run_flows() covers the common
 /// saturated-flows case.
 ///
-/// When nodes are built: serially (config().pdes.partitions == 1),
-/// add_node and add_saturated_flow build at once. Under PDES they only
-/// record the request, because the partition plan (phy/partition.h)
-/// groups the run's live nodes by link: the first run() or node accessor
-/// (mac, sink, cmap, dcf, radio, medium, set_measurement_window) plans
-/// the recorded nodes and builds them in the recorded order. A node added
-/// after that is built at once on the least-loaded partition.
+/// When nodes are built: serially, add_node and add_saturated_flow build
+/// at once. Under PDES (config().pdes.partitions > 1 and no dynamics) they
+/// only record the request, because the partition plan (phy/partition.h)
+/// groups the run's live nodes by link component: the first run() or node
+/// accessor (mac, sink, cmap, dcf, radio, medium, set_measurement_window)
+/// plans the recorded nodes and builds them in the recorded order. Adding
+/// a node after that aborts, naming it.
 class World {
  public:
   World(const Testbed& tb, const RunConfig& config);
@@ -119,11 +122,12 @@ class World {
   /// Set every built sink's measurement window.
   void set_measurement_window(sim::Time begin, sim::Time end);
 
-  /// Drive the world to `until`: the PDES engine when
-  /// config().pdes.partitions > 1, else the serial simulator.
+  /// Drive the world to `until`. Under PDES every partition simulator
+  /// runs to `until` side by side (sim::ThreadTeam), else the serial
+  /// simulator does.
   void run(sim::Time until);
 
-  /// The run (global-sequencer) simulator. Under PDES, per-node events
+  /// The run simulator. Under PDES it holds no events: per-node events
   /// live on partition simulators instead — drive partial runs through
   /// run(), not this.
   sim::Simulator& simulator() { return sim_; }
@@ -145,7 +149,7 @@ class World {
   /// nullptr).
   metrics::Registry* metrics() const { return registry_.get(); }
   /// Assemble the full snapshot: the registry's counter section plus the
-  /// execution profile (queue depths, PDES stall attribution). Meaningful
+  /// execution profile (queue depths, per-partition timing). Meaningful
   /// any time, but normally taken after run().
   metrics::MetricsSnapshot metrics_snapshot();
 
@@ -169,9 +173,6 @@ class World {
   sim::Simulator& node_simulator(phy::NodeId id);
   /// Under PDES, on first call: plan the requested nodes and build them.
   void build_requested();
-  /// Recompute the engine's lookahead matrix from the medium's rows
-  /// (no-op when no row changed since the last call).
-  void refresh_pdes_delays();
 
   const Testbed& tb_;
   RunConfig config_;  // resolved against its scheme at construction
@@ -184,16 +185,20 @@ class World {
   // Owns the run's counter registry; bound into medium_ alongside the
   // tracer, before any hook caches it.
   std::unique_ptr<metrics::Registry> registry_;
-  // PDES state (empty/null on the serial path). Declared before medium_
-  // (which routes deliveries through the engine) and nodes_ (whose radios
-  // live on the engine's partition simulators).
+  // PDES state (empty on the serial path). Declared before medium_
+  // (which reads the plan) and nodes_ (whose radios live on the partition
+  // simulators).
   phy::PartitionPlan plan_;
-  std::unique_ptr<sim::PdesEngine> engine_;
+  std::vector<std::unique_ptr<sim::Simulator>> part_sims_;
+  std::unique_ptr<sim::ThreadTeam> team_;  // runs the partitions
   std::vector<std::unique_ptr<trace::Tracer>> part_tracers_;
   std::vector<Request> requests_;  // until built_
   bool built_ = true;              // false under PDES until first built
-  std::uint64_t pdes_epoch_ = 0;
-  bool pdes_delays_valid_ = false;
+  // The execution profile of the PDES run() calls (metrics_snapshot).
+  std::uint64_t pdes_runs_ = 0;
+  std::array<std::uint64_t, 64> window_log2_{};
+  std::vector<std::uint64_t> busy_ns_;  // per partition; timed with metrics
+  std::uint64_t parallel_ns_ = 0;
   // Per-run channel wrapper (nullptr without channel dynamics); must
   // outlive and precede medium_, which holds it as its propagation model.
   std::shared_ptr<dynamics::DynamicShadowing> channel_;

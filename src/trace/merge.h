@@ -1,7 +1,7 @@
 // Merge per-partition .cmtrace streams into one time-ordered stream.
 //
-// A PDES run writes one trace file per partition (plus the global
-// sequencer's stream): each is tick-monotone on its own, but a reader
+// A PDES run writes one trace file per partition (plus the run's own
+// stream): each is tick-monotone on its own, but a reader
 // wanting the whole run needs them interleaved. merge_streams k-way merges
 // on (tick, input index) — input index as the tie-breaker makes the output
 // a pure function of the input files, so merging the same run twice is

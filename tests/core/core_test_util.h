@@ -17,7 +17,7 @@ class CmapWorld {
  public:
   explicit CmapWorld(double threshold_db = 3.0)
       : model_(std::make_shared<phy::ThresholdErrorModel>(threshold_db)),
-        medium_(sim_, std::make_shared<phy::FriisPropagation>(), no_fading(),
+        medium_(std::make_shared<phy::FriisPropagation>(), no_fading(),
                 sim::Rng(11)) {}
 
   static phy::MediumConfig no_fading() {

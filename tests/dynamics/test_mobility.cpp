@@ -24,7 +24,7 @@ constexpr double kHeight = 40.0;
 struct MiniWorld {
   explicit MiniWorld(int n)
       : propagation(std::make_shared<phy::FriisPropagation>()),
-        medium(sim, propagation, phy::MediumConfig{}, sim::Rng(11)) {
+        medium(propagation, phy::MediumConfig{}, sim::Rng(11)) {
     auto error = std::make_shared<phy::NistErrorModel>();
     sim::Rng place(42);
     for (int i = 0; i < n; ++i) {

@@ -17,7 +17,7 @@ class MacWorld {
  public:
   explicit MacWorld(double error_threshold_db = 3.0)
       : model_(std::make_shared<phy::ThresholdErrorModel>(error_threshold_db)),
-        medium_(sim_, std::make_shared<phy::FriisPropagation>(), no_fading(),
+        medium_(std::make_shared<phy::FriisPropagation>(), no_fading(),
                 sim::Rng(7)) {}
 
   static phy::MediumConfig no_fading() {

@@ -205,7 +205,7 @@ TEST(WorldMetrics, ThreadsReportsTheThreadsThatRan) {
   config.pdes.threads = 4;
   // Serial: only the driving thread ever runs events.
   EXPECT_EQ(testbed::World(*tb, config).metrics_snapshot().threads, 1);
-  // Two partitions: the engine caps its crew at the partition count.
+  // Two partitions: the threads are capped at the partition count.
   config.pdes.partitions = 2;
   {
     testbed::World world(*tb, config);

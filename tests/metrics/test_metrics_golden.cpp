@@ -7,7 +7,8 @@
 // in the snapshot's execution section, which this test deliberately does
 // not compare. Exercised on a static scenario (fig12_exposed) and a
 // mobility scenario (mobile_floor_25, whose dynamics ticks drive the
-// kDynamics counters and the PDES global-barrier path).
+// kDynamics counters; a world with dynamics runs serially at any
+// partition count).
 #include <gtest/gtest.h>
 
 #include <string>

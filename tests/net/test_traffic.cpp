@@ -15,7 +15,7 @@ namespace {
 struct TrafficWorld {
   TrafficWorld()
       : model(std::make_shared<phy::ThresholdErrorModel>(3.0)),
-        medium(sim, std::make_shared<phy::FriisPropagation>(), no_fading(),
+        medium(std::make_shared<phy::FriisPropagation>(), no_fading(),
                sim::Rng(3)) {}
 
   static phy::MediumConfig no_fading() {

@@ -58,8 +58,7 @@ class World {
                  MediumConfig mcfg = NoFadingConfig(),
                  std::shared_ptr<const PropagationModel> prop = nullptr)
       : model_(std::move(model)),
-        medium_(sim_,
-                prop ? std::move(prop) : std::make_shared<FriisPropagation>(),
+        medium_(prop ? std::move(prop) : std::make_shared<FriisPropagation>(),
                 mcfg, sim::Rng(99)) {}
 
   static MediumConfig NoFadingConfig() {

@@ -229,7 +229,7 @@ struct CountingWorld {
   explicit CountingWorld(int n, MediumConfig mcfg = World::NoFadingConfig(),
                          bool bounded = false)
       : propagation(std::make_shared<CountingPropagation>(bounded)),
-        medium(sim, propagation, mcfg, sim::Rng(7)) {
+        medium(propagation, mcfg, sim::Rng(7)) {
     for (int i = 0; i < n; ++i) add(Position{40.0 * i, 10.0 * (i % 3)});
   }
 
@@ -353,7 +353,7 @@ TEST(MediumInvalidate, RefreshAllReconcilesAChangedChannel) {
   };
   sim::Simulator sim;
   auto prop = std::make_shared<Shiftable>();
-  Medium medium(sim, prop, World::NoFadingConfig(), sim::Rng(7));
+  Medium medium(prop, World::NoFadingConfig(), sim::Rng(7));
   auto error = std::make_shared<NistErrorModel>();
   Radio a(sim, medium, 1, {0, 0}, RadioConfig{}, error, sim::Rng(1));
   Radio b(sim, medium, 2, {80, 0}, RadioConfig{}, error, sim::Rng(2));
@@ -563,7 +563,7 @@ TEST(MediumEarlyDrop, FloorDropsCountExactlyTheFullComputationsDrops) {
   const sim::Rng fading(5);
   sim::Simulator sim;
   metrics::Registry registry;
-  Medium medium(sim, std::make_shared<FriisPropagation>(), cfg, fading);
+  Medium medium(std::make_shared<FriisPropagation>(), cfg, fading);
   medium.set_metrics(&registry);
   std::vector<std::unique_ptr<Radio>> radios;
   for (NodeId id = 1; id <= 40; ++id) {
@@ -607,7 +607,7 @@ TEST(MediumEarlyDrop, FloorDropsCountExactlyTheFullComputationsDrops) {
 
 void build_medium(const MediumConfig& mcfg) {
   sim::Simulator sim;
-  Medium medium(sim, std::make_shared<FriisPropagation>(), mcfg, sim::Rng(1));
+  Medium medium(std::make_shared<FriisPropagation>(), mcfg, sim::Rng(1));
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();

@@ -53,8 +53,6 @@ TEST(PropagationDelay, TruncationMatchesTheMediumsLinkDelay) {
   }
 }
 
-// ---- The lookahead: minimum cross-partition row delays ----
-
 // Fading on, so the cull floor sits 12 dB under the delivery floor and
 // rows hold links no delivery of mean power would reach.
 MediumConfig fading_config() {
@@ -62,97 +60,6 @@ MediumConfig fading_config() {
   m.fading_sigma_db = 2.0;
   m.cull_guard_sigmas = 6.0;
   return m;
-}
-
-PartitionPlan plan_of(int count, const std::vector<int>& part_by_id) {
-  PartitionPlan plan;
-  plan.count = count;
-  plan.part_of_node = part_by_id;
-  return plan;
-}
-
-TEST(MinCrossDelays, EqualsABruteForceMinimumOverRowLinks) {
-  // Random worlds of four clusters along a 20 km line, one partition per
-  // cluster: over free space some cluster pairs share strong links, some
-  // only links below the delivery floor, and some none at all.
-  int forever_entries = 0;
-  int weak_only_entries = 0;
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    const int count = 4;
-    sim::Rng rng(seed);
-    World w(std::make_shared<NistErrorModel>(), fading_config());
-    std::vector<Position> centers;
-    for (int p = 0; p < count; ++p) {
-      centers.push_back({rng.uniform(0.0, 20000.0), rng.uniform(0.0, 200.0)});
-    }
-    std::vector<int> part_by_id;
-    for (NodeId id = 0; id < 40; ++id) {
-      const int p = static_cast<int>(rng.uniform_int(0, count - 1));
-      const Position& c = centers[static_cast<std::size_t>(p)];
-      w.add_radio(id, {c.x + rng.uniform(0.0, 100.0),
-                       c.y + rng.uniform(0.0, 100.0)});
-      part_by_id.push_back(p);
-    }
-    const Medium& m = w.medium();
-    const PartitionPlan plan = plan_of(count, part_by_id);
-    const auto got = min_row_delays(m, plan);
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(count * count));
-    for (int a = 0; a < count; ++a) {
-      for (int b = 0; b < count; ++b) {
-        const sim::Time entry = got[static_cast<std::size_t>(a * count + b)];
-        if (a == b) {
-          EXPECT_EQ(entry, 0);
-          continue;
-        }
-        sim::Time want = sim::kTimeForever;
-        sim::Time strong = sim::kTimeForever;  // links at or over the floor
-        for (const Radio* src : m.radios()) {
-          if (plan.partition_of(src->id()) != a) continue;
-          for (const Medium::RowLink& link : m.row(src->id())) {
-            if (plan.partition_of(m.radios()[link.dst]->id()) != b) continue;
-            want = std::min(want, link.delay);
-            if (link.gain_dbm >= m.config().delivery_floor_dbm) {
-              strong = std::min(strong, link.delay);
-            }
-          }
-        }
-        EXPECT_EQ(entry, want) << "seed " << seed << " [" << a << "][" << b
-                               << "]";
-        if (want == sim::kTimeForever) ++forever_entries;
-        if (want != sim::kTimeForever && strong == sim::kTimeForever) {
-          ++weak_only_entries;
-        }
-      }
-    }
-  }
-  // Non-vacuity: both kinds of entry a pair-distance or delivery-floor
-  // lookahead would get wrong occur.
-  EXPECT_GT(forever_entries, 0);
-  EXPECT_GT(weak_only_entries, 0);
-}
-
-TEST(MinCrossDelays, EmptyPartitionIsUnbounded) {
-  // Partition 1 holds no radio: nothing can reach it or leave it.
-  World w(std::make_shared<NistErrorModel>());
-  w.add_radio(0, {0, 0});
-  w.add_radio(1, {30, 0});
-  w.add_radio(2, {5, 5});
-  const auto d = min_row_delays(w.medium(), plan_of(3, {0, 2, 0}));
-  EXPECT_EQ(d[0 * 3 + 1], sim::kTimeForever);
-  EXPECT_EQ(d[1 * 3 + 0], sim::kTimeForever);
-  EXPECT_EQ(d[1 * 3 + 2], sim::kTimeForever);
-  EXPECT_EQ(d[2 * 3 + 1], sim::kTimeForever);
-  EXPECT_EQ(d[0 * 3 + 2], propagation_delay_ns(distance({5, 5}, {30, 0})));
-}
-
-TEST(MinCrossDelays, CoLocatedNodesInDifferentPartitionsKeepOneNanosecond) {
-  World w(std::make_shared<NistErrorModel>());
-  w.add_radio(0, {10, 10});
-  w.add_radio(1, {10, 10});
-  w.add_radio(2, {50, 0});
-  const auto d = min_row_delays(w.medium(), plan_of(2, {0, 1, 1}));
-  EXPECT_EQ(d[0 * 2 + 1], 1);
-  EXPECT_EQ(d[1 * 2 + 0], 1);
 }
 
 TEST(RowLinksAmong, MatchTheRowsOfTheAttachedRadios) {
@@ -278,9 +185,10 @@ TEST(PartitionPlan, PackingIsBalanced) {
   }
 }
 
-TEST(PartitionPlan, OversizedComponentIsCutAndTheRestStayWhole) {
-  // A 30-node component and five of 4: fair share 13 at 4 partitions, so
-  // only the big one is cut, into strips of at most 13.
+TEST(PartitionPlan, OversizedComponentStaysWhole) {
+  // A 30-node component and five of 4: the big one is larger than the
+  // fair share (13 at 4 partitions) and still lands whole on one
+  // partition, and the small ones fill the others.
   const auto nodes = scattered_nodes(50);
   std::vector<LiveLink> links;
   chain(&links, 0, 30);
@@ -288,70 +196,19 @@ TEST(PartitionPlan, OversizedComponentIsCutAndTheRestStayWhole) {
     chain(&links, first, first + 4);
   }
   const PartitionPlan plan = make_partition_plan(nodes, links, 4);
-  std::vector<int> big(4, 0);
   for (std::uint32_t i = 0; i < 30; ++i) {
-    ++big[static_cast<std::size_t>(plan.partition_of(nodes[i].id))];
+    EXPECT_EQ(plan.partition_of(nodes[i].id), plan.partition_of(nodes[0].id))
+        << "node " << i;
   }
-  EXPECT_GE(std::count_if(big.begin(), big.end(), [](int c) { return c > 0; }),
-            3);
-  for (const int c : big) EXPECT_LE(c, 13);
   for (std::uint32_t first = 30; first < 50; first += 4) {
     for (std::uint32_t i = first; i < first + 4; ++i) {
       EXPECT_EQ(plan.partition_of(nodes[i].id),
                 plan.partition_of(nodes[first].id));
     }
   }
-}
-
-TEST(PartitionPlan, StripSizesDifferByAtMostOne) {
-  // One component (a dense floor) is cut into strips no larger than the
-  // fair share, whose sizes differ by at most one node.
-  for (const int n : {7, 10, 33, 50}) {
-    for (const int count : {2, 3, 4, 6}) {
-      const auto nodes = scattered_nodes(n);
-      std::vector<LiveLink> links;
-      chain(&links, 0, static_cast<std::uint32_t>(n));
-      const PartitionPlan plan = make_partition_plan(nodes, links, count);
-      ASSERT_EQ(plan.count, count);
-      std::vector<int> sizes;
-      for (const int c : loads(plan, nodes)) {
-        if (c > 0) sizes.push_back(c);
-      }
-      const auto [lo, hi] = std::minmax_element(sizes.begin(), sizes.end());
-      EXPECT_LE(*hi - *lo, 1) << n << " nodes, " << count << " partitions";
-      EXPECT_LE(*hi, (n + count - 1) / count);
-    }
-  }
-}
-
-TEST(PartitionPlan, StripsFollowTheXOrder) {
-  // Each strip of a cut component is one contiguous run of the (x, y, id)
-  // order.
-  const auto nodes = scattered_nodes(30);
-  std::vector<LiveLink> links;
-  chain(&links, 0, 30);
-  const PartitionPlan plan = make_partition_plan(nodes, links, 4);
-  std::vector<LiveNode> sorted = nodes;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const LiveNode& a, const LiveNode& b) {
-              if (a.position.x != b.position.x) {
-                return a.position.x < b.position.x;
-              }
-              if (a.position.y != b.position.y) {
-                return a.position.y < b.position.y;
-              }
-              return a.id < b.id;
-            });
-  std::set<int> finished;
-  int current = plan.partition_of(sorted.front().id);
-  for (const LiveNode& n : sorted) {
-    const int p = plan.partition_of(n.id);
-    if (p == current) continue;
-    finished.insert(current);
-    EXPECT_EQ(finished.count(p), 0u) << "strip " << p << " resumes";
-    current = p;
-  }
-  EXPECT_EQ(finished.size(), 3u);
+  // The big component alone on its partition; the five others spread
+  // 2/2/1 over the rest.
+  EXPECT_EQ(loads(plan, nodes), (std::vector<int>{30, 8, 8, 4}));
 }
 
 TEST(PartitionPlan, SameInputGivesTheSamePlan) {
@@ -387,19 +244,37 @@ TEST(PartitionPlan, KeepsTheCountAndLeavesSurplusPartitionsEmpty) {
   EXPECT_EQ(plan.partition_of(nodes[0].id - 1), -1);
 }
 
-TEST(PartitionPlan, PlaceAddsALateNodeToTheLeastLoadedPartition) {
-  const auto nodes = scattered_nodes(7);
-  std::vector<LiveLink> links;
-  chain(&links, 0, 3);
-  PartitionPlan plan = make_partition_plan(nodes, links, 3);
-  // Loads 3, 2, 2: a late node goes to partition 1, the next to 2.
-  EXPECT_EQ(loads(plan, nodes), (std::vector<int>{3, 2, 2}));
-  plan.place(100);
-  plan.place(101);
-  EXPECT_EQ(plan.partition_of(100), 1);
-  EXPECT_EQ(plan.partition_of(101), 2);
-  plan.place(nodes[0].id);  // already planned: stays put
-  EXPECT_EQ(plan.partition_of(nodes[0].id), 0);
+// ---- The medium enforces the plan ----
+
+PartitionPlan plan_of(int count, const std::vector<int>& part_by_id) {
+  PartitionPlan plan;
+  plan.count = count;
+  plan.part_of_node = part_by_id;
+  return plan;
+}
+
+TEST(MediumDeathTest, PlanThatSplitsALinkedPairAborts) {
+  // Radios 0 and 1 sit 10 m apart, so each row holds the other. Radio 2,
+  // 20 km away, shares no row with either and may sit on any partition.
+  const PartitionPlan plan = plan_of(2, {0, 1, 1});
+  EXPECT_DEATH(
+      {
+        World w(std::make_shared<NistErrorModel>());
+        w.medium().set_plan(&plan);
+        w.add_radio(0, {0, 0});
+        w.add_radio(2, {20000, 0});
+        w.add_radio(1, {10, 0});
+      },
+      "row link 1 -> 0 joins partitions 1 and 0");
+  // Non-vacuity: the same radios under a plan that keeps the pair
+  // together attach.
+  const PartitionPlan whole = plan_of(2, {0, 0, 1});
+  World w(std::make_shared<NistErrorModel>());
+  w.medium().set_plan(&whole);
+  w.add_radio(0, {0, 0});
+  w.add_radio(2, {20000, 0});
+  w.add_radio(1, {10, 0});
+  EXPECT_EQ(w.medium().row(1).size(), 1u);
 }
 
 }  // namespace

@@ -1,18 +1,16 @@
 // Golden-report exactness of intra-run parallel execution: every builtin
-// scenario swept under the PDES engine at 2 and 4 partitions must produce
-// a SweepReport BYTE-identical to the serial single-queue oracle. This is
-// the contract that licenses the partitioned executive (docs/pdes.md):
-// spatial partitioning, conservative closure windows, mailbox routing, and
-// the shared-seq merged-group interleave are an *execution strategy* over
-// the same totally-ordered event program, not an approximation — any
-// divergence in any delivery order would cascade into different MAC
-// decisions and therefore different report bytes. Mirrors
-// test_sparse_golden.cpp (the link-state stores' equivalent guarantee).
+// scenario swept at 2 and 4 partitions must produce a SweepReport
+// BYTE-identical to the serial single-queue oracle. This is the contract
+// that licenses PDES (docs/pdes.md): link components running side by
+// side are an *execution strategy* over the same totally-ordered event
+// program, not an approximation — any divergence in any delivery order
+// would cascade into different MAC decisions and therefore different
+// report bytes. Mirrors test_sparse_golden.cpp (the link-state stores'
+// equivalent guarantee).
 //
-// metro_10k is excluded for runtime only (bench_pdes covers the scaling
-// story); every other scenario — including the mobility family, whose
-// global mobility ticks exercise the barrier + lookahead-refresh path —
-// runs here. Worker threads are exercised in the 4-partition variant;
+// metro_10k is excluded for runtime only; every other scenario — including
+// the mobility family, whose worlds run serially at any partition count —
+// runs here. Partition threads are exercised in the 4-partition variant;
 // thread count never affects results. Each sweep runs CMAP and 802.11
 // carrier sense: only the latter's radios watch CCA, so only it runs the
 // CCA wakes (phy/radio.h) under partitions.
@@ -42,8 +40,7 @@ std::string run_report(const Scenario& s, int partitions, int threads) {
   sweep.schemes = {testbed::Scheme::kCmap, testbed::Scheme::kCsma};
   sweep.topologies = 1;
   // Short sweeps keep the full-registry pass affordable; the mobility
-  // family gets a longer window so mobility ticks actually fire and the
-  // engine's global-barrier + delay-refresh path runs.
+  // family gets a longer window so mobility ticks actually fire.
   sweep.duration = s.defaults.dynamics.has_value() ? sim::milliseconds(1600)
                                                    : sim::milliseconds(400);
   sweep.warmup = *sweep.duration / 4;

@@ -1,11 +1,12 @@
-// Cross-partition message-ordering fuzz (the PDES byte-identity contract
-// observed at event granularity, not just report granularity): seeded
-// random flow sets on the 50-node floor — most of them straddling the
-// spatial partition boundaries, many transmissions landing on identical
-// ticks — run once on the serial oracle and once under 4-partition PDES.
-// The partitioned run's streams (global + one per partition) are
-// reassembled with trace::merge_streams, and the two runs' event streams
-// must agree:
+// Partitioned event-order fuzz (the PDES byte-identity contract observed
+// at event granularity, not just report granularity): seeded random flow
+// sets over the far-apart clusters of a sparse building
+// (testbed/pdes_clusters.h) — each cluster its own link component, so the
+// plan spreads them over the partitions, and saturated sources put many
+// transmissions of different partitions on identical ticks — run once on
+// the serial oracle and once under 4-partition PDES. The partitioned
+// run's streams (global + one per partition) are reassembled with
+// trace::merge_streams, and the two runs' event streams must agree:
 //   * per node: the exact sequence of records mentioning that node (every
 //     node's events are totally ordered; partitioning must not reorder,
 //     drop, or duplicate any of them),
@@ -15,10 +16,9 @@
 // Streams must be unsampled for this comparison: per-partition tracers
 // decimate independently, so sample_every > 1 would drop different
 // records from equivalent runs. The partitioned run goes once with fewer
-// threads than partitions and once with one thread per partition, where
-// the driving thread runs windows too. Which stream a record lands in is
-// fixed by the hook its component bound at construction, not by the thread
-// that runs the window.
+// threads than partitions and once with one thread per partition. Which
+// stream a record lands in is fixed by the hook its component bound at
+// construction, not by the thread that runs the partition.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,10 +27,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
 #include "testbed/experiment.h"
+#include "testbed/pdes_clusters.h"
 #include "testbed/testbed.h"
 #include "trace/merge.h"
 #include "trace/reader.h"
@@ -101,21 +103,21 @@ std::vector<trace::Record> read_checked(const std::string& path) {
   return records;
 }
 
-// Random cross-floor flow set: endpoints drawn over all 50 nodes, which
-// mostly hear one another, so the plan cuts their one link component into
-// 4 spatial strips that most flows straddle; saturated sources then put
-// many transmissions on identical ticks.
+// Random flow set: 4 to 8 of the building's ten cluster flows, each in a
+// random direction. Two flows per cluster, so at least two clusters, and
+// with them at least two partitions, carry traffic.
 std::vector<Flow> fuzz_flows(std::uint64_t seed) {
   sim::Rng rng(seed);
+  std::vector<Flow> pool = pdes_test::cluster_flows(pdes_test::sparse_building());
   std::vector<Flow> flows;
-  std::set<phy::NodeId> used;
-  const int count = static_cast<int>(rng.uniform_int(4, 8));
-  while (static_cast<int>(flows.size()) < count) {
-    const auto src = static_cast<phy::NodeId>(rng.uniform_int(0, 49));
-    const auto dst = static_cast<phy::NodeId>(rng.uniform_int(0, 49));
-    if (src == dst || used.count(src)) continue;  // one source role per node
-    used.insert(src);
-    flows.push_back({src, dst});
+  const auto count = static_cast<std::size_t>(rng.uniform_int(4, 8));
+  while (flows.size() < count) {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+    Flow f = pool[i];
+    if (rng.uniform_int(0, 1) == 1) std::swap(f.src, f.dst);
+    flows.push_back(f);
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
   }
   return flows;
 }
@@ -135,7 +137,7 @@ RunConfig traced_config(std::uint64_t seed, const std::string& trace_path,
 }
 
 TEST(PdesTraceFuzz, PartitionedEventOrderMatchesSerial) {
-  const Testbed tb{TestbedConfig{}};
+  const Testbed& tb = pdes_test::sparse_building();
   for (const int threads : {2, kPartitions}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     for (std::uint64_t seed : {11u, 29u, 47u}) {
@@ -203,11 +205,11 @@ TEST(PdesTraceFuzz, PartitionedEventOrderMatchesSerial) {
 }
 
 // The stream a record lands in is fixed by the hook its component bound at
-// construction, whichever thread runs the window: every phy_tx of a
+// construction, whichever thread runs the partition: every phy_tx of a
 // partitioned run sits in its sender's partition stream, none in the
 // global one, and none is lost or duplicated.
 TEST(PdesTraceStreams, PhyTxLandsInItsSendersPartitionStream) {
-  const Testbed tb{TestbedConfig{}};
+  const Testbed& tb = pdes_test::sparse_building();
   const std::string path =
       ::testing::TempDir() + "pdes_phy_tx_streams.cmtrace";
 

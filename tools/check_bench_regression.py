@@ -45,11 +45,12 @@ many --pr files are given:
       changed behavior.
   pdes_bench             (bench_pdes)            — intra-run parallel event
       execution; its pdes_reports_match metric is 1.0 when the partitioned
-      executive (2 and 4 partitions, worker threads on) produced
-      SweepReports byte-identical to the serial single-queue oracle — the
-      contract that licenses PDES at all (docs/pdes.md). pdes_speedup
-      rides as info: the CI container is effectively single-core, so
-      wall-clock parallel speedup is not meaningful there.
+      runs (2 and 4 partitions, link components side by side on 2 threads)
+      produced SweepReports byte-identical to the serial single-queue
+      oracle — the contract that licenses PDES at all (docs/pdes.md).
+      pdes_speedup rides as info: the bench scenario is one link
+      component, which runs on one partition, so the ratio measures
+      scheduler noise, not parallel speedup.
 
 Every non-timing row of the baseline (today the four dense_grid_25
 throughput rows bench_dense_grid emits) must reappear in the PR reports
@@ -89,7 +90,7 @@ MIN_KEYS = {"measure_speedup": "min_measure_speedup",
 # TestbedCache request returned the identical instance, decisions_match /
 # mobility_states_match are 1.0 when the fast and reference paths answered
 # (or left the link state) byte-identical, pdes_reports_match is 1.0 when the
-# partitioned executive reproduced the serial oracle's SweepReport
+# partitioned runs reproduced the serial oracle's SweepReport
 # byte-for-byte at 2 and 4 partitions — a miss on any is the regression
 # the bench exists to catch, not a diagnostic.
 FIXED_MIN_KEYS = {"cache_hit": 1.0, "decisions_match": 1.0,
@@ -125,8 +126,8 @@ INFO_KEYS = {"max_abs_delta_prr", "table_entries", "decide_oracle_cpu_ms",
              "metrics_unmetered_cpu_ms", "metrics_disabled_cpu_ms",
              "metrics_enabled_cpu_ms",
              # bench_pdes: terms of the info-only pdes_speedup ratio. The
-             # PDES wall timings run worker threads, so wall clock on a
-             # shared runner is scheduler noise the calibration ratio
+             # PDES wall timings may run partition threads, so wall clock
+             # on a shared runner is scheduler noise the calibration ratio
              # cannot correct.
              "pdes_serial_wall_ms", "pdes_p4_wall_ms"}
 # Timings whose baseline is shorter than this are reported but not gated:
